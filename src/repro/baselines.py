@@ -2,9 +2,9 @@
 
 Every analysis package pins its deterministic output slice to a JSON
 file under ``benchmarks/`` and diffs against it in CI.  Before this
-module, each package (``ir``, ``adjoint``, ``perf``, ``schedule``,
-``concheck``, ``scaling``) carried its own copy of the same three
-moves; they now share one implementation:
+module, each package (``ir``, ``adjoint``, ``perf``, ``concheck``,
+``scaling``) carried its own copy of the same three moves; they now
+share one implementation:
 
 * :func:`diff_entries` — keyed-record comparison driven by the
   *baseline's* fields, so an older baseline that pins fewer numbers
@@ -54,7 +54,7 @@ def diff_entries(
     """Diff keyed record lists; comparison fields come from the baseline.
 
     ``verb`` names the action that produced ``current`` ("analyzed",
-    "checked", "planned", ...), preserving each package's established
+    "checked", "certified", ...), preserving each package's established
     message wording.
     """
 

@@ -8,6 +8,12 @@ Subcommands mirror the library's main workflows:
 * ``score``  — place + route + contest scores (Eqs. 1-3) in one shot.
 * ``train``  — train a congestion model and save a checkpoint.
 * ``table2`` — run the four teams on selected designs (mini Table II).
+
+The analyzer sections below are declared once, in ``SECTIONS``; each is
+a subcommand and a section of ``check``, the unified gate with one
+combined JSON report (``repro.check/v1``) whose ``--update-baselines``
+atomically refreshes every ``benchmarks/*_baseline.json`` instead:
+
 * ``lint``   — static autograd lint + ShapeTracer model validation.
 * ``analyze`` — symbolic-IR static analysis: memory plan, FLOP cost,
   stability + determinism audit (see repro.ir); ``--backward`` adds the
@@ -18,10 +24,6 @@ Subcommands mirror the library's main workflows:
 * ``perfcheck`` — static performance analysis: dtype-flow / copy-alias /
   fusion passes over the traced graphs plus AST audits of the flow
   code, with measured-vs-predicted validation (see repro.perf).
-* ``plancheck`` — compile each model's traced graph into a verified
-  ``repro.schedule/v1`` execution plan (fusion groups, arena buffer
-  assignment, copy-elision certificates) and re-check it with the
-  independent plan verifier (see repro.schedule).
 * ``concheck`` — static concurrency-safety certification: re-derive the
   worker-reachable call graph from the dotted job references, then run
   effect inference, deep RNG discipline, fork/pickle safety and the
@@ -33,15 +35,10 @@ Subcommands mirror the library's main workflows:
   see repro.scaling).
 * ``numcheck`` — static floating-point error-bound certification:
   first-order rounding-error envelopes over every registry model's
-  forward and adjoint graphs, cancellation/conditioning screens,
-  reassociation + dtype-pin safety certificates for each execution
-  plan, a mixed-precision lint over the flow code, and a float64
+  forward and adjoint graphs, cancellation/conditioning screens, a
+  mixed-precision lint over the flow code, and a float64
   shadow-execution harness that validates every certified bound by
   measurement (REPRO801-810, see repro.numcheck).
-* ``check``  — the unified gate: lint + analyze + gradcheck + perfcheck
-  + plancheck + concheck + scalecheck + numcheck in one command with
-  one combined JSON report (``repro.check/v1``); ``--update-baselines``
-  atomically refreshes every ``benchmarks/*_baseline.json`` instead.
 
 Every analysis command reports through one exit-code contract (the
 table lives in ``docs/API.md``): 0 = clean, 1 = blocking findings,
@@ -52,7 +49,12 @@ findings take precedence over drift when both occur.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -66,13 +68,49 @@ __all__ = [
     "EXIT_INTERNAL",
 ]
 
-# The shared exit-code contract for the analysis commands (analyze,
-# gradcheck, perfcheck, plancheck, check).  argparse owns 2 (usage).
+# The shared exit-code contract for the analysis commands (every
+# section in SECTIONS, and check).  argparse owns 2 (usage).
 EXIT_OK = 0
 EXIT_BLOCKING = 1
 EXIT_USAGE = 2
 EXIT_DRIFT = 3
 EXIT_INTERNAL = 4
+
+_MODELS = ("unet", "pgnn", "pros2", "ours")
+_PRESETS = ("tiny", "fast", "paper")
+_PERF_CARRY = ("fixes",)
+
+
+def _positive(cast):
+    """argparse ``type=``: a finite ``cast`` value above zero, else a
+    usage error (exit 2) instead of a crash deep inside the analysis."""
+
+    def parse(text: str):
+        value = cast(text)  # ValueError -> "invalid <cast> value"
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__
+    return parse
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
+
+
+def _add_baseline_flags(
+    p: argparse.ArgumentParser, diffs: str,
+    writes: str = "the deterministic slice of this run",
+) -> None:
+    p.add_argument(
+        "--check-baseline", metavar="PATH", default=None,
+        help=f"diff {diffs} against a baseline JSON and fail on any drift",
+    )
+    p.add_argument(
+        "--update-baseline", metavar="PATH", default=None,
+        help=f"write {writes} to a baseline JSON",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=sorted(MLCAD2023_SPECS),
             )
         p.add_argument(
-            "--scale", type=float, default=64.0,
+            "--scale", type=_positive_float, default=64.0,
             help="downscale factor (64 means 1/64 of full size)",
         )
 
@@ -104,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     place = sub.add_parser("place", help="run the Fig. 6 placement flow")
     add_common(place)
-    place.add_argument("--iters", type=int, default=500)
+    place.add_argument("--iters", type=_positive_int, default=500)
 
     route = sub.add_parser("route", help="place then route, print Fig. 1 map")
     add_common(route)
@@ -114,11 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train a congestion model")
     add_common(train, multi_design=True)
-    train.add_argument("--model", default="ours",
-                       choices=("unet", "pgnn", "pros2", "ours"))
-    train.add_argument("--epochs", type=int, default=20)
-    train.add_argument("--placements", type=int, default=4)
-    train.add_argument("--grid", type=int, default=64)
+    train.add_argument("--model", default="ours", choices=_MODELS)
+    train.add_argument("--epochs", type=_positive_int, default=20)
+    train.add_argument("--placements", type=_positive_int, default=4)
+    train.add_argument("--grid", type=_positive_int, default=64)
     train.add_argument("--out", default="congestion_model.npz")
     train.add_argument(
         "--checkpoint-dir", default=None,
@@ -126,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(enables crash-safe training)",
     )
     train.add_argument(
-        "--checkpoint-every", type=int, default=1,
+        "--checkpoint-every", type=_positive_int, default=1,
         help="epochs between checkpoint bundles (default 1)",
     )
     train.add_argument(
@@ -161,254 +198,15 @@ def build_parser() -> argparse.ArgumentParser:
         "traceback tails, REPRO5xx incidents (default %(default)s)",
     )
 
-    lint = sub.add_parser(
-        "lint", help="static autograd lint + shape checks (see repro.lint)"
-    )
-    lint.add_argument(
-        "lint_args", nargs=argparse.REMAINDER,
-        help="arguments forwarded to python -m repro.lint "
-        "(default: lint the repro package and validate the models)",
-    )
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="symbolic-IR static analysis (memory/FLOPs/stability/determinism)",
-    )
-    analyze.add_argument(
-        "model", choices=("unet", "pgnn", "pros2", "ours", "all"),
-        help="registry model to trace, or 'all' for the whole registry",
-    )
-    analyze.add_argument("--preset", default="fast",
-                         choices=("tiny", "fast", "paper"))
-    analyze.add_argument(
-        "--grid", dest="grids", type=int, action="append", metavar="N",
-        help="input grid size; repeatable (default: 64)",
-    )
-    analyze.add_argument("--json", action="store_true",
-                         help="print the full repro.ir/v1 report bundle")
-    analyze.add_argument("--top", type=int, default=5,
-                         help="rows in the layer/live-range tables (default 5)")
-    analyze.add_argument(
-        "--no-determinism", action="store_true",
-        help="skip the source-level RNG/iteration-order audit",
-    )
-    analyze.add_argument(
-        "--check-baseline", metavar="PATH", default=None,
-        help="diff FLOPs/peak-memory/node counts against a baseline JSON "
-        "and fail on any drift",
-    )
-    analyze.add_argument(
-        "--update-baseline", metavar="PATH", default=None,
-        help="write the invariant slice of this run to a baseline JSON",
-    )
-    analyze.add_argument(
-        "--backward", action="store_true",
-        help="also trace the backward tape: adjoint-graph stats, "
-        "gradient-flow findings (REPRO205-207) and the forward+backward "
-        "training-memory plan (see repro.adjoint)",
-    )
-
-    gradcheck = sub.add_parser(
-        "gradcheck",
-        help="gradient audit: vjp contracts + finite differences "
-        "(see repro.adjoint)",
-    )
-    gradcheck.add_argument(
-        "model", choices=("unet", "pgnn", "pros2", "ours", "all", "ops"),
-        help="registry model to audit, 'all' for the whole registry, or "
-        "'ops' for the full primitive-op case sweep without a model",
-    )
-    gradcheck.add_argument("--preset", default="fast",
-                           choices=("tiny", "fast", "paper"))
-    gradcheck.add_argument("--grid", type=int, default=64)
-    gradcheck.add_argument("--seed", type=int, default=0)
-    gradcheck.add_argument("--json", action="store_true",
-                           help="print the full repro.adjoint/v1 report bundle")
-
-    perfcheck = sub.add_parser(
-        "perfcheck",
-        help="static performance analysis: dtype/copy/fusion passes + "
-        "measured validation (see repro.perf)",
-    )
-    perfcheck.add_argument(
-        "target", choices=("unet", "pgnn", "pros2", "ours", "flow", "all"),
-        help="registry model to trace, 'flow' for the AST audit of the "
-        "pipeline code, or 'all' for models + flow",
-    )
-    perfcheck.add_argument("--preset", default="fast",
-                           choices=("tiny", "fast", "paper"))
-    perfcheck.add_argument("--grid", type=int, default=64)
-    perfcheck.add_argument("--json", action="store_true",
-                           help="print the full repro.perf/v1 report bundle")
-    perfcheck.add_argument("--top", type=int, default=5,
-                           help="findings shown per report (default 5)")
-    perfcheck.add_argument(
-        "--no-validate", action="store_true",
-        help="skip the measured-vs-predicted validation harness",
-    )
-    perfcheck.add_argument(
-        "--check-baseline", metavar="PATH", default=None,
-        help="diff the deterministic finding counts/bytes against a "
-        "baseline JSON and fail on any drift",
-    )
-    perfcheck.add_argument(
-        "--update-baseline", metavar="PATH", default=None,
-        help="write the deterministic slice of this run to a baseline JSON",
-    )
-
-    plancheck = sub.add_parser(
-        "plancheck",
-        help="compile + independently verify execution plans "
-        "(see repro.schedule)",
-    )
-    plancheck.add_argument(
-        "model", choices=("unet", "pgnn", "pros2", "ours", "all"),
-        help="registry model to plan, or 'all' for the whole registry",
-    )
-    plancheck.add_argument("--preset", default="fast",
-                          choices=("tiny", "fast", "paper"))
-    plancheck.add_argument(
-        "--grid", dest="grids", type=int, action="append", metavar="N",
-        help="input grid size; repeatable (default: 64)",
-    )
-    plancheck.add_argument(
-        "--backward", action="store_true",
-        help="also compile + verify the training plan over the autograd "
-        "tape (gradient arena slots, tape retention)",
-    )
-    plancheck.add_argument("--json", action="store_true",
-                          help="print the full repro.schedule/v1 bundle "
-                          "(including the sealed plans)")
-    plancheck.add_argument(
-        "--check-baseline", metavar="PATH", default=None,
-        help="diff plan skeletons + fingerprints against a baseline JSON "
-        "and fail on any drift",
-    )
-    plancheck.add_argument(
-        "--update-baseline", metavar="PATH", default=None,
-        help="write the deterministic plan slice of this run to a "
-        "baseline JSON",
-    )
-
-    concheck = sub.add_parser(
-        "concheck",
-        help="static concurrency-safety analysis of the worker-reachable "
-        "call graph (see repro.concheck)",
-    )
-    concheck.add_argument(
-        "--root", metavar="DIR", default=None,
-        help="package tree to analyze (default: the installed repro "
-        "package source)",
-    )
-    concheck.add_argument("--json", action="store_true",
-                          help="print the full repro.concheck/v1 bundle")
-    concheck.add_argument("--top", type=int, default=10,
-                          help="findings shown without --json (default 10)")
-    concheck.add_argument(
-        "--check-baseline", metavar="PATH", default=None,
-        help="diff worker roots + per-code counts against a baseline JSON "
-        "and fail on any drift",
-    )
-    concheck.add_argument(
-        "--update-baseline", metavar="PATH", default=None,
-        help="write the deterministic slice of this run to a baseline JSON",
-    )
-
-    scalecheck = sub.add_parser(
-        "scalecheck",
-        help="certified asymptotic scaling: exact cost envelopes per "
-        "model + loop-nest complexity lint over the flow code "
-        "(see repro.scaling)",
-    )
-    scalecheck.add_argument(
-        "target", choices=("unet", "pgnn", "pros2", "ours", "flow", "all"),
-        help="registry model to certify, 'flow' for the loop-nest lint "
-        "only, or 'all' for models + flow",
-    )
-    scalecheck.add_argument("--preset", default="fast",
-                            choices=("tiny", "fast", "paper"))
-    scalecheck.add_argument("--batch", type=int, default=1)
-    scalecheck.add_argument(
-        "--ladder", dest="ladder", type=int, action="append", metavar="N",
-        help="grid ladder rung; repeatable "
-        "(default: 64 96 128 192 256 384 512)",
-    )
-    scalecheck.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help="cache trace samples here, keyed on a source fingerprint "
-        "of the traced packages (CI reuses them across runs)",
-    )
-    scalecheck.add_argument(
-        "--no-measure", action="store_true",
-        help="skip the tracemalloc-measured training-step cross-check "
-        "(REPRO709)",
-    )
-    scalecheck.add_argument("--json", action="store_true",
-                            help="print the full repro.scaling/v1 bundle")
-    scalecheck.add_argument(
-        "--check-baseline", metavar="PATH", default=None,
-        help="diff certified exponents + leading coefficients against a "
-        "baseline JSON and fail on any drift",
-    )
-    scalecheck.add_argument(
-        "--update-baseline", metavar="PATH", default=None,
-        help="write the deterministic slice of this run to a baseline JSON",
-    )
-
-    numcheck = sub.add_parser(
-        "numcheck",
-        help="static floating-point error-bound certification + float64 "
-        "shadow validation (see repro.numcheck)",
-    )
-    numcheck.add_argument(
-        "target", choices=("unet", "pgnn", "pros2", "ours", "flow", "all"),
-        help="registry model to certify, 'flow' for the mixed-precision "
-        "lint only, or 'all' for models + flow",
-    )
-    numcheck.add_argument("--preset", default="fast",
-                          choices=("tiny", "fast", "paper"))
-    numcheck.add_argument(
-        "--grid", dest="grids", type=int, action="append", metavar="N",
-        help="certification grid; repeatable (default: 32 64)",
-    )
-    numcheck.add_argument("--batch", type=int, default=1)
-    numcheck.add_argument("--seed", type=int, default=0)
-    numcheck.add_argument(
-        "--budget", type=float, default=None,
-        help="relative-error budget for the certified envelopes "
-        "(default: the registry budget, see repro.numcheck)",
-    )
-    numcheck.add_argument(
-        "--no-measure", action="store_true",
-        help="skip the float64 shadow-execution harness (REPRO809/810)",
-    )
-    numcheck.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help="cache static certifications here, keyed on a source "
-        "fingerprint (CI shares the scaling trace cache directory)",
-    )
-    numcheck.add_argument("--json", action="store_true",
-                          help="print the full repro.numcheck/v1 bundle")
-    numcheck.add_argument("--top", type=int, default=10,
-                          help="findings shown without --json (default 10)")
-    numcheck.add_argument(
-        "--check-baseline", metavar="PATH", default=None,
-        help="diff certified bounds + certificate verdicts against a "
-        "baseline JSON and fail on any drift",
-    )
-    numcheck.add_argument(
-        "--update-baseline", metavar="PATH", default=None,
-        help="write the deterministic slice of this run to a baseline JSON",
-    )
+    for section in SECTIONS:
+        section.add_arguments(sub.add_parser(section.name, help=section.help))
 
     check = sub.add_parser(
         "check",
-        help="unified gate: lint + analyze + gradcheck + perfcheck "
-        "+ plancheck + concheck + scalecheck + numcheck",
+        help="unified gate: " + " + ".join(s.name for s in SECTIONS),
     )
-    check.add_argument("--preset", default="fast",
-                       choices=("tiny", "fast", "paper"))
-    check.add_argument("--grid", type=int, default=64)
+    check.add_argument("--preset", default="fast", choices=_PRESETS)
+    check.add_argument("--grid", type=_positive_int, default=64)
     check.add_argument("--json", action="store_true",
                        help="print one combined repro.check/v1 report")
     check.add_argument(
@@ -559,9 +357,52 @@ def _cmd_table2(args) -> int:
     return EXIT_OK if result.complete else EXIT_BLOCKING
 
 
-def _cmd_lint(args) -> int:
-    from pathlib import Path
+def _finish(args, failures: list, reduced: dict | None = None, differ=None,
+            *, carry: tuple[str, ...] = (), ok: str | None = None) -> int:
+    """The analyzer subcommands' shared exit-code tail: blocking
+    ``failures`` exit 1 (else ``ok`` prints outside ``--json``), then the
+    baseline flags run on the ``reduced`` slice and drift alone exits 3."""
+    from .baselines import apply_baseline_flags
 
+    status = EXIT_OK
+    if failures:
+        print(f"error: {len(failures)} blocking finding(s)", file=sys.stderr)
+        status = EXIT_BLOCKING
+    elif ok and not args.json:
+        print(ok)
+    drift = apply_baseline_flags(args, reduced, differ, carry=carry)
+    return EXIT_DRIFT if drift and status == EXIT_OK else status
+
+
+def _report_failures(bundle: dict) -> list[str]:
+    return [f for report in bundle["reports"] for f in report["failures"]]
+
+
+def _print_findings(findings: list, top: int | None, indent: str = "  ") -> None:
+    top = len(findings) if top is None else top
+    for finding in findings[:top]:
+        print(f"{indent}{finding['path']}:{finding['line']}: "
+              f"{finding['code']} {finding['message']}")
+    if len(findings) > top:
+        print(f"{indent}... {len(findings) - top} more (--json for all)")
+
+
+def _print_by_code(by_code: dict) -> None:
+    if by_code:
+        print("findings: " + ", ".join(
+            f"{code} x{count}" for code, count in sorted(by_code.items())
+        ))
+
+
+def _lint_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "lint_args", nargs=argparse.REMAINDER,
+        help="arguments forwarded to python -m repro.lint "
+        "(default: lint the repro package and validate the models)",
+    )
+
+
+def _cmd_lint(args) -> int:
     from .lint.cli import main as lint_main
 
     argv = list(args.lint_args)
@@ -572,6 +413,51 @@ def _cmd_lint(args) -> int:
         # validate the registry models at every paper grid.
         argv = [str(Path(__file__).resolve().parent), "--models"]
     return lint_main(argv)
+
+
+def _lint_gate(args) -> tuple[dict, list[str]]:
+    from .ir.report import serialize_finding
+    from .lint.rules import lint_paths
+    from .lint.shapes import ShapeError, validate_registry_models
+
+    findings = lint_paths([Path(__file__).resolve().parent])
+    failures = [str(f) for f in findings]
+    shape_error = None
+    try:
+        validate_registry_models(grids=(args.grid,), preset=args.preset)
+    except ShapeError as exc:
+        shape_error = str(exc)
+        failures.append(f"shape validation: {exc}")
+    return {"findings": [serialize_finding(f) for f in findings],
+            "shape_error": shape_error}, failures
+
+
+def _analyze_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "model", choices=_MODELS + ("all",),
+        help="registry model to trace, or 'all' for the whole registry",
+    )
+    p.add_argument("--preset", default="fast", choices=_PRESETS)
+    p.add_argument(
+        "--grid", dest="grids", type=_positive_int, action="append",
+        metavar="N", help="input grid size; repeatable (default: 64)",
+    )
+    p.add_argument("--json", action="store_true",
+                   help="print the full repro.ir/v1 report bundle")
+    p.add_argument("--top", type=int, default=5,
+                   help="rows in the layer/live-range tables (default 5)")
+    p.add_argument(
+        "--no-determinism", action="store_true",
+        help="skip the source-level RNG/iteration-order audit",
+    )
+    _add_baseline_flags(p, "FLOPs/peak-memory/node counts",
+                        writes="the invariant slice of this run")
+    p.add_argument(
+        "--backward", action="store_true",
+        help="also trace the backward tape: adjoint-graph stats, "
+        "gradient-flow findings (REPRO205-207) and the forward+backward "
+        "training-memory plan (see repro.adjoint)",
+    )
 
 
 def _mb(nbytes: int) -> str:
@@ -629,8 +515,6 @@ def _print_report(report: dict, top: int) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    import json
-
     from .ir import analyze_registry, baseline_from_reports, check_baseline
     from .models.registry import MODEL_NAMES
 
@@ -642,36 +526,74 @@ def _cmd_analyze(args) -> int:
         backward=args.backward,
     )
 
+    failures = _report_failures(bundle)
     if args.json:
         print(json.dumps(bundle, indent=2))
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
     else:
         for report in bundle["reports"]:
             _print_report(report, args.top)
             print()
-
-    status = EXIT_OK
-    failures = [f for report in bundle["reports"] for f in report["failures"]]
-    if failures:
-        if args.json:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-        print(f"error: {len(failures)} blocking finding(s)", file=sys.stderr)
-        status = EXIT_BLOCKING
-
-    from .baselines import apply_baseline_flags
-
-    drift = apply_baseline_flags(
-        args, baseline_from_reports(bundle),
+    return _finish(
+        args, failures, baseline_from_reports(bundle),
         lambda doc: check_baseline(bundle, doc),
     )
-    if drift and status == EXIT_OK:
-        status = EXIT_DRIFT
-    return status
+
+
+def _analyze_gate(args) -> tuple[dict, list[str]]:
+    from .ir import analyze_registry
+
+    bundle = analyze_registry(preset=args.preset, grids=(args.grid,))
+    return bundle, _report_failures(bundle)
+
+
+def _analyze_baselines(bench: Path, validate: bool) -> dict[str, dict]:
+    from .ir import analyze_registry, baseline_from_reports
+
+    forward = analyze_registry(preset="fast", grids=(64, 256))
+    backward = analyze_registry(
+        preset="fast", grids=(64, 256), determinism=False, backward=True
+    )
+    return {
+        str(bench / "ir_baseline.json"): baseline_from_reports(forward),
+        str(bench / "adjoint_baseline.json"): baseline_from_reports(backward),
+    }
+
+
+def _gradcheck_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "model", choices=_MODELS + ("all", "ops"),
+        help="registry model to audit, 'all' for the whole registry, or "
+        "'ops' for the full primitive-op case sweep without a model",
+    )
+    p.add_argument("--preset", default="fast", choices=_PRESETS)
+    p.add_argument("--grid", type=_positive_int, default=64)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", action="store_true",
+                   help="print the full repro.adjoint/v1 report bundle")
+
+
+def _print_gradcheck_report(report: dict) -> None:
+    back = report["backward"]
+    mem = back["memory"]
+    print(f"{report['model']} (preset={report['preset']}, "
+          f"grid={report['grid']})")
+    print(f"  contracts: {report['contracts']['ran']}/"
+          f"{report['contracts']['records']} closures ran over "
+          f"{len(report['contracts']['ops'])} op kinds, "
+          f"{len(report['contracts']['findings'])} finding(s)")
+    print(f"  gradcheck: {report['gradcheck']['cases']} cases, "
+          f"{report['gradcheck']['failed']} failed")
+    print(f"  flow: {back['params_connected']}/{back['params_total']} "
+          f"params connected, {len(back['findings'])} finding(s)")
+    print(f"  training memory: peak {_mb(mem['train_peak_bytes'])} at "
+          f"{mem['peak_pos']}")
+    for section in (report["contracts"], report["gradcheck"], back):
+        _print_findings(section["findings"], None, indent="    ")
 
 
 def _cmd_gradcheck(args) -> int:
-    import json
-
     from .adjoint import audit_registry, run_gradcheck
     from .models.registry import MODEL_NAMES
 
@@ -697,35 +619,36 @@ def _cmd_gradcheck(args) -> int:
     )
     if args.json:
         print(json.dumps(bundle, indent=2))
-    failures = []
-    for report in bundle["reports"]:
-        failures.extend(report["failures"])
-        if args.json:
-            continue
-        back = report["backward"]
-        mem = back["memory"]
-        print(f"{report['model']} (preset={report['preset']}, "
-              f"grid={report['grid']})")
-        print(f"  contracts: {report['contracts']['ran']}/"
-              f"{report['contracts']['records']} closures ran over "
-              f"{len(report['contracts']['ops'])} op kinds, "
-              f"{len(report['contracts']['findings'])} finding(s)")
-        print(f"  gradcheck: {report['gradcheck']['cases']} cases, "
-              f"{report['gradcheck']['failed']} failed")
-        print(f"  flow: {back['params_connected']}/{back['params_total']} "
-              f"params connected, {len(back['findings'])} finding(s)")
-        print(f"  training memory: peak {_mb(mem['train_peak_bytes'])} at "
-              f"{mem['peak_pos']}")
-        for section in (report["contracts"], report["gradcheck"], back):
-            for finding in section["findings"]:
-                print(f"    {finding['path']}:{finding['line']}: "
-                      f"{finding['code']} {finding['message']}")
-    if failures:
-        print(f"error: {len(failures)} blocking finding(s)", file=sys.stderr)
-        return 1
-    if not args.json:
-        print("gradcheck OK")
-    return 0
+    else:
+        for report in bundle["reports"]:
+            _print_gradcheck_report(report)
+    return _finish(args, _report_failures(bundle), ok="gradcheck OK")
+
+
+def _gradcheck_gate(args) -> tuple[dict, list[str]]:
+    from .adjoint import audit_registry
+
+    bundle = audit_registry(preset=args.preset, grid=args.grid)
+    return bundle, _report_failures(bundle)
+
+
+def _perfcheck_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "target", choices=_MODELS + ("flow", "all"),
+        help="registry model to trace, 'flow' for the AST audit of the "
+        "pipeline code, or 'all' for models + flow",
+    )
+    p.add_argument("--preset", default="fast", choices=_PRESETS)
+    p.add_argument("--grid", type=_positive_int, default=64)
+    p.add_argument("--json", action="store_true",
+                   help="print the full repro.perf/v1 report bundle")
+    p.add_argument("--top", type=int, default=5,
+                   help="findings shown per report (default 5)")
+    p.add_argument(
+        "--no-validate", action="store_true",
+        help="skip the measured-vs-predicted validation harness",
+    )
+    _add_baseline_flags(p, "the deterministic finding counts/bytes")
 
 
 def _print_perf_report(report: dict, top: int) -> None:
@@ -763,20 +686,12 @@ def _print_perf_report(report: dict, top: int) -> None:
             print(f"  validated {result['kind']}: {claim} [{status}]")
     counts = ", ".join(f"{c}x{n}" for c, n in report["by_code"].items())
     print(f"  findings: {counts or 'none'}")
-    for finding in report["findings"][:top]:
-        print(f"    {finding['path']}:{finding['line']}: "
-              f"{finding['code']} {finding['message']}")
-    shown = min(top, len(report["findings"]))
-    if len(report["findings"]) > shown:
-        print(f"    ... {len(report['findings']) - shown} more "
-              "(--json for all)")
+    _print_findings(report["findings"], top, indent="    ")
     for failure in report["failures"]:
         print(f"  FAIL: {failure}")
 
 
 def _cmd_perfcheck(args) -> int:
-    import json
-
     from .perf import (
         SCHEMA as PERF_SCHEMA,
         baseline_from_bundle,
@@ -791,23 +706,15 @@ def _cmd_perfcheck(args) -> int:
         bundle = perfcheck_all(
             preset=args.preset, grid=args.grid, validate=validate
         )
-    elif args.target == "flow":
-        flow = perfcheck_flow(validate=validate)
-        bundle = {
-            "schema": PERF_SCHEMA,
-            "reports": [],
-            "flow": flow,
-            "distinct_codes": sorted(flow["by_code"]),
-            "failures": list(flow["failures"]),
-        }
     else:
-        report = perfcheck_model(
+        flow = args.target == "flow"
+        report = perfcheck_flow(validate=validate) if flow else perfcheck_model(
             args.target, preset=args.preset, grid=args.grid, validate=validate
         )
         bundle = {
             "schema": PERF_SCHEMA,
-            "reports": [report],
-            "flow": None,
+            "reports": [] if flow else [report],
+            "flow": report if flow else None,
             "distinct_codes": sorted(report["by_code"]),
             "failures": list(report["failures"]),
         }
@@ -820,28 +727,46 @@ def _cmd_perfcheck(args) -> int:
             print()
         if bundle["flow"] is not None:
             _print_perf_report(bundle["flow"], args.top)
-
-    status = EXIT_OK
-    if bundle["failures"]:
-        print(f"error: {len(bundle['failures'])} blocking finding(s)",
-              file=sys.stderr)
-        status = EXIT_BLOCKING
-
-    from .baselines import apply_baseline_flags
-
-    drift = apply_baseline_flags(
-        args, baseline_from_bundle(bundle),
-        lambda doc: check_perf_baseline(bundle, doc),
-        carry=("fixes",),
+    return _finish(
+        args, bundle["failures"], baseline_from_bundle(bundle),
+        lambda doc: check_perf_baseline(bundle, doc), carry=_PERF_CARRY,
     )
-    if drift and status == EXIT_OK:
-        status = EXIT_DRIFT
-    return status
+
+
+def _perfcheck_gate(args) -> tuple[dict, list[str]]:
+    from .perf import perfcheck_all
+
+    bundle = perfcheck_all(
+        preset=args.preset, grid=args.grid, validate=not args.no_validate
+    )
+    return bundle, bundle["failures"]
+
+
+def _perfcheck_baselines(bench: Path, validate: bool) -> dict[str, dict]:
+    from .baselines import carry_sections
+    from .perf import baseline_from_bundle, perfcheck_all
+
+    path = str(bench / "perf_baseline.json")
+    perf = perfcheck_all(preset="fast", grid=64, validate=validate)
+    return {
+        path: carry_sections(path, baseline_from_bundle(perf), _PERF_CARRY)
+    }
+
+
+def _concheck_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--root", metavar="DIR", default=None,
+        help="package tree to analyze (default: the installed repro "
+        "package source)",
+    )
+    p.add_argument("--json", action="store_true",
+                   help="print the full repro.concheck/v1 bundle")
+    p.add_argument("--top", type=int, default=10,
+                   help="findings shown without --json (default 10)")
+    _add_baseline_flags(p, "worker roots + per-code counts")
 
 
 def _cmd_concheck(args) -> int:
-    import json
-
     from .concheck import (
         baseline_from_concheck,
         check_concheck_baseline,
@@ -864,104 +789,55 @@ def _cmd_concheck(args) -> int:
               f"(pure {summary['pure']}, deterministic "
               f"{summary['deterministic']}, io {summary['io']}, "
               f"global-mutating {summary['global-mutating']})")
-        if bundle["by_code"]:
-            print("findings: " + ", ".join(
-                f"{code} x{count}"
-                for code, count in sorted(bundle["by_code"].items())
-            ))
-        for finding in bundle["findings"][: args.top]:
-            print(f"  {finding['path']}:{finding['line']}: "
-                  f"{finding['code']} {finding['message']}")
-        if len(bundle["findings"]) > args.top:
-            print(f"  ... {len(bundle['findings']) - args.top} more "
-                  "(--json for all)")
-
-    status = EXIT_OK
-    if bundle["failures"]:
-        print(f"error: {len(bundle['failures'])} blocking finding(s)",
-              file=sys.stderr)
-        status = EXIT_BLOCKING
-    elif not args.json:
-        print("concurrency-safety certified (0 blocking REPRO6xx findings)")
-
-    from .baselines import apply_baseline_flags
-
-    drift = apply_baseline_flags(
-        args, baseline_from_concheck(bundle),
+        _print_by_code(bundle["by_code"])
+        _print_findings(bundle["findings"], args.top)
+    return _finish(
+        args, bundle["failures"], baseline_from_concheck(bundle),
         lambda doc: check_concheck_baseline(bundle, doc),
-    )
-    if drift and status == EXIT_OK:
-        status = EXIT_DRIFT
-    return status
-
-
-def _print_plan_section(label: str, section: dict) -> None:
-    s = section["summary"]
-    print(f"  {label}: {s['planned_nodes']} nodes planned "
-          f"(dead {s['dead_eliminated']}, cse {s['cse_shared']}), "
-          f"{s['fusion_groups']} fusion groups ({s['fused_nodes']} nodes), "
-          f"{s['copy_elisions']} copies elided")
-    extra = (
-        f", grads {s['grad_slots']} slots, tape {s['tape_entries']}"
-        if s["tape_entries"]
-        else ""
-    )
-    print(f"    arena: {_mb(s['arena_bytes'])} in {s['arena_slots']} slots "
-          f"<= {s['bound_kind']} bound {_mb(s['bound_bytes'])}{extra}")
-    print(f"    plan {s['fingerprint'][:23]}… over graph "
-          f"{s['graph_fingerprint'][:23]}…")
-    for finding in section["findings"]:
-        print(f"    {finding['path']}:{finding['line']}: "
-              f"{finding['code']} {finding['message']}")
-
-
-def _cmd_plancheck(args) -> int:
-    import json
-
-    from .models.registry import MODEL_NAMES
-    from .schedule import (
-        baseline_from_plan_bundle,
-        check_schedule_baseline,
-        plan_registry,
+        ok="concurrency-safety certified (0 blocking REPRO6xx findings)",
     )
 
-    models = MODEL_NAMES if args.model == "all" else (args.model,)
-    grids = tuple(args.grids or [64])
-    bundle = plan_registry(
-        models, preset=args.preset, grids=grids, backward=args.backward
+
+def _concheck_gate(args) -> tuple[dict, list[str]]:
+    from .concheck import concheck
+
+    bundle = concheck()
+    return bundle, bundle["failures"]
+
+
+def _concheck_baselines(bench: Path, validate: bool) -> dict[str, dict]:
+    from .concheck import baseline_from_concheck, concheck
+
+    return {str(bench / "concheck_baseline.json"): baseline_from_concheck(concheck())}
+
+
+def _scalecheck_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "target", choices=_MODELS + ("flow", "all"),
+        help="registry model to certify, 'flow' for the loop-nest lint "
+        "only, or 'all' for models + flow",
     )
-
-    if args.json:
-        print(json.dumps(bundle, indent=2))
-    else:
-        for report in bundle["reports"]:
-            print(f"{report['model']} (preset={report['preset']}, "
-                  f"grid={report['grid']}, batch={report['batch']})")
-            _print_plan_section("forward", report["forward"])
-            if "training" in report:
-                _print_plan_section("training", report["training"])
-            print()
-
-    status = EXIT_OK
-    if bundle["failures"]:
-        if args.json:
-            for failure in bundle["failures"]:
-                print(f"FAIL: {failure}", file=sys.stderr)
-        print(f"error: {len(bundle['failures'])} blocking finding(s)",
-              file=sys.stderr)
-        status = EXIT_BLOCKING
-    elif not args.json:
-        print("all plans verified (0 REPRO401-408 findings)")
-
-    from .baselines import apply_baseline_flags
-
-    drift = apply_baseline_flags(
-        args, baseline_from_plan_bundle(bundle),
-        lambda doc: check_schedule_baseline(bundle, doc),
+    p.add_argument("--preset", default="fast", choices=_PRESETS)
+    p.add_argument("--batch", type=_positive_int, default=1)
+    p.add_argument(
+        "--ladder", dest="ladder", type=_positive_int, action="append",
+        metavar="N",
+        help="grid ladder rung; repeatable "
+        "(default: 64 96 128 192 256 384 512)",
     )
-    if drift and status == EXIT_OK:
-        status = EXIT_DRIFT
-    return status
+    p.add_argument(
+        "--cache", metavar="DIR", default=None,
+        help="cache trace samples here, keyed on a source fingerprint "
+        "of the traced packages (CI reuses them across runs)",
+    )
+    p.add_argument(
+        "--no-measure", action="store_true",
+        help="skip the tracemalloc-measured training-step cross-check "
+        "(REPRO709)",
+    )
+    p.add_argument("--json", action="store_true",
+                   help="print the full repro.scaling/v1 bundle")
+    _add_baseline_flags(p, "certified exponents + leading coefficients")
 
 
 def _print_scaling_model(name: str, report: dict) -> None:
@@ -1000,9 +876,6 @@ def _print_scaling_model(name: str, report: dict) -> None:
 
 
 def _cmd_scalecheck(args) -> int:
-    import json
-
-    from .baselines import apply_baseline_flags
     from .scaling import (
         DEFAULT_LADDER,
         baseline_from_scaling,
@@ -1034,28 +907,62 @@ def _cmd_scalecheck(args) -> int:
             for f in bundle["flow"]["findings"]:
                 print(f"  {f['path']}:{f['line']}: {f['code']} "
                       f"{f['message']}")
-        if bundle["by_code"]:
-            print("findings: " + ", ".join(
-                f"{code} x{count}"
-                for code, count in bundle["by_code"].items()
-            ))
+        _print_by_code(bundle["by_code"])
         print(f"sealed: {bundle['fingerprint'][:23]}…")
-
-    status = EXIT_OK
-    if bundle["failures"]:
-        print(f"error: {len(bundle['failures'])} blocking finding(s)",
-              file=sys.stderr)
-        status = EXIT_BLOCKING
-    elif not args.json:
-        print("scaling certified (0 blocking REPRO7xx findings)")
-
-    drift = apply_baseline_flags(
-        args, baseline_from_scaling(bundle),
+    return _finish(
+        args, bundle["failures"], baseline_from_scaling(bundle),
         lambda doc: check_scaling_baseline(bundle, doc),
+        ok="scaling certified (0 blocking REPRO7xx findings)",
     )
-    if drift and status == EXIT_OK:
-        status = EXIT_DRIFT
-    return status
+
+
+def _scalecheck_gate(args) -> tuple[dict, list[str]]:
+    from .scaling import scalecheck
+
+    bundle = scalecheck("all", preset=args.preset,
+                        measure=not args.no_validate)
+    return bundle, bundle["failures"]
+
+
+def _scalecheck_baselines(bench: Path, validate: bool) -> dict[str, dict]:
+    from .scaling import baseline_from_scaling, scalecheck
+
+    scaling = scalecheck("all", measure=validate)
+    return {str(bench / "scaling_baseline.json"): baseline_from_scaling(scaling)}
+
+
+def _numcheck_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "target", choices=_MODELS + ("flow", "all"),
+        help="registry model to certify, 'flow' for the mixed-precision "
+        "lint only, or 'all' for models + flow",
+    )
+    p.add_argument("--preset", default="fast", choices=_PRESETS)
+    p.add_argument(
+        "--grid", dest="grids", type=_positive_int, action="append",
+        metavar="N", help="certification grid; repeatable (default: 32 64)",
+    )
+    p.add_argument("--batch", type=_positive_int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--budget", type=float, default=None,
+        help="relative-error budget for the certified envelopes "
+        "(default: the registry budget, see repro.numcheck)",
+    )
+    p.add_argument(
+        "--no-measure", action="store_true",
+        help="skip the float64 shadow-execution harness (REPRO809/810)",
+    )
+    p.add_argument(
+        "--cache", metavar="DIR", default=None,
+        help="cache static certifications here, keyed on a source "
+        "fingerprint (CI shares the scaling trace cache directory)",
+    )
+    p.add_argument("--json", action="store_true",
+                   help="print the full repro.numcheck/v1 bundle")
+    p.add_argument("--top", type=int, default=10,
+                   help="findings shown without --json (default 10)")
+    _add_baseline_flags(p, "certified bounds + finding counts")
 
 
 def _print_numcheck_model(name: str, report: dict) -> None:
@@ -1063,14 +970,8 @@ def _print_numcheck_model(name: str, report: dict) -> None:
           f"budget={report['budget']:.1e})")
     for grid in sorted(report["grids"], key=int):
         doc = report["grids"][grid]
-        pin = doc["dtype_pin"]
         print(f"  grid {grid}: forward rel <= {doc['forward_rel']:.3e}, "
               f"backward rel <= {doc['backward_rel']:.3e}")
-        print(f"    fusion: {doc['fusion_certified']}/"
-              f"{doc['fusion_groups']} groups error-neutral; "
-              f"pin {pin['dtype']} worst node contributes "
-              f"{pin['worst_contribution_rel']} "
-              f"({'within' if pin['within_budget'] else 'OVER'} budget)")
         if doc["unsupported"]:
             print(f"    unsupported ops: {', '.join(doc['unsupported'])}")
         measured = doc.get("measured")
@@ -1081,9 +982,6 @@ def _print_numcheck_model(name: str, report: dict) -> None:
 
 
 def _cmd_numcheck(args) -> int:
-    import json
-
-    from .baselines import apply_baseline_flags
     from .numcheck import (
         CERT_GRIDS,
         DEFAULT_BUDGET,
@@ -1109,81 +1007,109 @@ def _cmd_numcheck(args) -> int:
         if bundle["flow"] is not None:
             print(f"flow: {len(bundle['flow']['audited_files'])} files "
                   f"audited, {len(bundle['flow']['findings'])} finding(s)")
-        if bundle["by_code"]:
-            print("findings: " + ", ".join(
-                f"{code} x{count}"
-                for code, count in bundle["by_code"].items()
-            ))
-        shown = 0
-        for finding in bundle["findings"]:
-            if shown >= args.top:
-                remaining = len(bundle["findings"]) - shown
-                print(f"  ... {remaining} more (--json for all)")
-                break
-            print(f"  {finding['path']}:{finding['line']}: "
-                  f"{finding['code']} {finding['message']}")
-            shown += 1
+        _print_by_code(bundle["by_code"])
+        _print_findings(bundle["findings"], args.top)
         print(f"sealed: {bundle['fingerprint'][:23]}…")
-
-    status = EXIT_OK
-    if bundle["failures"]:
-        print(f"error: {len(bundle['failures'])} blocking finding(s)",
-              file=sys.stderr)
-        status = EXIT_BLOCKING
-    elif not args.json:
-        print("rounding certified (0 blocking REPRO8xx findings)")
-
-    drift = apply_baseline_flags(
-        args, baseline_from_numcheck(bundle),
+    return _finish(
+        args, bundle["failures"], baseline_from_numcheck(bundle),
         lambda doc: check_numcheck_baseline(bundle, doc),
+        ok="rounding certified (0 blocking REPRO8xx findings)",
     )
-    if drift and status == EXIT_OK:
-        status = EXIT_DRIFT
-    return status
+
+
+def _numcheck_gate(args) -> tuple[dict, list[str]]:
+    from .numcheck import numcheck
+
+    bundle = numcheck("all", preset=args.preset,
+                      measure=not args.no_validate)
+    return bundle, bundle["failures"]
+
+
+def _numcheck_baselines(bench: Path, validate: bool) -> dict[str, dict]:
+    from .numcheck import baseline_from_numcheck, numcheck
+
+    numbers = numcheck("all", measure=validate)
+    return {str(bench / "numcheck_baseline.json"): baseline_from_numcheck(numbers)}
+
+
+@dataclass(frozen=True)
+class Section:
+    """One analyzer section: ``add_arguments`` + ``run`` make its
+    subcommand, ``gate`` runs it in ``check`` as ``(bundle, failures)``,
+    and ``baselines(bench, validate)`` computes the ``benchmarks/``
+    documents it pins in their CI configuration."""
+
+    name: str
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+    gate: Callable[[argparse.Namespace], tuple[dict, list[str]]]
+    baselines: Callable[[Path, bool], dict[str, dict]] = lambda bench, validate: {}
+
+
+#: Every analyzer section, in ``repro check`` order.  The parser, the
+#: command table, ``check`` and ``check --update-baselines`` all iterate
+#: this tuple; a new section is one entry here.
+SECTIONS = (
+    Section(
+        "lint", "static autograd lint + shape checks (see repro.lint)",
+        _lint_args, _cmd_lint, _lint_gate,
+    ),
+    Section(
+        "analyze",
+        "symbolic-IR static analysis (memory/FLOPs/stability/determinism)",
+        _analyze_args, _cmd_analyze, _analyze_gate, _analyze_baselines,
+    ),
+    Section(
+        "gradcheck",
+        "gradient audit: vjp contracts + finite differences "
+        "(see repro.adjoint)",
+        _gradcheck_args, _cmd_gradcheck, _gradcheck_gate,
+    ),
+    Section(
+        "perfcheck",
+        "static performance analysis: dtype/copy/fusion passes + "
+        "measured validation (see repro.perf)",
+        _perfcheck_args, _cmd_perfcheck, _perfcheck_gate,
+        _perfcheck_baselines,
+    ),
+    Section(
+        "concheck",
+        "static concurrency-safety analysis of the worker-reachable "
+        "call graph (see repro.concheck)",
+        _concheck_args, _cmd_concheck, _concheck_gate, _concheck_baselines,
+    ),
+    Section(
+        "scalecheck",
+        "certified asymptotic scaling: exact cost envelopes per "
+        "model + loop-nest complexity lint over the flow code "
+        "(see repro.scaling)",
+        _scalecheck_args, _cmd_scalecheck, _scalecheck_gate,
+        _scalecheck_baselines,
+    ),
+    Section(
+        "numcheck",
+        "static floating-point error-bound certification + float64 "
+        "shadow validation (see repro.numcheck)",
+        _numcheck_args, _cmd_numcheck, _numcheck_gate, _numcheck_baselines,
+    ),
+)
 
 
 def _update_all_baselines(args) -> int:
     """``repro check --update-baselines``: refresh every benchmark pin.
 
-    Each analysis runs in its CI-pinned configuration (the grids and
-    flags the workflow jobs use), every document is serialized first,
-    and only then do all seven rename into place — a failure anywhere
-    leaves the benchmarks directory untouched.
+    Each section computes its documents in its CI-pinned configuration
+    (the grids and flags the workflow jobs use), every document is
+    serialized first, and only then do they all rename into place — a
+    failure anywhere leaves the benchmarks directory untouched.
     """
-    from pathlib import Path
-
-    from .baselines import carry_sections, write_baselines
-    from .concheck import baseline_from_concheck, concheck
-    from .ir import analyze_registry, baseline_from_reports
-    from .numcheck import baseline_from_numcheck, numcheck
-    from .perf import baseline_from_bundle, perfcheck_all
-    from .scaling import baseline_from_scaling, scalecheck
-    from .schedule import baseline_from_plan_bundle, plan_registry
+    from .baselines import write_baselines
 
     bench = Path(__file__).resolve().parents[2] / "benchmarks"
-    validate = not args.no_validate
     docs: dict[str, dict] = {}
-
-    forward = analyze_registry(preset="fast", grids=(64, 256))
-    docs[str(bench / "ir_baseline.json")] = baseline_from_reports(forward)
-    backward = analyze_registry(
-        preset="fast", grids=(64, 256), determinism=False, backward=True
-    )
-    docs[str(bench / "adjoint_baseline.json")] = baseline_from_reports(backward)
-    perf = perfcheck_all(preset="fast", grid=64, validate=validate)
-    perf_path = str(bench / "perf_baseline.json")
-    docs[perf_path] = carry_sections(
-        perf_path, baseline_from_bundle(perf), ("fixes",)
-    )
-    plans = plan_registry(
-        preset="fast", grids=(64, 128, 256, 512), backward=True
-    )
-    docs[str(bench / "schedule_baseline.json")] = baseline_from_plan_bundle(plans)
-    docs[str(bench / "concheck_baseline.json")] = baseline_from_concheck(concheck())
-    scaling = scalecheck("all", measure=validate)
-    docs[str(bench / "scaling_baseline.json")] = baseline_from_scaling(scaling)
-    numbers = numcheck("all", measure=validate)
-    docs[str(bench / "numcheck_baseline.json")] = baseline_from_numcheck(numbers)
+    for section in SECTIONS:
+        docs.update(section.baselines(bench, not args.no_validate))
 
     write_baselines(docs)
     for path in sorted(docs):
@@ -1204,88 +1130,24 @@ def _iter_finding_codes(obj):
 
 
 def _cmd_check(args) -> int:
-    """The unified gate: lint + analyze + gradcheck + perfcheck +
-    plancheck + concheck + scalecheck + numcheck."""
-    import json
-    from pathlib import Path
-
-    from .adjoint import audit_registry
-    from .concheck import concheck
-    from .ir import analyze_registry
-    from .ir.report import serialize_finding
-    from .lint.rules import lint_paths
-    from .lint.shapes import ShapeError, validate_registry_models
-    from .numcheck import numcheck
-    from .perf import perfcheck_all
-    from .scaling import scalecheck
-    from .schedule import plan_registry
-
+    """The unified gate: every section in ``SECTIONS``, one report."""
     if args.update_baselines:
         return _update_all_baselines(args)
 
-    failures: list[str] = []
-
-    # 1. AST lint + static shape validation of the registry models.
-    lint_findings = lint_paths([Path(__file__).resolve().parent])
-    failures.extend(str(f) for f in lint_findings)
-    shape_error = None
-    try:
-        validate_registry_models(grids=(args.grid,), preset=args.preset)
-    except ShapeError as exc:
-        shape_error = str(exc)
-        failures.append(f"shape validation: {exc}")
-
-    # 2. Forward-IR analysis, 3. gradient audit, 4. perf analysis.
-    analyze_bundle = analyze_registry(preset=args.preset, grids=(args.grid,))
-    failures.extend(
-        f for r in analyze_bundle["reports"] for f in r["failures"]
-    )
-    gradcheck_bundle = audit_registry(preset=args.preset, grid=args.grid)
-    failures.extend(
-        f for r in gradcheck_bundle["reports"] for f in r["failures"]
-    )
-    perf_bundle = perfcheck_all(
-        preset=args.preset, grid=args.grid, validate=not args.no_validate
-    )
-    failures.extend(perf_bundle["failures"])
-
-    # 5. Execution-plan compilation + independent verification.
-    plan_bundle = plan_registry(
-        preset=args.preset, grids=(args.grid,), backward=True
-    )
-    failures.extend(plan_bundle["failures"])
-
-    # 6. Concurrency-safety certification of the worker-reachable graph.
-    concheck_bundle = concheck()
-    failures.extend(concheck_bundle["failures"])
-
-    # 7. Certified scaling laws + flow-code complexity lint.
-    scaling_bundle = scalecheck("all", preset=args.preset,
-                                measure=not args.no_validate)
-    failures.extend(scaling_bundle["failures"])
-
-    # 8. Rounding-error certification + float64 shadow validation.
-    numcheck_bundle = numcheck("all", preset=args.preset,
-                               measure=not args.no_validate)
-    failures.extend(numcheck_bundle["failures"])
-
-    combined = {
+    combined: dict = {
         "schema": "repro.check/v1",
         "preset": args.preset,
         "grid": args.grid,
-        "lint": {
-            "findings": [serialize_finding(f) for f in lint_findings],
-            "shape_error": shape_error,
-        },
-        "analyze": analyze_bundle,
-        "gradcheck": gradcheck_bundle,
-        "perfcheck": perf_bundle,
-        "plancheck": plan_bundle,
-        "concheck": concheck_bundle,
-        "scalecheck": scaling_bundle,
-        "numcheck": numcheck_bundle,
-        "failures": failures,
     }
+    failures: list[str] = []
+    counts: dict[str, int] = {}
+    for section in SECTIONS:
+        bundle, found = section.gate(args)
+        combined[section.name] = bundle
+        counts[section.name] = len(found)
+        failures.extend(found)
+    combined["failures"] = failures
+
     advisories: list[str] = []
     if args.fail_on == "advisory":
         from .diagnostics import all_codes
@@ -1299,19 +1161,7 @@ def _cmd_check(args) -> int:
     if args.json:
         print(json.dumps(combined, indent=2))
     else:
-        sections = (
-            ("lint", len(lint_findings) + (1 if shape_error else 0)),
-            ("analyze", sum(len(r["failures"])
-                            for r in analyze_bundle["reports"])),
-            ("gradcheck", sum(len(r["failures"])
-                              for r in gradcheck_bundle["reports"])),
-            ("perfcheck", len(perf_bundle["failures"])),
-            ("plancheck", len(plan_bundle["failures"])),
-            ("concheck", len(concheck_bundle["failures"])),
-            ("scalecheck", len(scaling_bundle["failures"])),
-            ("numcheck", len(numcheck_bundle["failures"])),
-        )
-        for name, count in sections:
+        for name, count in counts.items():
             print(f"{name}: {'OK' if not count else f'{count} failure(s)'}")
         for failure in failures:
             print(f"  FAIL: {failure}")
@@ -1338,14 +1188,7 @@ _COMMANDS = {
     "score": _cmd_score,
     "train": _cmd_train,
     "table2": _cmd_table2,
-    "lint": _cmd_lint,
-    "analyze": _cmd_analyze,
-    "gradcheck": _cmd_gradcheck,
-    "perfcheck": _cmd_perfcheck,
-    "plancheck": _cmd_plancheck,
-    "concheck": _cmd_concheck,
-    "scalecheck": _cmd_scalecheck,
-    "numcheck": _cmd_numcheck,
+    **{section.name: section.run for section in SECTIONS},
     "check": _cmd_check,
 }
 

@@ -5,8 +5,7 @@ identical to the serial reference and that a SIGKILL at any instant
 loses no committed state.  Both guarantees rest on conventions in the
 *job code* — no process-global mutation in fork workers, no global RNG,
 picklable payloads, atomic durable writes — that nothing enforced until
-now.  ``repro.concheck`` proves them statically, the same way
-:mod:`repro.schedule.verify` proves plan legality: it re-derives the
+now.  ``repro.concheck`` proves them statically: it re-derives the
 worker-reachable universe from scratch (scanning every dotted
 ``"module:attr"`` job reference and ``JobSpec`` site in the source, not
 trusting the runtime's registry), builds a whole-program call graph,

@@ -1,9 +1,8 @@
 """Call graph + worker-reachable universe, re-derived from source.
 
-Like :mod:`repro.schedule.verify`, this is translation validation: the
-analyzer does **not** ask the runtime which functions are jobs — it
-re-derives the worker-entry universe from scratch by scanning every
-module for
+This is translation validation: the analyzer does **not** ask the
+runtime which functions are jobs — it re-derives the worker-entry
+universe from scratch by scanning every module for
 
 * ``JobSpec(...)`` construction sites (the ``fn=`` dotted reference,
   following a simple name to its module-level string constant), and

@@ -1,17 +1,20 @@
 """Single allocation point for every ``REPROxxx`` diagnostic code.
 
-Five analysis components share one code namespace — the AST lint rules
-(:mod:`repro.lint`, ``REPRO0xx``), the forward-IR passes
-(:mod:`repro.ir`, ``REPRO1xx``), the adjoint/backward passes
-(:mod:`repro.adjoint`, ``REPRO2xx``), the static performance
-analyzer (:mod:`repro.perf`, ``REPRO3xx``) and the execution-plan
-verifier (:mod:`repro.schedule`, ``REPRO4xx``).  Before this registry each
-component kept its own table, which is exactly how two PRs end up
-assigning the same code to different rules.  Now every code is declared
-here, :func:`register_code` raises on a duplicate assignment, and the
+Every analysis component shares one code namespace, one hundred codes
+per band: the AST lint rules (:mod:`repro.lint`, ``REPRO0xx``), the
+forward-IR passes (:mod:`repro.ir`, ``REPRO1xx``), the adjoint/backward
+passes (:mod:`repro.adjoint`, ``REPRO2xx``), the static performance
+analyzer (:mod:`repro.perf`, ``REPRO3xx``), the concurrency-safety
+analyzer (:mod:`repro.concheck`, ``REPRO6xx``), the scaling certifier
+(:mod:`repro.scaling`, ``REPRO7xx``) and the rounding-error certifier
+(:mod:`repro.numcheck`, ``REPRO8xx``).  The ``REPRO4xx`` band is
+retired and stays unassigned.  Before this registry each component
+kept its own table, which is exactly how two PRs end up assigning the
+same code to different rules.  Now every code is declared here,
+:func:`register_code` raises on a duplicate assignment, and the
 component tables (``repro.lint.rules.RULES``,
 ``repro.ir.passes.IR_RULES``, ``repro.adjoint.ADJOINT_RULES``,
-``repro.perf.PERF_RULES``) are views produced by :func:`codes_for`.
+``repro.perf.PERF_RULES``, ...) are views produced by :func:`codes_for`.
 
 Severity: ``blocking`` findings fail gates (``repro lint`` /
 ``repro analyze`` / ``repro gradcheck`` exit non-zero,
@@ -46,7 +49,7 @@ class DiagnosticSpec:
 
     code: str
     message: str
-    component: str  # "lint" | "ir" | "adjoint" | "perf" | "schedule"
+    component: str  # owning package: "lint", "ir", ..., "numcheck"
     blocking: bool = True
 
 
@@ -272,53 +275,6 @@ register_code(
     blocking=False,
 )
 
-# Execution-plan verifier (repro.schedule.verify) — 4xx.  Every code is
-# blocking: a plan that trips any of these is unsafe to replay and the
-# executor must fall back to eager evaluation.  The verifier re-derives
-# each property from the traced graph alone — it shares no legality
-# reasoning with the compiler, so a compiler bug cannot also blind the
-# check that would have caught it.
-register_code(
-    "REPRO401",
-    "overlapping live ranges assigned overlapping arena addresses",
-    component="schedule",
-)
-register_code(
-    "REPRO402",
-    "fusion group crosses an aliasing or multi-consumer edge",
-    component="schedule",
-)
-register_code(
-    "REPRO403",
-    "elided copy whose source is read or retained after the copy",
-    component="schedule",
-)
-register_code(
-    "REPRO404",
-    "plan/graph topology mismatch (missing, dead, unknown or misclaimed node)",
-    component="schedule",
-)
-register_code(
-    "REPRO405",
-    "plan ordering is not the canonical deterministic schedule",
-    component="schedule",
-)
-register_code(
-    "REPRO406",
-    "arena size exceeds the memory planner's peak bound",
-    component="schedule",
-)
-register_code(
-    "REPRO407",
-    "dtype pin contradicts the traced dtype lattice",
-    component="schedule",
-)
-register_code(
-    "REPRO408",
-    "stale plan: fingerprint does not match the graph or plan content",
-    component="schedule",
-)
-
 # Fault-tolerant orchestration runtime (repro.orchestrate) — 5xx.
 # These are *runtime incidents*, not static findings: non-blocking codes
 # record faults the supervisor recovered from (the run still produced a
@@ -509,16 +465,6 @@ register_code(
     "cancel to zero",
     component="numcheck",
     blocking=False,
-)
-register_code(
-    "REPRO804",
-    "planned fusion group or summation-order change is not error-neutral",
-    component="numcheck",
-)
-register_code(
-    "REPRO805",
-    "float32 dtype pin breaks the certified error budget",
-    component="numcheck",
 )
 register_code(
     "REPRO806",

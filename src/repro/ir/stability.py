@@ -48,24 +48,14 @@ def _is_weak(node: Node) -> bool:
     return bool(node.meta.get("weak")) and node.kind == "const"
 
 
-def check_stability(graph: Graph, *, pins: dict | None = None) -> dict:
+def check_stability(graph: Graph) -> dict:
     """Interval-domain stability findings for ``graph``.
 
-    ``pins`` optionally maps node id -> dtype name, as produced by an
-    :class:`repro.schedule.ExecutionPlan`'s ``node_pins``.  Overflow
-    thresholds are then evaluated at the *pinned* dtype: a graph traced
-    at float64 but scheduled to execute at float32 must be checked
-    against the float32 exp-overflow bound (~88.7), not the float64 one
-    (~709.8) — otherwise a value that only overflows after the REPRO301
-    demotion certifies clean.
+    Overflow thresholds follow each node's traced dtype: a graph traced
+    at float32 is checked against the float32 exp-overflow bound
+    (~88.7), not the float64 one (~709.8).
     """
     findings = []
-    pins = pins or {}
-
-    def pinned_dtype(node: Node) -> np.dtype:
-        name = pins.get(node.id)
-        return np.dtype(name) if name else node.dtype
-
     for node in graph:
         if node.kind != "op":
             continue
@@ -73,15 +63,14 @@ def check_stability(graph: Graph, *, pins: dict | None = None) -> dict:
 
         if node.op == "exp":
             hi = ins[0].vrange[1]
-            limit = _exp_limit(pinned_dtype(node))
+            limit = _exp_limit(node.dtype)
             if hi > limit:
                 bound = "unbounded" if math.isinf(hi) else f"<= {hi:.3g}"
                 findings.append(
                     node_finding(
                         node,
                         "REPRO101",
-                        f"exp() of a value {bound} overflows "
-                        f"{pinned_dtype(node)} "
+                        f"exp() of a value {bound} overflows {node.dtype} "
                         f"(limit ~{limit:.1f}); subtract the max first "
                         "(numerically stable softmax/log-sum-exp)",
                     )

@@ -1,18 +1,16 @@
 """Static floating-point error-bound certification (REPRO801–810).
 
-The last analyzer band before the IR executor: every other band
-certifies shape, memory, cost or determinism — this one certifies
-*rounding*.  First-order error envelopes over the forward and adjoint
-graphs, interval screens for cancellation, numerical-safety
-certificates for every planned fusion and dtype pin, a mixed-precision
-lint over the untraced flow code, and a float64 shadow-execution
-harness that validates every certificate by measurement.
+Every other analyzer band certifies shape, memory, cost or
+determinism — this one certifies *rounding*.  First-order error
+envelopes over the forward and adjoint graphs, interval screens for
+cancellation, a mixed-precision lint over the untraced flow code, and
+a float64 shadow-execution harness that validates every certificate by
+measurement.
 """
 
 from repro.diagnostics import codes_for
 
 from .adjointenv import AdjointEnvelope, adjoint_envelope
-from .certificates import certify_plan
 from .envelope import (
     UNIT_ROUNDOFF,
     ForwardEnvelope,
@@ -53,7 +51,6 @@ __all__ = [
     "forward_envelope",
     "adjoint_envelope",
     "unit_roundoff",
-    "certify_plan",
     "screen_cancellation",
     "screen_reductions",
     "lint_flow",

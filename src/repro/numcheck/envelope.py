@@ -8,9 +8,8 @@ worst-case per-element absolute rounding error of its value:
 where ``u`` is the unit roundoff of the compute dtype (2^-24 for
 float32, 2^-53 for float64).  The linearization keeps the envelope
 *u-linear*: one structural propagation serves every precision, so the
-float32 and float64 envelopes — and their difference, which prices a
-REPRO301 dtype pin — come from the same sweep evaluated at two values
-of ``u``.
+float32 and float64 envelopes come from the same sweep evaluated at
+two values of ``u``.
 
 Magnitudes come from two sources, and we take the tighter:
 
@@ -24,9 +23,8 @@ of the chosen outputs' error to that node's local seed.  The identity
 
 ``delta(out) == sum_n amp(n) * seed(n) * u``
 
-decomposes the certified bound into per-node contributions, which is
-what prices individual dtype-pin decisions (REPRO805) and makes the
-envelope auditable in tests.
+decomposes the certified bound into per-node contributions, which
+makes the envelope auditable in tests.
 
 All arithmetic is plain python floats (IEEE double, round-to-nearest),
 so envelopes are bitwise deterministic across runs and machines.
@@ -549,7 +547,7 @@ def forward_envelope(graph: Graph, *, u: float) -> ForwardEnvelope:
             # Leaves are exact as stored; a float32 leaf already *is*
             # the float32 value, so no quantization seed here — the
             # cross-precision cost of storage is priced by the cast
-            # rule and the dtype-pin certificates.
+            # rule.
             fenv.nodes[node.id] = NodeEnvelope(mag=mag, exact=True)
             fenv.deltas[node.id] = 0.0
             continue

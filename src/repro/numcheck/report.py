@@ -10,20 +10,18 @@
    error bound of every output and parameter gradient (REPRO801);
 2. screen the graph for cancellation and ill-conditioned reductions
    (:mod:`.screens`, REPRO802/803);
-3. compile the execution plan and certify every fusion group and
-   dtype-pin decision (:mod:`.certificates`, REPRO804/805);
-4. lint the untraced flow code for mixed-precision hazards
+3. lint the untraced flow code for mixed-precision hazards
    (:mod:`.flowlint`, REPRO806–808);
-5. shadow-execute float32 against the float64 oracle at each grid
+4. shadow-execute float32 against the float64 oracle at each grid
    (:mod:`.shadow`) and fail REPRO809 when measurement exceeds the
    certificate — the certificate is a *bound*, so a violation means
    the envelope rules are wrong, not the model;
    REPRO810 (advisory) marks certificates with >100x slack.
 
 The bundle is sealed like scalecheck: the fingerprint hashes the
-deterministic slice only (certified bounds, certificate verdicts,
-static finding counts — never measured errors, which depend on the
-linked BLAS).  ``check_numcheck_baseline`` diffs that slice against
+deterministic slice only (certified bounds and static finding counts
+— never measured errors, which depend on the linked BLAS).
+``check_numcheck_baseline`` diffs that slice against
 ``benchmarks/numcheck_baseline.json``.  Static certification results
 are cached content-addressed on the source fingerprint (the scaling
 trace cache's discipline, same CI cache directory).
@@ -42,10 +40,8 @@ from repro.ir.passes import filter_noqa
 from repro.ir.report import serialize_finding
 from repro.ir.trace import trace_tape
 from repro.lint.rules import LintDiagnostic
-from repro.schedule.compiler import compile_plan
 
 from .adjointenv import adjoint_envelope
-from .certificates import certify_plan
 from .envelope import UNIT_ROUNDOFF, forward_envelope
 from .flowlint import lint_flow
 from .screens import screen_cancellation, screen_reductions
@@ -160,17 +156,6 @@ def _certify_grid(
     findings += filter_noqa(screen_cancellation(graph, fenv32))
     findings += filter_noqa(screen_reductions(graph, fenv32))
 
-    plan = compile_plan(graph, tape)
-    certified = certify_plan(plan, graph, fenv32, budget=budget)
-    findings += certified["findings"]
-    fusion_ok = sum(
-        1 for c in certified["certificates"]
-        if c["kind"] == "fusion" and c["error_neutral"]
-    )
-    pin_cert = next(
-        c for c in certified["certificates"] if c["kind"] == "dtype_pin"
-    )
-
     doc = {
         "grid": grid,
         "forward_rel": forward_rel,
@@ -184,10 +169,6 @@ def _certify_grid(
             set(fenv32.unsupported)
             | set(aenv32.unsupported)
         ),
-        "fusion_groups": len(plan.fusion_groups),
-        "fusion_certified": fusion_ok,
-        "dtype_pin": pin_cert,
-        "certificates": certified["certificates"],
     }
     return doc, findings
 
@@ -315,15 +296,14 @@ def _fingerprint_sources() -> str:
 
     root = os.path.dirname(os.path.abspath(repro.__file__))
     digest = hashlib.sha256(_source_fingerprint().encode())
-    for pkg in ("numcheck", "schedule"):
-        pkg_dir = os.path.join(root, pkg)
-        for dirpath, dirnames, filenames in sorted(os.walk(pkg_dir)):
-            dirnames.sort()
-            for fname in sorted(filenames):
-                if not fname.endswith(".py"):
-                    continue
-                with open(os.path.join(dirpath, fname), "rb") as fh:
-                    digest.update(fh.read())
+    pkg_dir = os.path.join(root, "numcheck")
+    for dirpath, dirnames, filenames in sorted(os.walk(pkg_dir)):
+        dirnames.sort()
+        for fname in sorted(filenames):
+            if not fname.endswith(".py"):
+                continue
+            with open(os.path.join(dirpath, fname), "rb") as fh:
+                digest.update(fh.read())
     return digest.hexdigest()
 
 
@@ -441,17 +421,12 @@ def baseline_from_numcheck(bundle: dict) -> dict:
         report = bundle["models"][name]
         for grid in sorted(report["grids"], key=int):
             doc = report["grids"][grid]
-            pin = doc["dtype_pin"]
             entries.append({
                 "model": name,
                 "preset": report["preset"],
                 "grid": int(grid),
                 "forward_rel": f"{doc['forward_rel']:.6e}",
                 "backward_rel": f"{doc['backward_rel']:.6e}",
-                "fusion_groups": doc["fusion_groups"],
-                "fusion_certified": doc["fusion_certified"],
-                "dtype_pin": pin["dtype"],
-                "pin_within_budget": pin["within_budget"],
                 "unsupported": list(doc["unsupported"]),
             })
     by_code = {

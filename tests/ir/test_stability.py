@@ -11,7 +11,7 @@ import pytest
 
 from repro.ir import check_stability, trace, trace_model
 from repro.models.registry import MODEL_NAMES
-from repro.nn import Module
+from repro.nn import Module, get_default_dtype, set_default_dtype
 
 
 def _codes(module, *shapes, input_vrange=(-np.inf, np.inf)):
@@ -120,39 +120,36 @@ class TestPromotion:
 
 
 class TestPinnedDtypeThresholds:
-    """Overflow limits follow the *pinned* execution dtype, not the
-    traced one — a graph scheduled to run at float32 must be screened
-    against exp's ~88.7 bound, not float64's ~709.8 (REPRO805's
-    stability half)."""
+    """Overflow limits follow the dtype the graph executes at: a graph
+    traced under a float32 default must be screened against exp's
+    ~88.7 bound, not float64's ~709.8 (the dtype-blind threshold was a
+    real bug)."""
 
     class Exp(Module):
         def forward(self, x):
             return x.exp()
 
-    def _exp_graph(self, hi):
-        return trace(self.Exp(), (2, 8), input_vrange=(0.0, hi))
-
-    def _exp_node(self, graph):
-        return next(n for n in graph if n.kind == "op" and n.op == "exp")
+    def _exp_codes(self, hi, dtype=np.float64):
+        # Trace under the default dtype itself: trace(..., dtype=float32)
+        # under a float64 default casts to float64 before exp.
+        previous = get_default_dtype()
+        set_default_dtype(dtype)
+        try:
+            graph = trace(self.Exp(), (2, 8), input_vrange=(0.0, hi))
+        finally:
+            set_default_dtype(previous)
+        return [f.code for f in check_stability(graph)["findings"]]
 
     def test_float64_trace_clean_between_thresholds(self):
         # 100 < log(float64 max) ~ 709.8: safe as traced.
-        graph = self._exp_graph(100.0)
-        assert check_stability(graph)["findings"] == []
+        assert self._exp_codes(100.0) == []
 
     def test_float32_pin_lowers_the_limit(self):
-        # The same graph pinned to float32 overflows past ~88.7.
-        graph = self._exp_graph(100.0)
-        pins = {self._exp_node(graph).id: "float32"}
-        codes = [
-            f.code for f in check_stability(graph, pins=pins)["findings"]
-        ]
-        assert codes == ["REPRO101"]
+        # The same module traced at float32 overflows past ~88.7.
+        assert self._exp_codes(100.0, np.float32) == ["REPRO101"]
 
     def test_float32_pin_safe_below_its_limit(self):
-        graph = self._exp_graph(80.0)
-        pins = {self._exp_node(graph).id: "float32"}
-        assert check_stability(graph, pins=pins)["findings"] == []
+        assert self._exp_codes(80.0, np.float32) == []
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)

@@ -153,38 +153,6 @@ class TestAnalysisJSONSchemas:
         assert bundle["flow"]["target"] == "flow"
         assert bundle["flow"]["audited_files"] > 0
 
-    def test_plancheck_json_schema(self, capsys):
-        bundle = self._json(
-            capsys,
-            ["plancheck", "unet", "--preset", "tiny", "--grid", "32",
-             "--backward", "--json"],
-        )
-        assert bundle["schema"] == "repro.schedule/v1"
-        assert set(bundle) >= {
-            "schema", "reports", "distinct_codes", "failures",
-        }
-        (report,) = bundle["reports"]
-        assert set(report) >= {
-            "schema", "model", "preset", "grid", "batch", "forward",
-            "training", "failures",
-        }
-        for section in ("forward", "training"):
-            assert report[section]["plan"]["schema"] == "repro.schedule/v1"
-            summary = report[section]["summary"]
-            assert summary["planned_nodes"] > 0
-            assert summary["arena_bytes"] <= summary["bound_bytes"]
-            assert report[section]["findings"] == []
-        assert bundle["failures"] == []
-
-    def test_plancheck_baseline_round_trip(self, tmp_path, capsys):
-        baseline = tmp_path / "schedule_baseline.json"
-        argv = ["plancheck", "unet", "--preset", "tiny", "--grid", "32"]
-        assert main(argv + ["--update-baseline", str(baseline)]) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        assert main(argv + ["--check-baseline", str(baseline)]) == 0
-        assert "baseline OK" in capsys.readouterr().out
-
     def test_perfcheck_baseline_round_trip(self, tmp_path, capsys):
         baseline = tmp_path / "perf_baseline.json"
         argv = ["perfcheck", "unet", "--preset", "tiny", "--grid", "32",
@@ -330,13 +298,12 @@ class TestAnalysisJSONSchemas:
         assert combined["schema"] == "repro.check/v1"
         assert set(combined) >= {
             "schema", "preset", "grid", "lint", "analyze", "gradcheck",
-            "perfcheck", "plancheck", "concheck", "scalecheck", "failures",
+            "perfcheck", "concheck", "scalecheck", "numcheck", "failures",
         }
         # Each section carries its own full bundle under its own schema.
         assert combined["analyze"]["schema"] == "repro.ir/v1"
         assert combined["gradcheck"]["schema"] == "repro.adjoint/v1"
         assert combined["perfcheck"]["schema"] == "repro.perf/v1"
-        assert combined["plancheck"]["schema"] == "repro.schedule/v1"
         assert combined["concheck"]["schema"] == "repro.concheck/v1"
         assert combined["concheck"]["failures"] == []
         assert combined["scalecheck"]["schema"] == "repro.scaling/v1"
@@ -367,13 +334,15 @@ class TestExitCodeContract:
                 EXIT_INTERNAL) == (0, 1, 2, 3, 4)
 
     # One spec per analysis subcommand: a tiny-scale clean invocation,
-    # the baseline filename, and a mutation that drifts one pinned
-    # value.  scalecheck's mutation bumps a certified *exponent* — the
-    # drift that matters is asymptotic, not a count.
+    # out-of-range numeric arguments that must be usage errors, the
+    # baseline filename, and a mutation that drifts one pinned value.
+    # scalecheck's mutation bumps a certified *exponent* — the drift
+    # that matters is asymptotic, not a count.
     SUBCOMMANDS = {
         "analyze": {
             "argv": ["analyze", "unet", "--preset", "tiny", "--grid", "32",
                      "--no-determinism"],
+            "usage": [["--grid", "0"], ["--grid", "-4"]],
             "baseline": "ir.json",
             "drift": lambda doc: doc["entries"][0].update(
                 total_flops=doc["entries"][0]["total_flops"] + 1),
@@ -381,19 +350,15 @@ class TestExitCodeContract:
         "gradcheck": {
             "argv": ["gradcheck", "unet", "--preset", "tiny",
                      "--grid", "32"],
+            "usage": [["--grid", "0"]],
         },
         "perfcheck": {
             "argv": ["perfcheck", "unet", "--preset", "tiny", "--grid", "32",
                      "--no-validate"],
+            "usage": [["--grid", "-4"]],
             "baseline": "perf.json",
             "drift": lambda doc: doc["entries"][0].update(
                 graph_nodes=doc["entries"][0]["graph_nodes"] + 1),
-        },
-        "plancheck": {
-            "argv": ["plancheck", "unet", "--preset", "tiny", "--grid", "32"],
-            "baseline": "schedule.json",
-            "drift": lambda doc: doc["entries"][0].update(
-                arena_bytes=doc["entries"][0]["arena_bytes"] + 1),
         },
         "concheck": {
             "argv": ["concheck"],
@@ -404,6 +369,7 @@ class TestExitCodeContract:
         "scalecheck": {
             "argv": ["scalecheck", "unet", "--preset", "tiny",
                      "--no-measure"],
+            "usage": [["--ladder", "0"], ["--batch", "0"]],
             "baseline": "scaling.json",
             "drift": lambda doc: (
                 lambda e: e.update(flops_degree=e["flops_degree"] + 1)
@@ -414,28 +380,49 @@ class TestExitCodeContract:
         "numcheck": {
             "argv": ["numcheck", "unet", "--preset", "tiny",
                      "--grid", "32", "--no-measure"],
+            "usage": [["--grid", "0"], ["--batch", "-1"]],
             "baseline": "numcheck.json",
             "drift": lambda doc: doc["entries"][0].update(
                 forward_rel="1.000000e+00"),
+        },
+        # The flow commands share the usage half of the contract: sizes,
+        # counts and the downscale factor must be positive.
+        "place": {
+            "argv": ["place", "--design", "Design_120", "--scale", "256",
+                     "--iters", "150"],
+            "usage": [["--iters", "0"]],
+        },
+        "score": {
+            "argv": ["score", "--design", "Design_120", "--scale", "256"],
+            "usage": [["--scale", "0"], ["--scale", "-64"], ["--scale", "nan"]],
+        },
+        "train": {
+            "argv": ["train", "--designs", "Design_120", "--scale", "256",
+                     "--grid", "32", "--placements", "2", "--epochs", "1",
+                     "--model", "unet"],
+            "usage": [["--epochs", "0"], ["--placements", "0"],
+                      ["--grid", "0"], ["--checkpoint-every", "0"]],
         },
     }
 
     @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
     def test_contract_holds_for_every_subcommand(
-        self, command, tmp_path, capsys
+        self, command, tmp_path, capsys, monkeypatch
     ):
         import json
 
+        monkeypatch.chdir(tmp_path)  # train's default --out lands here
         spec = self.SUBCOMMANDS[command]
         argv = list(spec["argv"])
         # 2: usage errors come from argparse before any analysis runs.
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--no-such-flag"])
-        assert exc.value.code == 2
+        for bad in [["--no-such-flag"], *spec.get("usage", [])]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + bad)
+            assert exc.value.code == 2, bad
         # 0: the tree is clean at tiny scale.
         assert main(argv) == 0
         if "baseline" not in spec:
-            return  # gradcheck carries no baseline flags
+            return  # gradcheck and the flow commands carry no baselines
         baseline = tmp_path / spec["baseline"]
         # 0: update then re-check round-trips.
         assert main(argv + ["--update-baseline", str(baseline)]) == 0

@@ -22,7 +22,7 @@ class TestRegistry:
         for code, spec in all_codes().items():
             band = int(code.removeprefix("REPRO")) // 100
             expected = {
-                0: "lint", 1: "ir", 2: "adjoint", 3: "perf", 4: "schedule",
+                0: "lint", 1: "ir", 2: "adjoint", 3: "perf",
                 5: "orchestrate", 6: "concheck", 7: "scaling",
                 8: "numcheck",
             }[band]
@@ -37,13 +37,11 @@ class TestRegistry:
         from repro.orchestrate import ORCHESTRATE_RULES
         from repro.perf import PERF_RULES
         from repro.scaling import SCALING_RULES
-        from repro.schedule import SCHEDULE_RULES
 
         assert RULES == codes_for("lint")
         assert IR_RULES == codes_for("ir")
         assert ADJOINT_RULES == codes_for("adjoint")
         assert PERF_RULES == codes_for("perf")
-        assert SCHEDULE_RULES == codes_for("schedule")
         assert ORCHESTRATE_RULES == codes_for("orchestrate")
         assert CONCHECK_RULES == codes_for("concheck")
         assert SCALING_RULES == codes_for("scaling")
@@ -66,13 +64,6 @@ class TestRegistry:
         assert {c for c in codes_for("perf") if is_blocking(c)} == {
             "REPRO301", "REPRO302", "REPRO310"
         }
-
-    def test_schedule_codes_present(self):
-        assert set(codes_for("schedule")) == {
-            f"REPRO40{i}" for i in range(1, 9)
-        }
-        # Every plan-verifier code is a safety violation: all blocking.
-        assert all(is_blocking(c) for c in codes_for("schedule"))
 
     def test_orchestrate_codes_present(self):
         assert set(codes_for("orchestrate")) == {
@@ -108,15 +99,15 @@ class TestRegistry:
         }
 
     def test_numcheck_codes_present(self):
+        # 804/805 are retired and stay unassigned.
         assert set(codes_for("numcheck")) == {
-            f"REPRO8{i:02d}" for i in range(1, 11)
+            f"REPRO8{i:02d}" for i in (1, 2, 3, 6, 7, 8, 9, 10)
         }
         # Advisory: cancellation sites (802) and conditioning screens
         # (803) flag where the certificate leans on a regime
         # assumption; tight-tolerance lint (807/808) and excess slack
-        # (810) are hygiene.  Budget breaches, unsound fusion/pins,
-        # float32 accumulators and measured-beats-certified are hard
-        # certification failures.
+        # (810) are hygiene.  Budget breaches, float32 accumulators and
+        # measured-beats-certified are hard certification failures.
         assert {c for c in codes_for("numcheck") if not is_blocking(c)} == {
             "REPRO802", "REPRO803", "REPRO807", "REPRO808", "REPRO810",
         }

@@ -99,40 +99,26 @@ class TestDiagnosticsDoc:
                 f"{code} documented with wrong severity (want {severity})"
             )
 
+    def test_bug_ledger_names_live_regression_tests(self):
+        """Every regression test the real-bug ledger names must exist,
+        so deleting an analyzer band cannot silently take one along."""
+        ledger = _read("docs/DIAGNOSTICS.md").split("## The registry")[0]
+        checked = 0
+        for row in re.findall(r"^\| \w+ \|.*\|(.*)\|$", ledger, re.MULTILINE):
+            source = None
+            for ref in re.findall(r"`([^`]+)`", row):
+                path, _, name = ref.partition("::")
+                if path:
+                    source = (_ROOT / path).read_text()
+                if name:
+                    assert re.search(rf"(class|def) {name}\b", source), ref
+                checked += 1
+        assert checked >= 10  # the ledger really was scanned
+
     def test_linked_from_readme_and_api(self):
         assert "docs/DIAGNOSTICS.md" in _read("README.md")
         assert "DIAGNOSTICS.md" in _read("docs/API.md")
         assert (_ROOT / "docs" / "DIAGNOSTICS.md").exists()
-
-
-class TestScheduleDoc:
-    def test_exists_and_pins_schema(self):
-        text = _read("docs/SCHEDULE.md")
-        assert "repro.schedule/v1" in text
-        assert "benchmarks/schedule_baseline.json" in text
-
-    def test_documents_every_schedule_code(self):
-        from repro.diagnostics import codes_for
-
-        text = _read("docs/SCHEDULE.md")
-        for code in codes_for("schedule"):
-            assert code in text, f"SCHEDULE.md does not mention {code}"
-
-    def test_linked_from_readme_and_api(self):
-        assert "docs/SCHEDULE.md" in _read("README.md")
-        assert "SCHEDULE.md" in _read("docs/API.md")
-
-    def test_exit_code_table_matches_cli_constants(self):
-        """API.md's exit-code table and the CLI constants must agree."""
-        from repro import cli
-
-        text = _read("docs/API.md")
-        rows = dict(
-            re.findall(r"^\| (\d) \| `(EXIT_\w+)` \|", text, re.MULTILINE)
-        )
-        assert len(rows) == 5
-        for value, name in rows.items():
-            assert getattr(cli, name) == int(value)
 
 
 class TestOrchestrationDoc:
@@ -228,6 +214,18 @@ class TestNumericsDoc:
 
 
 class TestApiDoc:
+    def test_exit_code_table_matches_cli_constants(self):
+        """API.md's exit-code table and the CLI constants must agree."""
+        from repro import cli
+
+        text = _read("docs/API.md")
+        rows = dict(
+            re.findall(r"^\| (\d) \| `(EXIT_\w+)` \|", text, re.MULTILINE)
+        )
+        assert len(rows) == 5
+        for value, name in rows.items():
+            assert getattr(cli, name) == int(value)
+
     def test_every_backticked_symbol_importable(self):
         """Symbols written as `name` in a module section must exist there."""
         text = (_ROOT / "docs" / "API.md").read_text()

@@ -2,13 +2,13 @@
 
 Every analysis package pins its deterministic output slice to a JSON
 file under ``benchmarks/`` and diffs against it in CI.  Before this
-module, each package (``ir``, ``adjoint``, ``perf``, ``concheck``,
-``scaling``) carried its own copy of the same three moves; they now
-share one implementation:
+module, each package (``ir``, ``adjoint``, ``perf``, ``concheck``)
+carried its own copy of the same three moves; they now share one
+implementation:
 
-* :func:`diff_entries` — keyed-record comparison driven by the
-  *baseline's* fields, so an older baseline that pins fewer numbers
-  still checks cleanly against a richer report.
+* :func:`diff_entries` — per-(model, preset, grid) record comparison
+  driven by the *baseline's* fields, so an older baseline that pins
+  fewer numbers still checks cleanly against a richer report.
 * :func:`diff_counts` — per-key count comparison for ``by_code`` /
   ``effect_summary``-style dicts.
 * :func:`load_baseline` / :func:`write_baseline` — read and atomically
@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 
+_ENTRY_KEY = ("model", "preset", "grid")
+
+
 def _fmt_change(want, got) -> str:
     if isinstance(want, int) and isinstance(got, int) and not (
         isinstance(want, bool) or isinstance(got, bool)
@@ -47,31 +50,25 @@ def diff_entries(
     expected: list[dict],
     current: list[dict],
     *,
-    key: tuple[str, ...] = ("model", "preset", "grid"),
     verb: str = "analyzed",
     missing_field_hint: str | None = None,
 ) -> list[str]:
-    """Diff keyed record lists; comparison fields come from the baseline.
+    """Diff record lists keyed on (model, preset, grid); comparison
+    fields come from the baseline.
 
     ``verb`` names the action that produced ``current`` ("analyzed",
-    "checked", "certified", ...), preserving each package's established
-    message wording.
+    "checked"), preserving each package's established message wording.
     """
 
     def keyed(entries: list[dict]) -> dict[tuple, dict]:
-        return {tuple(e[k] for k in key): e for e in entries}
-
-    def name_of(k: tuple) -> str:
-        parts = [str(v) for v in k]
-        if key[-1] == "grid":
-            parts[-1] = f"grid{parts[-1]}"
-        return "/".join(parts)
+        return {tuple(e[k] for k in _ENTRY_KEY): e for e in entries}
 
     want_by_key = keyed(expected)
     got_by_key = keyed(current)
     problems: list[str] = []
     for k in sorted(set(want_by_key) | set(got_by_key)):
-        name = name_of(k)
+        model, preset, grid = k
+        name = f"{model}/{preset}/grid{grid}"
         if k not in got_by_key:
             problems.append(f"{name}: in baseline but not {verb}")
             continue
@@ -82,7 +79,7 @@ def diff_entries(
             )
             continue
         for field in want_by_key[k]:
-            if field in key:
+            if field in _ENTRY_KEY:
                 continue
             if field not in got_by_key[k]:
                 hint = f" ({missing_field_hint})" if missing_field_hint else ""

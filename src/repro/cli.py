@@ -28,17 +28,6 @@ atomically refreshes every ``benchmarks/*_baseline.json`` instead:
   worker-reachable call graph from the dotted job references, then run
   effect inference, deep RNG discipline, fork/pickle safety and the
   durable-write lint over it (REPRO601-612, see repro.concheck).
-* ``scalecheck`` — certified asymptotic scaling: exact polynomial cost
-  envelopes per registry model (fitted over a grid ladder, cross-checked
-  against the memory planner and one measured training step) plus a
-  loop-nest complexity lint over the untraced flow code (REPRO701-710,
-  see repro.scaling).
-* ``numcheck`` — static floating-point error-bound certification:
-  first-order rounding-error envelopes over every registry model's
-  forward and adjoint graphs, cancellation/conditioning screens, a
-  mixed-precision lint over the flow code, and a float64
-  shadow-execution harness that validates every certified bound by
-  measurement (REPRO801-810, see repro.numcheck).
 
 Every analysis command reports through one exit-code contract (the
 table lives in ``docs/API.md``): 0 = clean, 1 = blocking findings,
@@ -81,22 +70,23 @@ _PRESETS = ("tiny", "fast", "paper")
 _PERF_CARRY = ("fixes",)
 
 
-def _positive(cast):
-    """argparse ``type=``: a finite ``cast`` value above zero, else a
+def _checked(cast, ok, what: str):
+    """argparse ``type=``: a ``cast`` value that satisfies ``ok``, else a
     usage error (exit 2) instead of a crash deep inside the analysis."""
 
     def parse(text: str):
         value = cast(text)  # ValueError -> "invalid <cast> value"
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
 
     parse.__name__ = cast.__name__
     return parse
 
 
-_positive_int = _positive(int)
-_positive_float = _positive(float)
+_positive_int = _checked(int, lambda v: v > 0, "positive")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "positive")
+_non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
 
 
 def _add_baseline_flags(
@@ -175,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     table2 = sub.add_parser("table2", help="mini Table II (4 teams)")
     add_common(table2, multi_design=True)
     table2.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
+        "--parallel", type=_non_negative_int, default=None, metavar="N",
         help="fan (team, design) evaluations across N supervised worker "
         "processes (repro.orchestrate); 0 = supervised serial",
     )
@@ -811,227 +801,6 @@ def _concheck_baselines(bench: Path, validate: bool) -> dict[str, dict]:
     return {str(bench / "concheck_baseline.json"): baseline_from_concheck(concheck())}
 
 
-def _scalecheck_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "target", choices=_MODELS + ("flow", "all"),
-        help="registry model to certify, 'flow' for the loop-nest lint "
-        "only, or 'all' for models + flow",
-    )
-    p.add_argument("--preset", default="fast", choices=_PRESETS)
-    p.add_argument("--batch", type=_positive_int, default=1)
-    p.add_argument(
-        "--ladder", dest="ladder", type=_positive_int, action="append",
-        metavar="N",
-        help="grid ladder rung; repeatable "
-        "(default: 64 96 128 192 256 384 512)",
-    )
-    p.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help="cache trace samples here, keyed on a source fingerprint "
-        "of the traced packages (CI reuses them across runs)",
-    )
-    p.add_argument(
-        "--no-measure", action="store_true",
-        help="skip the tracemalloc-measured training-step cross-check "
-        "(REPRO709)",
-    )
-    p.add_argument("--json", action="store_true",
-                   help="print the full repro.scaling/v1 bundle")
-    _add_baseline_flags(p, "certified exponents + leading coefficients")
-
-
-def _print_scaling_model(name: str, report: dict) -> None:
-    print(f"{name} (preset={report['preset']}, batch={report['batch']}, "
-          f"ladder {report['ladder'][0]}..{report['ladder'][-1]})")
-    for regime in report["regimes"]:
-        total = regime["total"]
-        print(f"  regime [{regime['lo']}, {regime['hi']}] "
-              f"({len(regime['grids'])} grids, held-out "
-              f"{regime['held_out']}):")
-        print(f"    total: flops G^{total['flops']['degree']} "
-              f"(leading {total['flops']['leading']}), "
-              f"bytes G^{total['bytes']['degree']}")
-        degrees = {
-            stage: max(e["flops"]["degree"], e["bytes"]["degree"])
-            for stage, e in regime["stages"].items()
-        }
-        if degrees:
-            worst = max(degrees.values())
-            budget = max(e["budget"] for e in regime["stages"].values())
-            print(f"    stages: {len(degrees)} certified, "
-                  f"max G^{worst} <= budget G^{budget}")
-        for label in ("fwd_peak", "train_peak"):
-            entry = regime["memory"].get(label)
-            if entry is None:
-                continue
-            held = entry["held_out"]
-            print(f"    {label}: G^{entry['degree']} from grid "
-                  f"{entry['valid_from']} (held-out grid {held['grid']} "
-                  f"err {held['rel_err']:.1%})")
-    measured = report.get("measured")
-    if measured:
-        print(f"  measured: training-step peak at grid {measured['grid']} "
-              f"within {measured['rel_err']:.1%} of the envelope "
-              f"(bound {measured['bound']:.0%})")
-
-
-def _cmd_scalecheck(args) -> int:
-    from .scaling import (
-        DEFAULT_LADDER,
-        baseline_from_scaling,
-        check_scaling_baseline,
-        scalecheck,
-    )
-
-    ladder = tuple(args.ladder) if args.ladder else DEFAULT_LADDER
-    bundle = scalecheck(
-        args.target, preset=args.preset, batch=args.batch, ladder=ladder,
-        cache_dir=args.cache, measure=not args.no_measure,
-    )
-
-    if args.json:
-        print(json.dumps(bundle, indent=2))
-    else:
-        for name in bundle["models"]:
-            _print_scaling_model(name, bundle["models"][name])
-            print()
-        if bundle["flow"] is not None:
-            summary = bundle["flow"]["summary"]
-            orders = ", ".join(
-                f"{m}={summary['max_order'][m]}/{summary['budgets'][m]}"
-                for m in sorted(summary["budgets"])
-            )
-            print(f"flow: {summary['functions']} functions "
-                  f"({summary['hot_functions']} hot), "
-                  f"max nest order vs budget: {orders}")
-            for f in bundle["flow"]["findings"]:
-                print(f"  {f['path']}:{f['line']}: {f['code']} "
-                      f"{f['message']}")
-        _print_by_code(bundle["by_code"])
-        print(f"sealed: {bundle['fingerprint'][:23]}…")
-    return _finish(
-        args, bundle["failures"], baseline_from_scaling(bundle),
-        lambda doc: check_scaling_baseline(bundle, doc),
-        ok="scaling certified (0 blocking REPRO7xx findings)",
-    )
-
-
-def _scalecheck_gate(args) -> tuple[dict, list[str]]:
-    from .scaling import scalecheck
-
-    bundle = scalecheck("all", preset=args.preset,
-                        measure=not args.no_validate)
-    return bundle, bundle["failures"]
-
-
-def _scalecheck_baselines(bench: Path, validate: bool) -> dict[str, dict]:
-    from .scaling import baseline_from_scaling, scalecheck
-
-    scaling = scalecheck("all", measure=validate)
-    return {str(bench / "scaling_baseline.json"): baseline_from_scaling(scaling)}
-
-
-def _numcheck_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "target", choices=_MODELS + ("flow", "all"),
-        help="registry model to certify, 'flow' for the mixed-precision "
-        "lint only, or 'all' for models + flow",
-    )
-    p.add_argument("--preset", default="fast", choices=_PRESETS)
-    p.add_argument(
-        "--grid", dest="grids", type=_positive_int, action="append",
-        metavar="N", help="certification grid; repeatable (default: 32 64)",
-    )
-    p.add_argument("--batch", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--budget", type=float, default=None,
-        help="relative-error budget for the certified envelopes "
-        "(default: the registry budget, see repro.numcheck)",
-    )
-    p.add_argument(
-        "--no-measure", action="store_true",
-        help="skip the float64 shadow-execution harness (REPRO809/810)",
-    )
-    p.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help="cache static certifications here, keyed on a source "
-        "fingerprint (CI shares the scaling trace cache directory)",
-    )
-    p.add_argument("--json", action="store_true",
-                   help="print the full repro.numcheck/v1 bundle")
-    p.add_argument("--top", type=int, default=10,
-                   help="findings shown without --json (default 10)")
-    _add_baseline_flags(p, "certified bounds + finding counts")
-
-
-def _print_numcheck_model(name: str, report: dict) -> None:
-    print(f"{name} (preset={report['preset']}, "
-          f"budget={report['budget']:.1e})")
-    for grid in sorted(report["grids"], key=int):
-        doc = report["grids"][grid]
-        print(f"  grid {grid}: forward rel <= {doc['forward_rel']:.3e}, "
-              f"backward rel <= {doc['backward_rel']:.3e}")
-        if doc["unsupported"]:
-            print(f"    unsupported ops: {', '.join(doc['unsupported'])}")
-        measured = doc.get("measured")
-        if measured:
-            print(f"    measured: forward {measured['forward']:.3e}, "
-                  f"backward {measured['backward']:.3e} "
-                  f"(worst {measured['worst_param']})")
-
-
-def _cmd_numcheck(args) -> int:
-    from .numcheck import (
-        CERT_GRIDS,
-        DEFAULT_BUDGET,
-        baseline_from_numcheck,
-        check_numcheck_baseline,
-        numcheck,
-    )
-
-    grids = tuple(args.grids) if args.grids else CERT_GRIDS
-    budget = DEFAULT_BUDGET if args.budget is None else args.budget
-    bundle = numcheck(
-        args.target, preset=args.preset, grids=grids, batch=args.batch,
-        seed=args.seed, budget=budget, measure=not args.no_measure,
-        cache_dir=args.cache,
-    )
-
-    if args.json:
-        print(json.dumps(bundle, indent=2))
-    else:
-        for name in bundle["models"]:
-            _print_numcheck_model(name, bundle["models"][name])
-            print()
-        if bundle["flow"] is not None:
-            print(f"flow: {len(bundle['flow']['audited_files'])} files "
-                  f"audited, {len(bundle['flow']['findings'])} finding(s)")
-        _print_by_code(bundle["by_code"])
-        _print_findings(bundle["findings"], args.top)
-        print(f"sealed: {bundle['fingerprint'][:23]}…")
-    return _finish(
-        args, bundle["failures"], baseline_from_numcheck(bundle),
-        lambda doc: check_numcheck_baseline(bundle, doc),
-        ok="rounding certified (0 blocking REPRO8xx findings)",
-    )
-
-
-def _numcheck_gate(args) -> tuple[dict, list[str]]:
-    from .numcheck import numcheck
-
-    bundle = numcheck("all", preset=args.preset,
-                      measure=not args.no_validate)
-    return bundle, bundle["failures"]
-
-
-def _numcheck_baselines(bench: Path, validate: bool) -> dict[str, dict]:
-    from .numcheck import baseline_from_numcheck, numcheck
-
-    numbers = numcheck("all", measure=validate)
-    return {str(bench / "numcheck_baseline.json"): baseline_from_numcheck(numbers)}
-
-
 @dataclass(frozen=True)
 class Section:
     """One analyzer section: ``add_arguments`` + ``run`` make its
@@ -1078,20 +847,6 @@ SECTIONS = (
         "static concurrency-safety analysis of the worker-reachable "
         "call graph (see repro.concheck)",
         _concheck_args, _cmd_concheck, _concheck_gate, _concheck_baselines,
-    ),
-    Section(
-        "scalecheck",
-        "certified asymptotic scaling: exact cost envelopes per "
-        "model + loop-nest complexity lint over the flow code "
-        "(see repro.scaling)",
-        _scalecheck_args, _cmd_scalecheck, _scalecheck_gate,
-        _scalecheck_baselines,
-    ),
-    Section(
-        "numcheck",
-        "static floating-point error-bound certification + float64 "
-        "shadow validation (see repro.numcheck)",
-        _numcheck_args, _cmd_numcheck, _numcheck_gate, _numcheck_baselines,
     ),
 )
 

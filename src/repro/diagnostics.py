@@ -4,13 +4,12 @@ Every analysis component shares one code namespace, one hundred codes
 per band: the AST lint rules (:mod:`repro.lint`, ``REPRO0xx``), the
 forward-IR passes (:mod:`repro.ir`, ``REPRO1xx``), the adjoint/backward
 passes (:mod:`repro.adjoint`, ``REPRO2xx``), the static performance
-analyzer (:mod:`repro.perf`, ``REPRO3xx``), the concurrency-safety
-analyzer (:mod:`repro.concheck`, ``REPRO6xx``), the scaling certifier
-(:mod:`repro.scaling`, ``REPRO7xx``) and the rounding-error certifier
-(:mod:`repro.numcheck`, ``REPRO8xx``).  The ``REPRO4xx`` band is
-retired and stays unassigned.  Before this registry each component
-kept its own table, which is exactly how two PRs end up assigning the
-same code to different rules.  Now every code is declared here,
+analyzer (:mod:`repro.perf`, ``REPRO3xx``) and the concurrency-safety
+analyzer (:mod:`repro.concheck`, ``REPRO6xx``).  The ``REPRO4xx``,
+``REPRO7xx`` and ``REPRO8xx`` bands are retired and stay unassigned.
+Before this registry each component kept its own table, which is
+exactly how two PRs end up assigning the same code to different rules.
+Now every code is declared here,
 :func:`register_code` raises on a duplicate assignment, and the
 component tables (``repro.lint.rules.RULES``,
 ``repro.ir.passes.IR_RULES``, ``repro.adjoint.ADJOINT_RULES``,
@@ -49,7 +48,7 @@ class DiagnosticSpec:
 
     code: str
     message: str
-    component: str  # owning package: "lint", "ir", ..., "numcheck"
+    component: str  # owning package: "lint", "ir", ..., "concheck"
     blocking: bool = True
 
 
@@ -390,110 +389,4 @@ register_code(
     "REPRO612",
     "rename into place without fsync of the written temp file",
     component="concheck",
-)
-register_code(
-    "REPRO701",
-    "traced node's cost exponent exceeds its op-kind budget",
-    component="scaling",
-)
-register_code(
-    "REPRO702",
-    "stage or model cost exponent exceeds the stage budget",
-    component="scaling",
-)
-register_code(
-    "REPRO703",
-    "fitted peak-memory envelope misses the planner at the held-out grid "
-    "by more than 10%",
-    component="scaling",
-)
-register_code(
-    "REPRO704",
-    "grid-indexed loop nest exceeds the flow module's complexity budget",
-    component="scaling",
-)
-register_code(
-    "REPRO705",
-    "per-element Python loop over a grid-sized array reachable from the "
-    "hot placer loop",
-    component="scaling",
-)
-register_code(
-    "REPRO706",
-    "O(n) list primitive (pop(k), 'in' on list) inside a grid-order loop",
-    component="scaling",
-)
-register_code(
-    "REPRO707",
-    "traced cost sequence admits no exact polynomial fit over the grid "
-    "ladder",
-    component="scaling",
-)
-register_code(
-    "REPRO708",
-    "traced graph structure varies between structurally-equal ladder "
-    "grids",
-    component="scaling",
-)
-register_code(
-    "REPRO709",
-    "measured training-step peak deviates from the fitted envelope at "
-    "the held-out grid",
-    component="scaling",
-)
-register_code(
-    "REPRO710",
-    "superlinear-in-area stages dominate the model's asymptotic cost",
-    component="scaling",
-    blocking=False,
-)
-register_code(
-    "REPRO801",
-    "certified rounding-error envelope exceeds the relative-error budget",
-    component="numcheck",
-)
-register_code(
-    "REPRO802",
-    "catastrophic cancellation: interval analysis proves subtraction of "
-    "near-equal operands with incoming rounding error",
-    component="numcheck",
-    blocking=False,
-)
-register_code(
-    "REPRO803",
-    "ill-conditioned reduction: mixed-sign summands whose total can "
-    "cancel to zero",
-    component="numcheck",
-    blocking=False,
-)
-register_code(
-    "REPRO806",
-    "float32 accumulator (cumsum/bincount weights) over a grid-sized "
-    "array in flow code",
-    component="numcheck",
-)
-register_code(
-    "REPRO807",
-    "unpaired exp/log in flow code: exponential without a max-shift, "
-    "clip or log-domain pairing",
-    component="numcheck",
-    blocking=False,
-)
-register_code(
-    "REPRO808",
-    "tolerance literal tighter than the certified float32 error bound",
-    component="numcheck",
-    blocking=False,
-)
-register_code(
-    "REPRO809",
-    "shadow execution measured error above the certified envelope",
-    component="numcheck",
-)
-register_code(
-    "REPRO810",
-    "certified envelope is vacuous: more than 100x slack over the "
-    "measured error",
-    component="numcheck",
-    blocking=False,
 )

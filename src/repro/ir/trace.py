@@ -62,18 +62,9 @@ _SKIP_MARKERS = (_IR_DIR, os.sep + "numpy" + os.sep)
 
 
 class TraceSession:
-    """Mutable state for one trace: the graph plus attribution context.
+    """Mutable state for one trace: the graph plus attribution context."""
 
-    ``concrete_params`` switches parameter value ranges from the default
-    unbounded interval (parameters move during training) to the concrete
-    min/max of the values seen at trace time.  The rounding-error
-    certifier (:mod:`repro.numcheck`) needs finite magnitudes through
-    the whole graph, and its certificates are explicitly "at these
-    weights", so the concrete interval is the sound choice there.
-    """
-
-    def __init__(self, *, concrete_params: bool = False) -> None:
-        self.concrete_params = concrete_params
+    def __init__(self) -> None:
         self.graph = Graph()
         # Stack of (dotted name, unique call serial): the serial makes
         # each module *invocation* distinct, so lifetime analysis does
@@ -108,7 +99,7 @@ class TraceSession:
         cached = self._consts.get(id(root))
         if cached is not None:
             return cached[0]
-        if kind == "param" and not self.concrete_params:
+        if kind == "param":
             vrange = UNBOUNDED  # parameters move during training
         elif root.size == 0:
             vrange = (0.0, 0.0)
@@ -226,7 +217,6 @@ def trace(
     dtype=None,
     input_vrange: tuple[float, float] = UNBOUNDED,
     name: str = "",
-    concrete_params: bool = False,
 ) -> Graph:
     """Trace ``module.forward`` over symbolic inputs of the given shapes.
 
@@ -243,15 +233,11 @@ def trace(
         consume normalized feature maps, so analyses pass a finite
         interval to get meaningful stability verdicts; the default is
         conservative (unbounded).
-    concrete_params:
-        Use the concrete min/max of each parameter as its value
-        interval instead of the unbounded default (see
-        :class:`TraceSession`).
     """
     if not input_shapes:
         raise ValueError("trace() needs at least one input shape")
     dtype = np.dtype(dtype if dtype is not None else get_default_dtype())
-    sess = TraceSession(concrete_params=concrete_params)
+    sess = TraceSession()
     sess.graph.meta.update(
         {
             "model": name or type(module).__name__,
@@ -299,7 +285,6 @@ def trace_tape(
     input_vrange: tuple[float, float] = UNBOUNDED,
     name: str = "",
     input_requires_grad: bool = False,
-    concrete_params: bool = False,
 ) -> tuple[Graph, list[TapeEntry]]:
     """Trace a *grad-enabled* forward, capturing the backward tape.
 
@@ -318,7 +303,7 @@ def trace_tape(
     if not input_shapes:
         raise ValueError("trace_tape() needs at least one input shape")
     dtype = np.dtype(dtype if dtype is not None else get_default_dtype())
-    sess = TraceSession(concrete_params=concrete_params)
+    sess = TraceSession()
     sess.graph.meta.update(
         {
             "model": name or type(module).__name__,

@@ -7,13 +7,6 @@ from repro import nn
 from repro.models import build_model
 
 
-@pytest.fixture
-def float32_mode():
-    nn.set_default_dtype(np.float32)
-    yield
-    nn.set_default_dtype(np.float64)
-
-
 class TestDefaultDtype:
     def test_default_is_float64(self):
         assert nn.get_default_dtype() == np.float64

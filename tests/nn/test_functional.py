@@ -9,6 +9,8 @@ from repro.nn import Tensor
 
 from ..conftest import numerical_gradient
 
+U32 = np.finfo(np.float32).eps / 2  # float32 unit roundoff, 2**-24
+
 
 class TestIm2Col:
     def test_roundtrip_counts(self, rng):
@@ -150,6 +152,23 @@ class TestSoftmax:
         b = F.softmax(Tensor(x + 1000.0)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_rows_sum_to_one_at_extreme_logits(self, float32_mode, seed):
+        logits = np.random.default_rng(seed).uniform(-1e4, 1e4, size=(16, 64))
+        out = F.softmax(Tensor(logits)).data
+        assert out.dtype == np.float32
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=64 * U32)
+
+    def test_unshifted_exp_overflows_where_softmax_does_not(self, float32_mode):
+        # Without the max shift, float32 exp overflows at these logits.
+        logits = np.full((2, 4), 500.0, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(logits)).any()
+        out = F.softmax(Tensor(logits)).data
+        assert out.dtype == np.float32
+        assert np.all(np.isfinite(out))
+
     def test_softmax_gradcheck(self, rng):
         x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
         (F.softmax(x) * np.arange(5.0)).sum().backward()
@@ -168,6 +187,16 @@ class TestSoftmax:
             np.log(F.softmax(Tensor(x)).data),
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_log_softmax_finite_and_nonpositive(self, float32_mode, seed):
+        # log-softmax <= 0 mathematically; float32 rounding can only
+        # cross zero by an ulp-scale amount.
+        logits = np.random.default_rng(seed).uniform(-1e4, 1e4, size=(16, 64))
+        out = F.log_softmax(Tensor(logits)).data
+        assert out.dtype == np.float32
+        assert np.all(np.isfinite(out))
+        assert out.max() <= 64 * U32
 
     def test_log_softmax_gradcheck(self, rng):
         x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)

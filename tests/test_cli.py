@@ -20,6 +20,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["place", "--design", "NotADesign"])
 
+    def test_table2_parallel_must_be_non_negative(self, capsys):
+        # run_jobs treats workers <= 0 as serial, so a negative count
+        # must be a usage error rather than a silent serial run.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["table2", "--parallel", "-2"])
+        assert exc.value.code == 2
+        assert "must be non-negative" in capsys.readouterr().err
+        assert build_parser().parse_args(
+            ["table2", "--parallel", "0"]).parallel == 0
+
 
 class TestCommands:
     def test_stats(self, capsys):
@@ -197,79 +207,6 @@ class TestAnalysisJSONSchemas:
                      / "benchmarks" / "concheck_baseline.json")
         assert main(["concheck", "--check-baseline", str(committed)]) == 0
 
-    def test_scalecheck_flow_json_schema(self, capsys):
-        bundle = self._json(capsys, ["scalecheck", "flow", "--json"])
-        assert bundle["schema"] == "repro.scaling/v1"
-        assert set(bundle) >= {
-            "schema", "target", "models", "flow", "by_code", "findings",
-            "failures", "fingerprint",
-        }
-        assert bundle["models"] == {}
-        assert bundle["flow"]["findings"] == []
-        assert bundle["failures"] == []
-
-    def test_scalecheck_model_pretty_output(self, capsys):
-        rc = main(["scalecheck", "unet", "--preset", "tiny", "--no-measure"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "sealed:" in out
-        assert "scaling certified" in out
-
-    def test_scalecheck_committed_baseline_is_current(self, capsys):
-        # The checked-in exponents must match the tree; CI diffs them.
-        from pathlib import Path
-
-        committed = (Path(__file__).resolve().parents[1]
-                     / "benchmarks" / "scaling_baseline.json")
-        assert main(["scalecheck", "all", "--no-measure",
-                     "--check-baseline", str(committed)]) == 0
-
-    def test_scalecheck_baseline_byte_stable(self, tmp_path, capsys):
-        # Two independent runs must serialize byte-identical baselines.
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        argv = ["scalecheck", "unet", "--preset", "tiny", "--no-measure"]
-        assert main(argv + ["--update-baseline", str(a)]) == 0
-        assert main(argv + ["--update-baseline", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_numcheck_flow_json_schema(self, capsys):
-        bundle = self._json(capsys, ["numcheck", "flow", "--json"])
-        assert bundle["schema"] == "repro.numcheck/v1"
-        assert set(bundle) >= {
-            "schema", "target", "models", "flow", "by_code", "findings",
-            "failures", "fingerprint",
-        }
-        assert bundle["models"] == {}
-        assert bundle["flow"]["findings"] == []
-        assert bundle["failures"] == []
-
-    def test_numcheck_model_pretty_output(self, capsys):
-        rc = main(["numcheck", "unet", "--preset", "tiny", "--grid", "32",
-                   "--no-measure"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "sealed:" in out
-        assert "rounding certified" in out
-
-    def test_numcheck_committed_baseline_is_current(self, capsys):
-        # The checked-in certified bounds must match the tree; CI
-        # diffs them (the measured REPRO809/810 codes are excluded
-        # from the slice, so --no-measure compares the same bytes).
-        from pathlib import Path
-
-        committed = (Path(__file__).resolve().parents[1]
-                     / "benchmarks" / "numcheck_baseline.json")
-        assert main(["numcheck", "all", "--no-measure",
-                     "--check-baseline", str(committed)]) == 0
-
-    def test_numcheck_baseline_byte_stable(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        argv = ["numcheck", "unet", "--preset", "tiny", "--grid", "32",
-                "--no-measure"]
-        assert main(argv + ["--update-baseline", str(a)]) == 0
-        assert main(argv + ["--update-baseline", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_update_baseline_carries_ride_along_sections(self, tmp_path):
         # perf's "fixes" section is checker-ignored but human-curated;
         # refreshing the deterministic slice must not destroy it.
@@ -298,7 +235,7 @@ class TestAnalysisJSONSchemas:
         assert combined["schema"] == "repro.check/v1"
         assert set(combined) >= {
             "schema", "preset", "grid", "lint", "analyze", "gradcheck",
-            "perfcheck", "concheck", "scalecheck", "numcheck", "failures",
+            "perfcheck", "concheck", "failures",
         }
         # Each section carries its own full bundle under its own schema.
         assert combined["analyze"]["schema"] == "repro.ir/v1"
@@ -306,10 +243,6 @@ class TestAnalysisJSONSchemas:
         assert combined["perfcheck"]["schema"] == "repro.perf/v1"
         assert combined["concheck"]["schema"] == "repro.concheck/v1"
         assert combined["concheck"]["failures"] == []
-        assert combined["scalecheck"]["schema"] == "repro.scaling/v1"
-        assert combined["scalecheck"]["failures"] == []
-        assert combined["numcheck"]["schema"] == "repro.numcheck/v1"
-        assert combined["numcheck"]["failures"] == []
         assert combined["failures"] == []
 
 
@@ -336,8 +269,6 @@ class TestExitCodeContract:
     # One spec per analysis subcommand: a tiny-scale clean invocation,
     # out-of-range numeric arguments that must be usage errors, the
     # baseline filename, and a mutation that drifts one pinned value.
-    # scalecheck's mutation bumps a certified *exponent* — the drift
-    # that matters is asymptotic, not a count.
     SUBCOMMANDS = {
         "analyze": {
             "argv": ["analyze", "unet", "--preset", "tiny", "--grid", "32",
@@ -365,25 +296,6 @@ class TestExitCodeContract:
             "baseline": "concheck.json",
             "drift": lambda doc: doc.update(
                 reachable_functions=doc["reachable_functions"] + 1),
-        },
-        "scalecheck": {
-            "argv": ["scalecheck", "unet", "--preset", "tiny",
-                     "--no-measure"],
-            "usage": [["--ladder", "0"], ["--batch", "0"]],
-            "baseline": "scaling.json",
-            "drift": lambda doc: (
-                lambda e: e.update(flops_degree=e["flops_degree"] + 1)
-            )(next(e for e in doc["entries"] if e["stage"] == "(total)")),
-        },
-        # numcheck's drift mutation loosens a certified error bound —
-        # the regression that matters is the envelope, not a count.
-        "numcheck": {
-            "argv": ["numcheck", "unet", "--preset", "tiny",
-                     "--grid", "32", "--no-measure"],
-            "usage": [["--grid", "0"], ["--batch", "-1"]],
-            "baseline": "numcheck.json",
-            "drift": lambda doc: doc["entries"][0].update(
-                forward_rel="1.000000e+00"),
         },
         # The flow commands share the usage half of the contract: sizes,
         # counts and the downscale factor must be positive.
@@ -440,28 +352,6 @@ class TestExitCodeContract:
         rc = main(argv + ["--check-baseline", str(tmp_path / "nope.json")])
         assert rc == 4
         assert "internal error" in capsys.readouterr().err
-
-    def test_scalecheck_blocking_exits_1(self, capsys, monkeypatch):
-        # Shrink every node budget below one grid area so unet's
-        # area-quadratic nodes bust it: blocking REPRO701s must exit 1.
-        from repro.scaling import envelopes
-
-        monkeypatch.setattr(envelopes, "node_budget", lambda op, scope: 1)
-        rc = main(["scalecheck", "unet", "--preset", "tiny", "--no-measure"])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert "REPRO701" in captured.out
-        assert "blocking finding(s)" in captured.err
-
-    def test_numcheck_blocking_exits_1(self, capsys):
-        # An impossible error budget turns the certified bounds into
-        # blocking REPRO801 breaches: the command must exit 1.
-        rc = main(["numcheck", "unet", "--preset", "tiny", "--grid", "32",
-                   "--no-measure", "--budget", "1e-12"])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert "REPRO801" in captured.out
-        assert "blocking finding(s)" in captured.err
 
     def test_check_accepts_fail_on_choices(self):
         parser = build_parser()

@@ -23,8 +23,7 @@ class TestRegistry:
             band = int(code.removeprefix("REPRO")) // 100
             expected = {
                 0: "lint", 1: "ir", 2: "adjoint", 3: "perf",
-                5: "orchestrate", 6: "concheck", 7: "scaling",
-                8: "numcheck",
+                5: "orchestrate", 6: "concheck",
             }[band]
             assert spec.component == expected, code
 
@@ -33,10 +32,8 @@ class TestRegistry:
         from repro.concheck import CONCHECK_RULES
         from repro.ir.passes import IR_RULES, OPPORTUNITY_RULES
         from repro.lint.rules import RULES
-        from repro.numcheck import NUMCHECK_RULES
         from repro.orchestrate import ORCHESTRATE_RULES
         from repro.perf import PERF_RULES
-        from repro.scaling import SCALING_RULES
 
         assert RULES == codes_for("lint")
         assert IR_RULES == codes_for("ir")
@@ -44,8 +41,6 @@ class TestRegistry:
         assert PERF_RULES == codes_for("perf")
         assert ORCHESTRATE_RULES == codes_for("orchestrate")
         assert CONCHECK_RULES == codes_for("concheck")
-        assert SCALING_RULES == codes_for("scaling")
-        assert NUMCHECK_RULES == codes_for("numcheck")
         assert set(OPPORTUNITY_RULES) == {
             c for c, s in all_codes().items()
             if s.component == "ir" and not s.blocking
@@ -84,32 +79,6 @@ class TestRegistry:
         # breaks the parity or crash-recovery contract outright.
         assert {c for c in codes_for("concheck") if not is_blocking(c)} == {
             "REPRO603", "REPRO610",
-        }
-
-    def test_scaling_codes_present(self):
-        assert set(codes_for("scaling")) == {
-            f"REPRO7{i:02d}" for i in range(1, 11)
-        }
-        # Advisory: the superlinear-hotspot ranking (710) is informative
-        # context; every other code is a certification failure — an
-        # exponent over budget, a cost that isn't polynomial, or an
-        # envelope the planner/measurement contradicts.
-        assert {c for c in codes_for("scaling") if not is_blocking(c)} == {
-            "REPRO710",
-        }
-
-    def test_numcheck_codes_present(self):
-        # 804/805 are retired and stay unassigned.
-        assert set(codes_for("numcheck")) == {
-            f"REPRO8{i:02d}" for i in (1, 2, 3, 6, 7, 8, 9, 10)
-        }
-        # Advisory: cancellation sites (802) and conditioning screens
-        # (803) flag where the certificate leans on a regime
-        # assumption; tight-tolerance lint (807/808) and excess slack
-        # (810) are hygiene.  Budget breaches, float32 accumulators and
-        # measured-beats-certified are hard certification failures.
-        assert {c for c in codes_for("numcheck") if not is_blocking(c)} == {
-            "REPRO802", "REPRO803", "REPRO807", "REPRO808", "REPRO810",
         }
 
     def test_blocking_metadata(self):

@@ -166,53 +166,6 @@ class TestConcurrencyDoc:
         assert (_ROOT / "docs" / "CONCURRENCY.md").exists()
 
 
-class TestScalingDoc:
-    def test_exists_and_covers_the_certifier(self):
-        text = _read("docs/SCALING.md")
-        for topic in (
-            "repro.scaling/v1", "benchmarks/scaling_baseline.json",
-            "polynomial", "Fraction", "regime", "held-out",
-            "NEST_BUDGETS", "noqa", "fingerprint",
-        ):
-            assert topic in text, f"SCALING.md does not cover {topic}"
-
-    def test_documents_every_scaling_code(self):
-        from repro.diagnostics import codes_for
-
-        text = _read("docs/SCALING.md") + _read("docs/DIAGNOSTICS.md")
-        for code in codes_for("scaling"):
-            assert code in text, f"scaling docs do not mention {code}"
-
-    def test_linked_from_readme_and_api(self):
-        assert "docs/SCALING.md" in _read("README.md")
-        assert "SCALING.md" in _read("docs/API.md")
-        assert (_ROOT / "docs" / "SCALING.md").exists()
-
-
-class TestNumericsDoc:
-    def test_exists_and_covers_the_certifier(self):
-        text = _read("docs/NUMERICS.md")
-        for topic in (
-            "repro.numcheck/v1", "benchmarks/numcheck_baseline.json",
-            "envelope", "unit roundoff", "adjoint", "VAR_FLOOR",
-            "REL_VAR_FLOOR", "softmax", "shadow", "budget",
-            "noqa", "fingerprint",
-        ):
-            assert topic in text, f"NUMERICS.md does not cover {topic}"
-
-    def test_documents_every_numcheck_code(self):
-        from repro.diagnostics import codes_for
-
-        text = _read("docs/NUMERICS.md") + _read("docs/DIAGNOSTICS.md")
-        for code in codes_for("numcheck"):
-            assert code in text, f"numcheck docs do not mention {code}"
-
-    def test_linked_from_readme_and_api(self):
-        assert "docs/NUMERICS.md" in _read("README.md")
-        assert "NUMERICS.md" in _read("docs/API.md")
-        assert (_ROOT / "docs" / "NUMERICS.md").exists()
-
-
 class TestApiDoc:
     def test_exit_code_table_matches_cli_constants(self):
         """API.md's exit-code table and the CLI constants must agree."""

@@ -2,7 +2,7 @@
 
 Every analysis package pins its deterministic output slice to a JSON
 file under ``benchmarks/`` and diffs against it in CI.  Before this
-module, each package (``ir``, ``adjoint``, ``perf``, ``concheck``)
+module, each package (``ir``, ``adjoint``, ``concheck``)
 carried its own copy of the same three moves; they now share one
 implementation:
 
@@ -28,7 +28,6 @@ __all__ = [
     "diff_entries",
     "diff_counts",
     "load_baseline",
-    "carry_sections",
     "write_baseline",
     "write_baselines",
     "apply_baseline_flags",
@@ -121,35 +120,9 @@ def _serialize(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def carry_sections(path: str, doc: dict, carry: tuple[str, ...]) -> dict:
-    """Fold documented ride-along sections of an existing baseline into ``doc``.
-
-    Some baselines carry sections the checker ignores but humans curate
-    (perf's ``"fixes"`` before/after measurements); refreshing the
-    deterministic slice must not destroy them.
-    """
-    if not carry or not os.path.exists(path):
-        return doc
-    try:
-        old = load_baseline(path)
-    except (OSError, ValueError):
-        return doc
-    merged = dict(doc)
-    for section in carry:
-        if section in old and section not in merged:
-            merged[section] = old[section]
-    return merged
-
-
-def write_baseline(path: str, doc: dict, *, carry: tuple[str, ...] = ()) -> None:
+def write_baseline(path: str, doc: dict) -> None:
     """Write one baseline durably: temp file, fsync, rename into place."""
-    doc = carry_sections(path, doc, carry)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(_serialize(doc))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    write_baselines({path: doc})
 
 
 def write_baselines(docs: dict[str, dict]) -> None:
@@ -186,7 +159,6 @@ def apply_baseline_flags(
     *,
     out=None,
     err=None,
-    carry: tuple[str, ...] = (),
 ) -> bool:
     """Handle ``--update-baseline`` / ``--check-baseline`` uniformly.
 
@@ -198,7 +170,7 @@ def apply_baseline_flags(
     err = err if err is not None else sys.stderr
     drift = False
     if getattr(args, "update_baseline", None):
-        write_baseline(args.update_baseline, reduced, carry=carry)
+        write_baseline(args.update_baseline, reduced)
         print(f"baseline written: {args.update_baseline}", file=out)
     if getattr(args, "check_baseline", None):
         problems = differ(load_baseline(args.check_baseline))

@@ -21,9 +21,6 @@ atomically refreshes every ``benchmarks/*_baseline.json`` instead:
 * ``gradcheck`` — gradient audit: vjp contract capture, randomized
   central-difference derivative checks, gradient-flow analysis
   (see repro.adjoint).
-* ``perfcheck`` — static performance analysis: dtype-flow / copy-alias /
-  fusion passes over the traced graphs plus AST audits of the flow
-  code, with measured-vs-predicted validation (see repro.perf).
 * ``concheck`` — static concurrency-safety certification: re-derive the
   worker-reachable call graph from the dotted job references, then run
   effect inference, deep RNG discipline, fork/pickle safety and the
@@ -67,7 +64,6 @@ EXIT_INTERNAL = 4
 
 _MODELS = ("unet", "pgnn", "pros2", "ours")
 _PRESETS = ("tiny", "fast", "paper")
-_PERF_CARRY = ("fixes",)
 
 
 def _checked(cast, ok, what: str):
@@ -199,10 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--grid", type=_positive_int, default=64)
     check.add_argument("--json", action="store_true",
                        help="print one combined repro.check/v1 report")
-    check.add_argument(
-        "--no-validate", action="store_true",
-        help="skip perfcheck's measured validation harness",
-    )
     check.add_argument(
         "--fail-on", default="blocking", choices=("advisory", "blocking"),
         help="failure threshold: 'blocking' (default, current behavior) "
@@ -348,7 +340,7 @@ def _cmd_table2(args) -> int:
 
 
 def _finish(args, failures: list, reduced: dict | None = None, differ=None,
-            *, carry: tuple[str, ...] = (), ok: str | None = None) -> int:
+            *, ok: str | None = None) -> int:
     """The analyzer subcommands' shared exit-code tail: blocking
     ``failures`` exit 1 (else ``ok`` prints outside ``--json``), then the
     baseline flags run on the ``reduced`` slice and drift alone exits 3."""
@@ -360,7 +352,7 @@ def _finish(args, failures: list, reduced: dict | None = None, differ=None,
         status = EXIT_BLOCKING
     elif ok and not args.json:
         print(ok)
-    drift = apply_baseline_flags(args, reduced, differ, carry=carry)
+    drift = apply_baseline_flags(args, reduced, differ)
     return EXIT_DRIFT if drift and status == EXIT_OK else status
 
 
@@ -434,7 +426,7 @@ def _analyze_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--json", action="store_true",
                    help="print the full repro.ir/v1 report bundle")
-    p.add_argument("--top", type=int, default=5,
+    p.add_argument("--top", type=_non_negative_int, default=5,
                    help="rows in the layer/live-range tables (default 5)")
     p.add_argument(
         "--no-determinism", action="store_true",
@@ -538,7 +530,7 @@ def _analyze_gate(args) -> tuple[dict, list[str]]:
     return bundle, _report_failures(bundle)
 
 
-def _analyze_baselines(bench: Path, validate: bool) -> dict[str, dict]:
+def _analyze_baselines(bench: Path) -> dict[str, dict]:
     from .ir import analyze_registry, baseline_from_reports
 
     forward = analyze_registry(preset="fast", grids=(64, 256))
@@ -622,127 +614,6 @@ def _gradcheck_gate(args) -> tuple[dict, list[str]]:
     return bundle, _report_failures(bundle)
 
 
-def _perfcheck_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "target", choices=_MODELS + ("flow", "all"),
-        help="registry model to trace, 'flow' for the AST audit of the "
-        "pipeline code, or 'all' for models + flow",
-    )
-    p.add_argument("--preset", default="fast", choices=_PRESETS)
-    p.add_argument("--grid", type=_positive_int, default=64)
-    p.add_argument("--json", action="store_true",
-                   help="print the full repro.perf/v1 report bundle")
-    p.add_argument("--top", type=int, default=5,
-                   help="findings shown per report (default 5)")
-    p.add_argument(
-        "--no-validate", action="store_true",
-        help="skip the measured-vs-predicted validation harness",
-    )
-    _add_baseline_flags(p, "the deterministic finding counts/bytes")
-
-
-def _print_perf_report(report: dict, top: int) -> None:
-    if report["target"] == "flow":
-        print(f"flow ({report['audited_files']} files audited)")
-    else:
-        dflow = report["dtype_flow"]
-        alias = report["aliasing"]
-        fus = report["fusion"]
-        print(f"{report['model']} (preset={report['preset']}, "
-              f"grid={report['grid']}, batch={report['batch']}, "
-              f"dtype={report['dtype']})")
-        print(f"  dtype flow: {dflow['widened_ops']} widened ops "
-              f"({_mb(dflow['widened_bytes'])}), "
-              f"{dflow['cast_churn']} cast churn")
-        print(f"  aliasing: {alias['redundant_copies']}/"
-              f"{alias['redundant_copies'] + alias['required_copies']} "
-              f"copies redundant ({_mb(alias['redundant_copy_bytes'])}), "
-              f"{alias['broadcast_blowups']} broadcast blowups")
-        print(f"  fusion: {fus['unfused_chains']} unfused chains "
-              f"({_mb(fus['transient_bytes'])} transient, "
-              f"save ~{_mb(fus['predicted_saving_bytes'])}), "
-              f"{_mb(fus['workspace_bytes'])} contraction workspace")
-    validation = report["validation"]
-    if validation["validated"]:
-        for result in validation["results"]:
-            status = "ok" if result["ok"] else "FAILED"
-            claim = (
-                f"{_mb(result['predicted_bytes'])} predicted vs "
-                f"{_mb(result['measured_bytes'])} measured "
-                f"(err {result['rel_err']:.1%})"
-                if result["predicted_bytes"]
-                else f"speedup {result['speedup']:.1f}x"
-            )
-            print(f"  validated {result['kind']}: {claim} [{status}]")
-    counts = ", ".join(f"{c}x{n}" for c, n in report["by_code"].items())
-    print(f"  findings: {counts or 'none'}")
-    _print_findings(report["findings"], top, indent="    ")
-    for failure in report["failures"]:
-        print(f"  FAIL: {failure}")
-
-
-def _cmd_perfcheck(args) -> int:
-    from .perf import (
-        SCHEMA as PERF_SCHEMA,
-        baseline_from_bundle,
-        check_perf_baseline,
-        perfcheck_all,
-        perfcheck_flow,
-        perfcheck_model,
-    )
-
-    validate = not args.no_validate
-    if args.target == "all":
-        bundle = perfcheck_all(
-            preset=args.preset, grid=args.grid, validate=validate
-        )
-    else:
-        flow = args.target == "flow"
-        report = perfcheck_flow(validate=validate) if flow else perfcheck_model(
-            args.target, preset=args.preset, grid=args.grid, validate=validate
-        )
-        bundle = {
-            "schema": PERF_SCHEMA,
-            "reports": [] if flow else [report],
-            "flow": report if flow else None,
-            "distinct_codes": sorted(report["by_code"]),
-            "failures": list(report["failures"]),
-        }
-
-    if args.json:
-        print(json.dumps(bundle, indent=2))
-    else:
-        for report in bundle["reports"]:
-            _print_perf_report(report, args.top)
-            print()
-        if bundle["flow"] is not None:
-            _print_perf_report(bundle["flow"], args.top)
-    return _finish(
-        args, bundle["failures"], baseline_from_bundle(bundle),
-        lambda doc: check_perf_baseline(bundle, doc), carry=_PERF_CARRY,
-    )
-
-
-def _perfcheck_gate(args) -> tuple[dict, list[str]]:
-    from .perf import perfcheck_all
-
-    bundle = perfcheck_all(
-        preset=args.preset, grid=args.grid, validate=not args.no_validate
-    )
-    return bundle, bundle["failures"]
-
-
-def _perfcheck_baselines(bench: Path, validate: bool) -> dict[str, dict]:
-    from .baselines import carry_sections
-    from .perf import baseline_from_bundle, perfcheck_all
-
-    path = str(bench / "perf_baseline.json")
-    perf = perfcheck_all(preset="fast", grid=64, validate=validate)
-    return {
-        path: carry_sections(path, baseline_from_bundle(perf), _PERF_CARRY)
-    }
-
-
 def _concheck_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--root", metavar="DIR", default=None,
@@ -751,7 +622,7 @@ def _concheck_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--json", action="store_true",
                    help="print the full repro.concheck/v1 bundle")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_non_negative_int, default=10,
                    help="findings shown without --json (default 10)")
     _add_baseline_flags(p, "worker roots + per-code counts")
 
@@ -795,7 +666,7 @@ def _concheck_gate(args) -> tuple[dict, list[str]]:
     return bundle, bundle["failures"]
 
 
-def _concheck_baselines(bench: Path, validate: bool) -> dict[str, dict]:
+def _concheck_baselines(bench: Path) -> dict[str, dict]:
     from .concheck import baseline_from_concheck, concheck
 
     return {str(bench / "concheck_baseline.json"): baseline_from_concheck(concheck())}
@@ -805,7 +676,7 @@ def _concheck_baselines(bench: Path, validate: bool) -> dict[str, dict]:
 class Section:
     """One analyzer section: ``add_arguments`` + ``run`` make its
     subcommand, ``gate`` runs it in ``check`` as ``(bundle, failures)``,
-    and ``baselines(bench, validate)`` computes the ``benchmarks/``
+    and ``baselines(bench)`` computes the ``benchmarks/``
     documents it pins in their CI configuration."""
 
     name: str
@@ -813,7 +684,7 @@ class Section:
     add_arguments: Callable[[argparse.ArgumentParser], None]
     run: Callable[[argparse.Namespace], int]
     gate: Callable[[argparse.Namespace], tuple[dict, list[str]]]
-    baselines: Callable[[Path, bool], dict[str, dict]] = lambda bench, validate: {}
+    baselines: Callable[[Path], dict[str, dict]] = lambda bench: {}
 
 
 #: Every analyzer section, in ``repro check`` order.  The parser, the
@@ -836,13 +707,6 @@ SECTIONS = (
         _gradcheck_args, _cmd_gradcheck, _gradcheck_gate,
     ),
     Section(
-        "perfcheck",
-        "static performance analysis: dtype/copy/fusion passes + "
-        "measured validation (see repro.perf)",
-        _perfcheck_args, _cmd_perfcheck, _perfcheck_gate,
-        _perfcheck_baselines,
-    ),
-    Section(
         "concheck",
         "static concurrency-safety analysis of the worker-reachable "
         "call graph (see repro.concheck)",
@@ -851,7 +715,7 @@ SECTIONS = (
 )
 
 
-def _update_all_baselines(args) -> int:
+def _update_all_baselines() -> int:
     """``repro check --update-baselines``: refresh every benchmark pin.
 
     Each section computes its documents in its CI-pinned configuration
@@ -864,7 +728,7 @@ def _update_all_baselines(args) -> int:
     bench = Path(__file__).resolve().parents[2] / "benchmarks"
     docs: dict[str, dict] = {}
     for section in SECTIONS:
-        docs.update(section.baselines(bench, not args.no_validate))
+        docs.update(section.baselines(bench))
 
     write_baselines(docs)
     for path in sorted(docs):
@@ -887,7 +751,7 @@ def _iter_finding_codes(obj):
 def _cmd_check(args) -> int:
     """The unified gate: every section in ``SECTIONS``, one report."""
     if args.update_baselines:
-        return _update_all_baselines(args)
+        return _update_all_baselines()
 
     combined: dict = {
         "schema": "repro.check/v1",

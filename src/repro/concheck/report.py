@@ -2,9 +2,9 @@
 
 ``concheck`` indexes the package source, re-derives the worker-root
 universe, builds the call graph and runs the four pass families.  The
-bundle mirrors ``repro.perf/v1``: per-family sections, ``by_code``
-counts, serialized findings, and ``failures`` holding the blocking
-subset that makes ``repro concheck`` exit non-zero.
+bundle holds per-family sections, ``by_code`` counts, serialized
+findings, and ``failures`` holding the blocking subset that makes
+``repro concheck`` exit non-zero.
 
 ``check_concheck_baseline`` diffs the deterministic slice — worker
 roots, reachable-universe size, effect summary and per-code counts,

@@ -3,17 +3,17 @@
 Every analysis component shares one code namespace, one hundred codes
 per band: the AST lint rules (:mod:`repro.lint`, ``REPRO0xx``), the
 forward-IR passes (:mod:`repro.ir`, ``REPRO1xx``), the adjoint/backward
-passes (:mod:`repro.adjoint`, ``REPRO2xx``), the static performance
-analyzer (:mod:`repro.perf`, ``REPRO3xx``) and the concurrency-safety
-analyzer (:mod:`repro.concheck`, ``REPRO6xx``).  The ``REPRO4xx``,
-``REPRO7xx`` and ``REPRO8xx`` bands are retired and stay unassigned.
+passes (:mod:`repro.adjoint`, ``REPRO2xx``) and the concurrency-safety
+analyzer (:mod:`repro.concheck`, ``REPRO6xx``).  The ``REPRO3xx``,
+``REPRO4xx``, ``REPRO7xx`` and ``REPRO8xx`` bands are retired and stay
+unassigned.
 Before this registry each component kept its own table, which is
 exactly how two PRs end up assigning the same code to different rules.
 Now every code is declared here,
 :func:`register_code` raises on a duplicate assignment, and the
 component tables (``repro.lint.rules.RULES``,
-``repro.ir.passes.IR_RULES``, ``repro.adjoint.ADJOINT_RULES``,
-``repro.perf.PERF_RULES``, ...) are views produced by :func:`codes_for`.
+``repro.ir.passes.IR_RULES``, ``repro.adjoint.ADJOINT_RULES``, ...)
+are views produced by :func:`codes_for`.
 
 Severity: ``blocking`` findings fail gates (``repro lint`` /
 ``repro analyze`` / ``repro gradcheck`` exit non-zero,
@@ -198,80 +198,6 @@ register_code(
     "REPRO207",
     "trainable parameter provably disconnected from the loss (detach/no_grad)",
     component="adjoint",
-)
-
-# Static performance analyzer (repro.perf) — 3xx.  Blocking codes mark
-# measured/provable waste that must be fixed or ``# noqa``-justified;
-# the rest are advisories ranked by their modelled byte/FLOP cost.
-register_code(
-    "REPRO301",
-    "float64 value escapes into a float32 hot path (doubles memory traffic)",
-    component="perf",
-)
-register_code(
-    "REPRO302",
-    "array allocated at numpy's default float64 in a float32 pipeline",
-    component="perf",
-)
-register_code(
-    "REPRO303",
-    "redundant defensive copy (source is never mutated or already fresh)",
-    component="perf",
-    blocking=False,
-)
-register_code(
-    "REPRO304",
-    "broadcast materialization blowup (output far larger than any input buffer)",
-    component="perf",
-    blocking=False,
-)
-register_code(
-    "REPRO305",
-    "unfused elementwise chain materializes avoidable transient buffers",
-    component="perf",
-    blocking=False,
-)
-register_code(
-    "REPRO306",
-    "Python-level loop over ndarray elements in a hot call-graph",
-    component="perf",
-    blocking=False,
-)
-register_code(
-    "REPRO307",
-    "cast churn: value widened then cast straight back (or cast to same dtype)",
-    component="perf",
-    blocking=False,
-)
-register_code(
-    "REPRO308",
-    "array allocation inside a loop body (hoist or reuse the buffer)",
-    component="perf",
-    blocking=False,
-)
-register_code(
-    "REPRO309",
-    "same-dtype astype() call produces a needless full copy",
-    component="perf",
-    blocking=False,
-)
-register_code(
-    "REPRO310",
-    "predicted cost claim failed measured validation (time/tracemalloc)",
-    component="perf",
-)
-register_code(
-    "REPRO311",
-    "contraction operand not in GEMM layout forces workspace copies",
-    component="perf",
-    blocking=False,
-)
-register_code(
-    "REPRO312",
-    "ufunc.at scatter risks the unbuffered per-element fallback "
-    "(mixed dtypes); keep operand dtypes equal or use bincount",
-    component="perf",
-    blocking=False,
 )
 
 # Fault-tolerant orchestration runtime (repro.orchestrate) — 5xx.

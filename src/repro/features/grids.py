@@ -52,9 +52,9 @@ def _scatter_add(grid: int, x: np.ndarray, y: np.ndarray, values) -> np.ndarray:
 
     ``np.bincount`` over flattened bin indices replaces ``np.add.at``:
     the buffered one-pass accumulation is several times faster than the
-    unbuffered per-element ``ufunc.at`` path (REPRO312; measured in
-    repro.perf.validate).  bincount accumulates in float64 — welcome
-    extra headroom — and the result is narrowed once at the end.
+    unbuffered per-element ``ufunc.at`` path.  bincount accumulates in
+    float64 — welcome extra headroom — and the result is narrowed once
+    at the end.
     """
     flat = np.bincount(x * grid + y, weights=values, minlength=grid * grid)
     # ``weights=None`` counts occurrences (ints); both paths narrow here.
@@ -91,7 +91,7 @@ def resize_map(data: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     if (in_w, in_h) == (out_w, out_h):
         return data.copy()
     # Interpolation weights follow the map's dtype: float64 weights on a
-    # float32 map would silently widen every product below (REPRO301).
+    # float32 map would silently widen every product below.
     dt = data.dtype if data.dtype.kind == "f" else np.dtype(np.float32)
     x = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
     y = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5

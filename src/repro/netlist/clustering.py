@@ -194,5 +194,5 @@ def expand_placement(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Original-design coordinates from a placed clustered design."""
     # Advanced indexing already materializes fresh arrays; a trailing
-    # .copy() would double the allocation for nothing (REPRO303).
+    # .copy() would double the allocation for nothing.
     return clustered.x[mapping], clustered.y[mapping]

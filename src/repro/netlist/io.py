@@ -96,7 +96,7 @@ def load_design(path: str | os.PathLike) -> Design:
     nets: list[Net] = []
     cascades: list[CascadeShape] = []
     regions: list[RegionConstraint] = []
-    placements: list[tuple[int, float, float]] = []
+    placements: list[tuple[int, int, float, float]] = []
 
     for lineno, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):
@@ -155,7 +155,7 @@ def load_design(path: str | os.PathLike) -> Design:
                 )
             elif keyword == "PLACE":
                 placements.append(
-                    (int(fields[0]), float(fields[1]), float(fields[2]))
+                    (lineno, int(fields[0]), float(fields[1]), float(fields[2]))
                 )
             else:
                 raise ValueError(f"unknown keyword {keyword!r}")
@@ -183,7 +183,12 @@ def load_design(path: str | os.PathLike) -> Design:
     if placements:
         x = design.x.copy()
         y = design.y.copy()
-        for idx, px, py in placements:
+        for lineno, idx, px, py in placements:
+            if not 0 <= idx < len(instances):
+                raise ValueError(
+                    f"{path}:{lineno}: PLACE index {idx} out of range "
+                    f"for {len(instances)} instances"
+                )
             x[idx] = px
             y[idx] = py
         design.set_placement(x, y)

@@ -521,7 +521,7 @@ class Tensor:
         # math.sqrt yields a *weak* python float: under NEP 50 it adopts
         # the stream's dtype.  np.sqrt here would produce a strong
         # np.float64 scalar that silently widens every float32
-        # activation (and its backward) to float64 (REPRO301).
+        # activation (and its backward) to float64.
         c = math.sqrt(2.0 / math.pi)
         x = self.data
         inner = c * (x + 0.044715 * x**3)

@@ -25,6 +25,10 @@ __all__ = [
 
 _LEVEL_RANGE = 7.0
 
+# r_squared and nrms reduce in float64 on purpose, even for a float32
+# model: squared-error sums over full maps need the headroom, and
+# metrics are off the hot path.
+
 
 def accuracy(pred: np.ndarray, target: np.ndarray) -> float:
     """Fraction of cells with the exact correct level."""
@@ -37,10 +41,8 @@ def accuracy(pred: np.ndarray, target: np.ndarray) -> float:
 
 def r_squared(pred: np.ndarray, target: np.ndarray) -> float:
     """Coefficient of determination (1 − SS_res / SS_tot)."""
-    # Metric reductions stay float64 on purpose: squared-error sums over
-    # full maps need the headroom, and metrics are off the hot path.
-    pred = np.asarray(pred, dtype=np.float64)  # noqa: REPRO301
-    target = np.asarray(target, dtype=np.float64)  # noqa: REPRO301
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
     ss_res = float(((target - pred) ** 2).sum())
     ss_tot = float(((target - target.mean()) ** 2).sum())
     if ss_tot == 0.0:
@@ -50,8 +52,8 @@ def r_squared(pred: np.ndarray, target: np.ndarray) -> float:
 
 def nrms(pred: np.ndarray, target: np.ndarray) -> float:
     """RMSE normalized by the congestion level range (7)."""
-    pred = np.asarray(pred, dtype=np.float64)  # noqa: REPRO301
-    target = np.asarray(target, dtype=np.float64)  # noqa: REPRO301
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
     return float(np.sqrt(((pred - target) ** 2).mean()) / _LEVEL_RANGE)
 
 

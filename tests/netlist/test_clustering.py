@@ -99,6 +99,19 @@ class TestClusterCells:
         cluster0 = np.flatnonzero(mapping == mapping[0])
         assert np.allclose(x[cluster0], x[cluster0][0])
 
+    def test_expand_placement_results_are_fresh(self, clustered_pair):
+        _, clustered, mapping = clustered_pair
+        x_snap, y_snap = clustered.x.copy(), clustered.y.copy()
+        x, y = expand_placement(clustered, mapping)
+        # Advanced indexing materializes fresh arrays: writing to the
+        # expansion must not leak back into the clustered design.
+        assert not np.shares_memory(x, clustered.x)
+        assert not np.shares_memory(y, clustered.y)
+        x += 123.0
+        y += 123.0
+        np.testing.assert_array_equal(clustered.x, x_snap)
+        np.testing.assert_array_equal(clustered.y, y_snap)
+
     def test_deterministic(self):
         design = generate_design(MLCAD2023_SPECS["Design_120"], scale=1 / 256)
         a, map_a = cluster_cells(design, seed=3)

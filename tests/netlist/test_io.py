@@ -116,6 +116,19 @@ class TestErrors:
         with pytest.raises(ValueError, match="COLUMNS before DEVICE"):
             load_design(p)
 
+    @pytest.mark.parametrize("past_end", (False, True),
+                             ids=("negative", "past_end"))
+    def test_place_index_out_of_range(self, tmp_path, tiny_design, past_end):
+        # Numpy would wrap -1 to the last instance; both must be rejected
+        # with the file and line like any other malformed record.
+        idx = tiny_design.num_instances if past_end else -1
+        p = tmp_path / "design.netlist"
+        save_design(tiny_design, p)
+        text = p.read_text().replace("\nEND\n", f"\nPLACE {idx} 1.0 1.0\nEND\n")
+        p.write_text(text)
+        with pytest.raises(ValueError, match=rf"\.netlist:\d+: PLACE index {idx} "):
+            load_design(p)
+
     def test_comments_and_blanks_ignored(self, tmp_path, tiny_design):
         p = tmp_path / "design.netlist"
         save_design(tiny_design, p)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.features import extract_features
+from repro.ir import trace
 from repro.models import build_model
+from repro.netlist import MLCAD2023_SPECS, generate_design
+
+
+@pytest.fixture(scope="module")
+def design():
+    return generate_design(MLCAD2023_SPECS["Design_120"], scale=1 / 256)
 
 
 class TestDefaultDtype:
@@ -59,3 +67,34 @@ class TestDefaultDtype:
         finally:
             nn.set_default_dtype(np.float64)
         np.testing.assert_allclose(out64, out32, atol=1e-3)
+
+
+class TestFloat32Pipeline:
+    """The float32 deployment stays float32 end to end: features, every
+    registry model's forward, and every op of its traced graph."""
+
+    def test_feature_stack_is_float32(self, design):
+        stack = extract_features(design, grid=32)
+        assert stack.dtype == np.float32
+
+    @pytest.mark.parametrize("name", ("unet", "pgnn", "pros2", "ours"))
+    def test_forward_stays_float32(self, name, design, float32_mode):
+        stack = extract_features(design, grid=32)
+        model = build_model(name, preset="tiny", grid=32, seed=0)
+        out = model(nn.Tensor(stack[None]))
+        assert out.data.dtype == np.float32
+        # One strong float64 scalar (e.g. np.sqrt(2.0 / np.pi) in gelu)
+        # widens every op downstream of it; the traced graph shows each.
+        graph = trace(model, (1, 6, 32, 32), input_vrange=(0.0, 1.0), name=name)
+        widened = [
+            f"%{n.id} {n.op} in {n.scope or '<toplevel>'}"
+            for n in graph.nodes
+            if n.kind == "op" and n.dtype == np.float64
+        ]
+        assert not widened, widened
+
+    def test_gelu_keeps_float32(self, float32_mode):
+        # The NEP-50 regression: a strong np.float64 sqrt(2/pi) constant
+        # used to widen every float32 gelu activation.
+        x = nn.Tensor(np.linspace(-3, 3, 64, dtype=np.float32))
+        assert x.gelu().data.dtype == np.float32

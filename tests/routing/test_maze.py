@@ -122,6 +122,37 @@ class TestMazeRefiner:
         for p in new_paths:
             assert p[0] == (0, 3) and p[-1] == (2, 3)
 
+    def test_refiner_never_mutates_caller_usage(self):
+        paths = [[(0, 3), (1, 3), (2, 3), (3, 3), (4, 3)] for _ in range(6)]
+        h_use = np.zeros((7, 8))
+        v_use = np.zeros((8, 7))
+        for p in paths:
+            for e in path_edges(p)[0]:
+                h_use[e] += 1.0
+        h_snap, v_snap = h_use.copy(), v_use.copy()
+        paths_snap = [list(p) for p in paths]
+
+        h2, v2, new_paths, n = MazeRefiner(capacity=4.0).refine(
+            h_use, v_use, paths
+        )
+        assert n > 0  # the overflowing case actually reroutes
+        np.testing.assert_array_equal(h_use, h_snap)
+        np.testing.assert_array_equal(v_use, v_snap)
+        assert paths == paths_snap
+        # And the results are writable without touching the inputs.
+        h2 += 1.0
+        np.testing.assert_array_equal(h_use, h_snap)
+
+    def test_refiner_noop_path_allocates_nothing(self):
+        h_use = np.zeros((7, 8))
+        v_use = np.zeros((8, 7))
+        h2, v2, _, n = MazeRefiner(capacity=4.0).refine(
+            h_use, v_use, [[(0, 0), (1, 0)]]
+        )
+        assert n == 0
+        # No overflow -> the usage maps pass through uncopied.
+        assert h2 is h_use and v2 is v_use
+
 
 class TestRouterIntegration:
     def test_maze_fallback_never_increases_overuse(self, placed_tiny_design):

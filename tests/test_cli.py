@@ -135,44 +135,6 @@ class TestAnalysisJSONSchemas:
         }
         assert report["contracts"]["records"] > 0
 
-    def test_perfcheck_json_schema(self, capsys):
-        bundle = self._json(
-            capsys,
-            ["perfcheck", "unet", "--preset", "tiny", "--grid", "32",
-             "--json", "--no-validate"],
-        )
-        assert bundle["schema"] == "repro.perf/v1"
-        assert set(bundle) >= {
-            "schema", "reports", "flow", "distinct_codes", "failures",
-        }
-        (report,) = bundle["reports"]
-        assert set(report) >= {
-            "schema", "target", "model", "dtype", "graph_nodes",
-            "dtype_flow", "aliasing", "fusion", "validation", "by_code",
-            "findings", "failures",
-        }
-        assert report["dtype"] == "float32"
-        assert bundle["failures"] == []
-
-    def test_perfcheck_flow_json(self, capsys):
-        bundle = self._json(
-            capsys,
-            ["perfcheck", "flow", "--json", "--no-validate"],
-        )
-        assert bundle["reports"] == []
-        assert bundle["flow"]["target"] == "flow"
-        assert bundle["flow"]["audited_files"] > 0
-
-    def test_perfcheck_baseline_round_trip(self, tmp_path, capsys):
-        baseline = tmp_path / "perf_baseline.json"
-        argv = ["perfcheck", "unet", "--preset", "tiny", "--grid", "32",
-                "--no-validate"]
-        assert main(argv + ["--update-baseline", str(baseline)]) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        assert main(argv + ["--check-baseline", str(baseline)]) == 0
-        assert "baseline OK" in capsys.readouterr().out
-
     def test_concheck_summary(self, capsys):
         rc = main(["concheck"])
         assert rc == 0
@@ -207,20 +169,6 @@ class TestAnalysisJSONSchemas:
                      / "benchmarks" / "concheck_baseline.json")
         assert main(["concheck", "--check-baseline", str(committed)]) == 0
 
-    def test_update_baseline_carries_ride_along_sections(self, tmp_path):
-        # perf's "fixes" section is checker-ignored but human-curated;
-        # refreshing the deterministic slice must not destroy it.
-        from repro.baselines import load_baseline, write_baseline
-
-        path = str(tmp_path / "perf_baseline.json")
-        write_baseline(path, {"entries": [1], "fixes": [{"finding": "x"}]})
-        write_baseline(path, {"entries": [2]}, carry=("fixes",))
-        doc = load_baseline(path)
-        assert doc["entries"] == [2]
-        assert doc["fixes"] == [{"finding": "x"}]
-        write_baseline(path, {"entries": [3]})  # no carry: section drops
-        assert "fixes" not in load_baseline(path)
-
     def test_check_update_baselines_flag_registered(self):
         args = build_parser().parse_args(["check", "--update-baselines"])
         assert args.update_baselines is True
@@ -229,18 +177,16 @@ class TestAnalysisJSONSchemas:
     def test_check_combined_json(self, capsys):
         combined = self._json(
             capsys,
-            ["check", "--preset", "tiny", "--grid", "32", "--json",
-             "--no-validate"],
+            ["check", "--preset", "tiny", "--grid", "32", "--json"],
         )
         assert combined["schema"] == "repro.check/v1"
         assert set(combined) >= {
             "schema", "preset", "grid", "lint", "analyze", "gradcheck",
-            "perfcheck", "concheck", "failures",
+            "concheck", "failures",
         }
         # Each section carries its own full bundle under its own schema.
         assert combined["analyze"]["schema"] == "repro.ir/v1"
         assert combined["gradcheck"]["schema"] == "repro.adjoint/v1"
-        assert combined["perfcheck"]["schema"] == "repro.perf/v1"
         assert combined["concheck"]["schema"] == "repro.concheck/v1"
         assert combined["concheck"]["failures"] == []
         assert combined["failures"] == []
@@ -273,7 +219,7 @@ class TestExitCodeContract:
         "analyze": {
             "argv": ["analyze", "unet", "--preset", "tiny", "--grid", "32",
                      "--no-determinism"],
-            "usage": [["--grid", "0"], ["--grid", "-4"]],
+            "usage": [["--grid", "0"], ["--grid", "-4"], ["--top", "-1"]],
             "baseline": "ir.json",
             "drift": lambda doc: doc["entries"][0].update(
                 total_flops=doc["entries"][0]["total_flops"] + 1),
@@ -283,16 +229,9 @@ class TestExitCodeContract:
                      "--grid", "32"],
             "usage": [["--grid", "0"]],
         },
-        "perfcheck": {
-            "argv": ["perfcheck", "unet", "--preset", "tiny", "--grid", "32",
-                     "--no-validate"],
-            "usage": [["--grid", "-4"]],
-            "baseline": "perf.json",
-            "drift": lambda doc: doc["entries"][0].update(
-                graph_nodes=doc["entries"][0]["graph_nodes"] + 1),
-        },
         "concheck": {
             "argv": ["concheck"],
+            "usage": [["--top", "-1"]],
             "baseline": "concheck.json",
             "drift": lambda doc: doc.update(
                 reachable_functions=doc["reachable_functions"] + 1),
@@ -405,7 +344,7 @@ class TestExitCodeContract:
         # The concheck section participates in --fail-on advisory: the
         # two baselined REPRO603 wall-clock advisories surface here.
         rc = main(["check", "--preset", "tiny", "--grid", "32",
-                   "--no-validate", "--fail-on", "advisory"])
+                   "--fail-on", "advisory"])
         assert rc == 1
         err = capsys.readouterr().err
         assert "--fail-on advisory" in err

@@ -22,7 +22,7 @@ class TestRegistry:
         for code, spec in all_codes().items():
             band = int(code.removeprefix("REPRO")) // 100
             expected = {
-                0: "lint", 1: "ir", 2: "adjoint", 3: "perf",
+                0: "lint", 1: "ir", 2: "adjoint",
                 5: "orchestrate", 6: "concheck",
             }[band]
             assert spec.component == expected, code
@@ -33,12 +33,10 @@ class TestRegistry:
         from repro.ir.passes import IR_RULES, OPPORTUNITY_RULES
         from repro.lint.rules import RULES
         from repro.orchestrate import ORCHESTRATE_RULES
-        from repro.perf import PERF_RULES
 
         assert RULES == codes_for("lint")
         assert IR_RULES == codes_for("ir")
         assert ADJOINT_RULES == codes_for("adjoint")
-        assert PERF_RULES == codes_for("perf")
         assert ORCHESTRATE_RULES == codes_for("orchestrate")
         assert CONCHECK_RULES == codes_for("concheck")
         assert set(OPPORTUNITY_RULES) == {
@@ -49,15 +47,6 @@ class TestRegistry:
     def test_adjoint_codes_present(self):
         assert set(codes_for("adjoint")) == {
             f"REPRO20{i}" for i in range(1, 8)
-        }
-
-    def test_perf_codes_present(self):
-        assert set(codes_for("perf")) == {
-            f"REPRO3{i:02d}" for i in range(1, 13)
-        }
-        # Blocking: measured/provable waste; the rest are advisories.
-        assert {c for c in codes_for("perf") if is_blocking(c)} == {
-            "REPRO301", "REPRO302", "REPRO310"
         }
 
     def test_orchestrate_codes_present(self):

@@ -21,10 +21,6 @@ atomically refreshes every ``benchmarks/*_baseline.json`` instead:
 * ``gradcheck`` — gradient audit: vjp contract capture, randomized
   central-difference derivative checks, gradient-flow analysis
   (see repro.adjoint).
-* ``concheck`` — static concurrency-safety certification: re-derive the
-  worker-reachable call graph from the dotted job references, then run
-  effect inference, deep RNG discipline, fork/pickle safety and the
-  durable-write lint over it (REPRO601-612, see repro.concheck).
 
 Every analysis command reports through one exit-code contract (the
 table lives in ``docs/API.md``): 0 = clean, 1 = blocking findings,
@@ -37,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,18 +82,15 @@ _positive_float = _checked(float, lambda v: 0 < v < math.inf, "positive")
 _non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
 
 
-def _add_baseline_flags(
-    p: argparse.ArgumentParser, diffs: str,
-    writes: str = "the deterministic slice of this run",
-) -> None:
-    p.add_argument(
-        "--check-baseline", metavar="PATH", default=None,
-        help=f"diff {diffs} against a baseline JSON and fail on any drift",
-    )
-    p.add_argument(
-        "--update-baseline", metavar="PATH", default=None,
-        help=f"write {writes} to a baseline JSON",
-    )
+class _Distinct(argparse.Action):
+    """``nargs="+"`` store that rejects a repeated value as a usage
+    error: a repeated design would otherwise run every job twice."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            parser.error(f"{option_string}: {', '.join(repeated)} given more than once")
+        setattr(namespace, self.dest, values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         if multi_design:
             p.add_argument(
                 "--designs", nargs="+", default=["Design_116"],
-                choices=sorted(MLCAD2023_SPECS),
+                choices=sorted(MLCAD2023_SPECS), action=_Distinct,
             )
         else:
             p.add_argument(
@@ -339,41 +333,63 @@ def _cmd_table2(args) -> int:
     return EXIT_OK if result.complete else EXIT_BLOCKING
 
 
+def _write_baselines(docs: dict[str, dict]) -> None:
+    """Atomically refresh a set of baselines: all serialize, then all land.
+
+    Every document is written to a temp file and fsynced before the
+    first rename, so a crash mid-update can only leave temp files
+    behind, never a mix of old and new baselines.  ``json.dumps(doc,
+    indent=2) + "\n"`` keeps refreshing an unchanged baseline a
+    byte-level no-op.
+    """
+    tmps = {}
+    try:
+        for path, doc in docs.items():
+            tmp = f"{path}.tmp.{os.getpid()}"
+            with open(tmp, "w") as fh:
+                fh.write(json.dumps(doc, indent=2) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            tmps[path] = tmp
+    except BaseException:
+        for tmp in tmps.values():
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        raise
+    for path, tmp in tmps.items():
+        os.replace(tmp, path)
+
+
 def _finish(args, failures: list, reduced: dict | None = None, differ=None,
             *, ok: str | None = None) -> int:
     """The analyzer subcommands' shared exit-code tail: blocking
-    ``failures`` exit 1 (else ``ok`` prints outside ``--json``), then the
-    baseline flags run on the ``reduced`` slice and drift alone exits 3."""
-    from .baselines import apply_baseline_flags
-
+    ``failures`` exit 1 (else ``ok`` prints outside ``--json``), then
+    ``--update-baseline`` writes the ``reduced`` slice and
+    ``--check-baseline`` diffs it with ``differ``; drift alone exits 3."""
     status = EXIT_OK
     if failures:
         print(f"error: {len(failures)} blocking finding(s)", file=sys.stderr)
         status = EXIT_BLOCKING
     elif ok and not args.json:
         print(ok)
-    drift = apply_baseline_flags(args, reduced, differ)
-    return EXIT_DRIFT if drift and status == EXIT_OK else status
+    if getattr(args, "update_baseline", None):
+        _write_baselines({args.update_baseline: reduced})
+        print(f"baseline written: {args.update_baseline}")
+    problems = []
+    if getattr(args, "check_baseline", None):
+        with open(args.check_baseline) as fh:
+            problems = differ(json.load(fh))
+        for problem in problems:
+            print(f"baseline drift: {problem}", file=sys.stderr)
+        if not problems:
+            print(f"baseline OK ({args.check_baseline})")
+    return EXIT_DRIFT if problems and status == EXIT_OK else status
 
 
 def _report_failures(bundle: dict) -> list[str]:
     return [f for report in bundle["reports"] for f in report["failures"]]
-
-
-def _print_findings(findings: list, top: int | None, indent: str = "  ") -> None:
-    top = len(findings) if top is None else top
-    for finding in findings[:top]:
-        print(f"{indent}{finding['path']}:{finding['line']}: "
-              f"{finding['code']} {finding['message']}")
-    if len(findings) > top:
-        print(f"{indent}... {len(findings) - top} more (--json for all)")
-
-
-def _print_by_code(by_code: dict) -> None:
-    if by_code:
-        print("findings: " + ", ".join(
-            f"{code} x{count}" for code, count in sorted(by_code.items())
-        ))
 
 
 def _lint_args(p: argparse.ArgumentParser) -> None:
@@ -432,8 +448,15 @@ def _analyze_args(p: argparse.ArgumentParser) -> None:
         "--no-determinism", action="store_true",
         help="skip the source-level RNG/iteration-order audit",
     )
-    _add_baseline_flags(p, "FLOPs/peak-memory/node counts",
-                        writes="the invariant slice of this run")
+    p.add_argument(
+        "--check-baseline", metavar="PATH", default=None,
+        help="diff FLOPs/peak-memory/node counts against a baseline JSON "
+        "and fail on any drift",
+    )
+    p.add_argument(
+        "--update-baseline", metavar="PATH", default=None,
+        help="write the invariant slice of this run to a baseline JSON",
+    )
     p.add_argument(
         "--backward", action="store_true",
         help="also trace the backward tape: adjoint-graph stats, "
@@ -572,7 +595,9 @@ def _print_gradcheck_report(report: dict) -> None:
     print(f"  training memory: peak {_mb(mem['train_peak_bytes'])} at "
           f"{mem['peak_pos']}")
     for section in (report["contracts"], report["gradcheck"], back):
-        _print_findings(section["findings"], None, indent="    ")
+        for finding in section["findings"]:
+            print(f"    {finding['path']}:{finding['line']}: "
+                  f"{finding['code']} {finding['message']}")
 
 
 def _cmd_gradcheck(args) -> int:
@@ -614,64 +639,6 @@ def _gradcheck_gate(args) -> tuple[dict, list[str]]:
     return bundle, _report_failures(bundle)
 
 
-def _concheck_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--root", metavar="DIR", default=None,
-        help="package tree to analyze (default: the installed repro "
-        "package source)",
-    )
-    p.add_argument("--json", action="store_true",
-                   help="print the full repro.concheck/v1 bundle")
-    p.add_argument("--top", type=_non_negative_int, default=10,
-                   help="findings shown without --json (default 10)")
-    _add_baseline_flags(p, "worker roots + per-code counts")
-
-
-def _cmd_concheck(args) -> int:
-    from .concheck import (
-        baseline_from_concheck,
-        check_concheck_baseline,
-        concheck,
-    )
-
-    bundle = concheck(root=args.root)
-
-    if args.json:
-        print(json.dumps(bundle, indent=2))
-    else:
-        print(f"{bundle['package']}: {bundle['modules']} modules, "
-              f"{bundle['functions']} functions indexed")
-        print(f"worker roots ({len(bundle['worker_roots'])}):")
-        for ref in bundle["worker_roots"]:
-            print(f"  {ref}")
-        summary = bundle["effect_summary"]
-        print(f"reachable: {bundle['reachable_functions']} functions "
-              f"across {len(bundle['worker_modules'])} modules "
-              f"(pure {summary['pure']}, deterministic "
-              f"{summary['deterministic']}, io {summary['io']}, "
-              f"global-mutating {summary['global-mutating']})")
-        _print_by_code(bundle["by_code"])
-        _print_findings(bundle["findings"], args.top)
-    return _finish(
-        args, bundle["failures"], baseline_from_concheck(bundle),
-        lambda doc: check_concheck_baseline(bundle, doc),
-        ok="concurrency-safety certified (0 blocking REPRO6xx findings)",
-    )
-
-
-def _concheck_gate(args) -> tuple[dict, list[str]]:
-    from .concheck import concheck
-
-    bundle = concheck()
-    return bundle, bundle["failures"]
-
-
-def _concheck_baselines(bench: Path) -> dict[str, dict]:
-    from .concheck import baseline_from_concheck, concheck
-
-    return {str(bench / "concheck_baseline.json"): baseline_from_concheck(concheck())}
-
-
 @dataclass(frozen=True)
 class Section:
     """One analyzer section: ``add_arguments`` + ``run`` make its
@@ -706,12 +673,6 @@ SECTIONS = (
         "(see repro.adjoint)",
         _gradcheck_args, _cmd_gradcheck, _gradcheck_gate,
     ),
-    Section(
-        "concheck",
-        "static concurrency-safety analysis of the worker-reachable "
-        "call graph (see repro.concheck)",
-        _concheck_args, _cmd_concheck, _concheck_gate, _concheck_baselines,
-    ),
 )
 
 
@@ -723,14 +684,12 @@ def _update_all_baselines() -> int:
     serialized first, and only then do they all rename into place — a
     failure anywhere leaves the benchmarks directory untouched.
     """
-    from .baselines import write_baselines
-
     bench = Path(__file__).resolve().parents[2] / "benchmarks"
     docs: dict[str, dict] = {}
     for section in SECTIONS:
         docs.update(section.baselines(bench))
 
-    write_baselines(docs)
+    _write_baselines(docs)
     for path in sorted(docs):
         print(f"baseline written: {path}")
     return EXIT_OK

@@ -2,11 +2,10 @@
 
 Every analysis component shares one code namespace, one hundred codes
 per band: the AST lint rules (:mod:`repro.lint`, ``REPRO0xx``), the
-forward-IR passes (:mod:`repro.ir`, ``REPRO1xx``), the adjoint/backward
-passes (:mod:`repro.adjoint`, ``REPRO2xx``) and the concurrency-safety
-analyzer (:mod:`repro.concheck`, ``REPRO6xx``).  The ``REPRO3xx``,
-``REPRO4xx``, ``REPRO7xx`` and ``REPRO8xx`` bands are retired and stay
-unassigned.
+forward-IR passes (:mod:`repro.ir`, ``REPRO1xx``) and the
+adjoint/backward passes (:mod:`repro.adjoint`, ``REPRO2xx``).  The
+``REPRO3xx``, ``REPRO4xx``, ``REPRO6xx``, ``REPRO7xx`` and ``REPRO8xx``
+bands are retired and stay unassigned.
 Before this registry each component kept its own table, which is
 exactly how two PRs end up assigning the same code to different rules.
 Now every code is declared here,
@@ -48,7 +47,7 @@ class DiagnosticSpec:
 
     code: str
     message: str
-    component: str  # owning package: "lint", "ir", ..., "concheck"
+    component: str  # owning package: "lint", "ir", ..., "orchestrate"
     blocking: bool = True
 
 
@@ -238,81 +237,4 @@ register_code(
     "result payload failed validation; attempt discarded and retried",
     component="orchestrate",
     blocking=False,
-)
-
-# Static concurrency-safety analyzer (repro.concheck) — 6xx.  Unlike
-# the 5xx runtime incidents these are *static proofs-of-hazard* over
-# the worker-reachable call graph: blocking codes break the parity or
-# crash-recovery contract outright; advisory codes flag environment
-# reads and fork-inherited resources that are legitimate in parent-only
-# paths but worth eyes whenever they sit in worker-reachable code.
-register_code(
-    "REPRO601",
-    "worker-reachable code mutates process-global state (module global, "
-    "class attribute, os.environ)",
-    component="concheck",
-)
-register_code(
-    "REPRO602",
-    "worker-reachable function has call-to-call memory (mutable default "
-    "argument / nonlocal accumulation)",
-    component="concheck",
-)
-register_code(
-    "REPRO603",
-    "worker-reachable code reads environment-dependent state (wall clock, "
-    "env vars, hostname)",
-    component="concheck",
-    blocking=False,
-)
-register_code(
-    "REPRO604",
-    "global/legacy RNG (np.random.*, random.*, os.urandom) reachable from "
-    "a worker entry point",
-    component="concheck",
-)
-register_code(
-    "REPRO605",
-    "fresh default_rng()/SeedSequence() without a SeedSequence-derived "
-    "seed in worker-reachable code",
-    component="concheck",
-)
-register_code(
-    "REPRO606",
-    "unordered iteration (set, os.listdir) in worker-reachable code",
-    component="concheck",
-)
-register_code(
-    "REPRO607",
-    "JobSpec payload contains an unpicklable value (lambda, closure, "
-    "generator, handle, lock)",
-    component="concheck",
-)
-register_code(
-    "REPRO608",
-    "dotted job reference does not resolve to a module-level callable",
-    component="concheck",
-)
-register_code(
-    "REPRO609",
-    "worker module performs IO/RNG/thread/environ side effects at import "
-    "time",
-    component="concheck",
-)
-register_code(
-    "REPRO610",
-    "fork-unsafe resource (thread, lock, socket, pool, handle) created at "
-    "module scope in a worker module",
-    component="concheck",
-    blocking=False,
-)
-register_code(
-    "REPRO611",
-    "durable write skips the temp-file + fsync + rename idiom",
-    component="concheck",
-)
-register_code(
-    "REPRO612",
-    "rename into place without fsync of the written temp file",
-    component="concheck",
 )

@@ -31,9 +31,7 @@ __all__ = ["audit_determinism", "audit_file", "DEFAULT_AUDIT_PACKAGES"]
 
 # Packages audited by default, relative to the repro package root:
 # everything whose results feed training, placement or the contest
-# tables, where hidden nondeterminism corrupts results silently.  The
-# worker-reachable closure additionally gets the call-graph-deep
-# REPRO604-606 variants from repro.concheck.
+# tables, where hidden nondeterminism corrupts results silently.
 DEFAULT_AUDIT_PACKAGES = (
     "placement", "train", "data", "models", "nn", "eval",
     "netlist", "routing", "contest", "features", "arch", "orchestrate",

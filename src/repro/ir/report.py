@@ -204,19 +204,54 @@ def baseline_from_reports(bundle: dict) -> dict:
     return {"schema": SCHEMA, "entries": entries}
 
 
+def _fmt_change(want, got) -> str:
+    if isinstance(want, int) and isinstance(got, int) and not (
+        isinstance(want, bool) or isinstance(got, bool)
+    ):
+        return f"{want} -> {got} ({got - want:+d})"
+    return f"{want} -> {got}"
+
+
 def check_baseline(bundle: dict, baseline: dict) -> list[str]:
     """Exact-match diff of the invariant slice; returns mismatch messages.
 
-    The comparison is driven by the *baseline's* fields, so one checker
-    serves both the forward slice (``benchmarks/ir_baseline.json``) and
-    the forward+backward slice (``benchmarks/adjoint_baseline.json``) —
-    a baseline only pins the numbers it records.
+    Records are keyed on (model, preset, grid), and the comparison is
+    driven by the *baseline's* fields, so one checker serves both the
+    forward slice (``benchmarks/ir_baseline.json``) and the
+    forward+backward slice (``benchmarks/adjoint_baseline.json``) — a
+    baseline only pins the numbers it records.
     """
-    from repro.baselines import diff_entries
+    key = ("model", "preset", "grid")
 
-    return diff_entries(
-        baseline.get("entries", []),
-        baseline_from_reports(bundle)["entries"],
-        verb="analyzed",
-        missing_field_hint="re-run with --backward?",
-    )
+    def keyed(entries: list[dict]) -> dict[tuple, dict]:
+        return {tuple(e[k] for k in key): e for e in entries}
+
+    want_by_key = keyed(baseline.get("entries", []))
+    got_by_key = keyed(baseline_from_reports(bundle)["entries"])
+    problems: list[str] = []
+    for k in sorted(set(want_by_key) | set(got_by_key)):
+        name = "{}/{}/grid{}".format(*k)
+        if k not in got_by_key:
+            problems.append(f"{name}: in baseline but not analyzed")
+            continue
+        if k not in want_by_key:
+            problems.append(
+                f"{name}: analyzed but missing from baseline "
+                "(run with --update-baseline)"
+            )
+            continue
+        for field, want in want_by_key[k].items():
+            if field in key:
+                continue
+            if field not in got_by_key[k]:
+                problems.append(
+                    f"{name}: baseline pins {field!r} but the report has no "
+                    "such field (re-run with --backward?)"
+                )
+                continue
+            got = got_by_key[k][field]
+            if got != want:
+                problems.append(
+                    f"{name}: {field} changed {_fmt_change(want, got)}"
+                )
+    return problems

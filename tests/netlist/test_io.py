@@ -66,7 +66,8 @@ class TestRoundTrip:
 
 
 class TestAtomicity:
-    """save_design follows the tmp + fsync + rename idiom (REPRO611/612)."""
+    """save_design follows the tmp + fsync + rename idiom, so a crash never
+    leaves a torn file at the final name."""
 
     def test_no_temp_file_left_behind(self, tmp_path, tiny_design):
         save_design(tiny_design, tmp_path / "design.netlist")

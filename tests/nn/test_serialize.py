@@ -42,7 +42,8 @@ class TestSuffixNormalization:
 
 
 class TestAtomicity:
-    """save_state follows the tmp + fsync + rename idiom (REPRO611/612)."""
+    """save_state follows the tmp + fsync + rename idiom, so a crash never
+    leaves a torn file at the final name."""
 
     def test_no_temp_file_left_behind(self, tmp_path, state):
         save_state(state, tmp_path / "ckpt.npz")

@@ -9,7 +9,7 @@ builder.
 
 import numpy as np
 
-from repro.contest import run_table2
+from repro.contest import TEAM_NAMES, run_table2
 from repro.netlist import MLCAD2023_SPECS
 from repro.train import CongestionDataset, DatasetConfig
 
@@ -20,12 +20,22 @@ TINY = dict(
     seed=17,
 )
 
+# Every team, so each estimator (the model-backed one of "Ours"
+# included) is compared between serial and parallel runs.
+ALL_TEAMS = dict(
+    design_names=("Design_120",),
+    scale=1.0 / 256.0,
+    team_names=TEAM_NAMES,
+    seed=17,
+)
+
 
 class TestTable2Parity:
     def test_parallel_scores_match_serial_bitwise(self):
-        serial = run_table2(parallel=0, **TINY)
-        parallel = run_table2(parallel=2, **TINY)
+        serial = run_table2(parallel=0, **ALL_TEAMS)
+        parallel = run_table2(parallel=2, **ALL_TEAMS)
         assert serial.complete and parallel.complete
+        assert set(serial.scores) == set(TEAM_NAMES)
         assert serial.rows() == parallel.rows()
         # Not merely equal-after-rounding: the raw score fields match
         # (except t_macro_minutes, which is measured wall-clock time).

@@ -135,40 +135,6 @@ class TestAnalysisJSONSchemas:
         }
         assert report["contracts"]["records"] > 0
 
-    def test_concheck_summary(self, capsys):
-        rc = main(["concheck"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "worker roots (3):" in out
-        assert "repro.train.dataset:_design_samples_job" in out
-        assert "concurrency-safety certified" in out
-
-    def test_concheck_json_schema(self, capsys):
-        bundle = self._json(capsys, ["concheck", "--json"])
-        assert bundle["schema"] == "repro.concheck/v1"
-        assert set(bundle) >= {
-            "schema", "package", "worker_roots", "reachable_functions",
-            "effect_summary", "by_code", "findings", "failures",
-        }
-        assert bundle["package"] == "repro"
-        assert bundle["failures"] == []
-
-    def test_concheck_baseline_round_trip(self, tmp_path, capsys):
-        baseline = tmp_path / "concheck_baseline.json"
-        assert main(["concheck", "--update-baseline", str(baseline)]) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        assert main(["concheck", "--check-baseline", str(baseline)]) == 0
-        assert "baseline OK" in capsys.readouterr().out
-
-    def test_concheck_committed_baseline_is_current(self, capsys):
-        # The checked-in baseline must match the tree; CI diffs it.
-        from pathlib import Path
-
-        committed = (Path(__file__).resolve().parents[1]
-                     / "benchmarks" / "concheck_baseline.json")
-        assert main(["concheck", "--check-baseline", str(committed)]) == 0
-
     def test_check_update_baselines_flag_registered(self):
         args = build_parser().parse_args(["check", "--update-baselines"])
         assert args.update_baselines is True
@@ -182,13 +148,11 @@ class TestAnalysisJSONSchemas:
         assert combined["schema"] == "repro.check/v1"
         assert set(combined) >= {
             "schema", "preset", "grid", "lint", "analyze", "gradcheck",
-            "concheck", "failures",
+            "failures",
         }
         # Each section carries its own full bundle under its own schema.
         assert combined["analyze"]["schema"] == "repro.ir/v1"
         assert combined["gradcheck"]["schema"] == "repro.adjoint/v1"
-        assert combined["concheck"]["schema"] == "repro.concheck/v1"
-        assert combined["concheck"]["failures"] == []
         assert combined["failures"] == []
 
 
@@ -229,13 +193,6 @@ class TestExitCodeContract:
                      "--grid", "32"],
             "usage": [["--grid", "0"]],
         },
-        "concheck": {
-            "argv": ["concheck"],
-            "usage": [["--top", "-1"]],
-            "baseline": "concheck.json",
-            "drift": lambda doc: doc.update(
-                reachable_functions=doc["reachable_functions"] + 1),
-        },
         # The flow commands share the usage half of the contract: sizes,
         # counts and the downscale factor must be positive.
         "place": {
@@ -252,7 +209,8 @@ class TestExitCodeContract:
                      "--grid", "32", "--placements", "2", "--epochs", "1",
                      "--model", "unet"],
             "usage": [["--epochs", "0"], ["--placements", "0"],
-                      ["--grid", "0"], ["--checkpoint-every", "0"]],
+                      ["--grid", "0"], ["--checkpoint-every", "0"],
+                      ["--designs", "Design_120", "Design_120"]],
         },
     }
 
@@ -301,54 +259,31 @@ class TestExitCodeContract:
         with pytest.raises(SystemExit):
             parser.parse_args(["check", "--fail-on", "everything"])
 
-    def test_concheck_blocking_exits_1(self, tmp_path, capsys):
-        # A planted worker hazard must fail the run, not just print.
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "jobs.py").write_text(
-            "import random\n"
-            "def job(xs):\n    return random.choice(xs)\n"
-            'REF = "pkg.jobs:job"\n'
-        )
-        rc = main(["concheck", "--root", str(pkg)])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert "REPRO604" in captured.out
-        assert "blocking finding(s)" in captured.err
+    def test_table2_repeated_design_is_usage_error(self, capsys,
+                                                   monkeypatch):
+        # A repeated design used to crash the parallel run (duplicate
+        # job keys, exit 4) and double every row of a serial one.
+        import repro.contest
 
-    def test_concheck_drift_exits_3(self, tmp_path, capsys):
-        import json
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("a job ran")
 
-        baseline = tmp_path / "concheck_baseline.json"
-        assert main(["concheck", "--update-baseline", str(baseline)]) == 0
-        doc = json.loads(baseline.read_text())
-        doc["reachable_functions"] += 1
-        doc["worker_roots"].append("repro.gone:job")
-        baseline.write_text(json.dumps(doc))
-        capsys.readouterr()
-        rc = main(["concheck", "--check-baseline", str(baseline)])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "worker root disappeared: repro.gone:job" in err
-        assert "reachable_functions changed" in err
+        monkeypatch.setattr(repro.contest, "run_table2", no_jobs)
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", "--designs", "Design_120", "Design_120",
+                  "--scale", "256", "--parallel", "2"])
+        assert exc.value.code == 2
+        assert "Design_120 given more than once" in capsys.readouterr().err
 
-    def test_concheck_missing_baseline_exits_4(self, tmp_path, capsys):
-        rc = main(
-            ["concheck", "--check-baseline", str(tmp_path / "nope.json")]
-        )
-        assert rc == 4
-        assert "internal error" in capsys.readouterr().err
-
-    def test_check_fail_on_advisory_trips_on_concheck_603(self, capsys):
-        # The concheck section participates in --fail-on advisory: the
-        # two baselined REPRO603 wall-clock advisories surface here.
+    def test_check_fail_on_advisory_trips_on_duplicate_subgraphs(self, capsys):
+        # --fail-on advisory turns the ir section's non-blocking REPRO107
+        # duplicate-subgraph opportunities into a failing exit.
         rc = main(["check", "--preset", "tiny", "--grid", "32",
                    "--fail-on", "advisory"])
         assert rc == 1
         err = capsys.readouterr().err
         assert "--fail-on advisory" in err
-        assert "REPRO603" in err
+        assert "REPRO107" in err
 
 
 class TestMoreCommands:

@@ -22,14 +22,12 @@ class TestRegistry:
         for code, spec in all_codes().items():
             band = int(code.removeprefix("REPRO")) // 100
             expected = {
-                0: "lint", 1: "ir", 2: "adjoint",
-                5: "orchestrate", 6: "concheck",
+                0: "lint", 1: "ir", 2: "adjoint", 5: "orchestrate",
             }[band]
             assert spec.component == expected, code
 
     def test_component_views_match_consumers(self):
         from repro.adjoint import ADJOINT_RULES
-        from repro.concheck import CONCHECK_RULES
         from repro.ir.passes import IR_RULES, OPPORTUNITY_RULES
         from repro.lint.rules import RULES
         from repro.orchestrate import ORCHESTRATE_RULES
@@ -38,7 +36,6 @@ class TestRegistry:
         assert IR_RULES == codes_for("ir")
         assert ADJOINT_RULES == codes_for("adjoint")
         assert ORCHESTRATE_RULES == codes_for("orchestrate")
-        assert CONCHECK_RULES == codes_for("concheck")
         assert set(OPPORTUNITY_RULES) == {
             c for c, s in all_codes().items()
             if s.component == "ir" and not s.blocking
@@ -57,17 +54,6 @@ class TestRegistry:
         # the supervisor recovered (crash, deadline, journal, payload).
         assert {c for c in codes_for("orchestrate") if is_blocking(c)} == {
             "REPRO503", "REPRO505",
-        }
-
-    def test_concheck_codes_present(self):
-        assert set(codes_for("concheck")) == {
-            f"REPRO6{i:02d}" for i in range(1, 13)
-        }
-        # Advisory: environment reads (603) and fork-inherited resources
-        # (610) are legitimate in parent-only paths; everything else
-        # breaks the parity or crash-recovery contract outright.
-        assert {c for c in codes_for("concheck") if not is_blocking(c)} == {
-            "REPRO603", "REPRO610",
         }
 
     def test_blocking_metadata(self):

@@ -143,29 +143,6 @@ class TestOrchestrationDoc:
         assert (_ROOT / "docs" / "ORCHESTRATION.md").exists()
 
 
-class TestConcurrencyDoc:
-    def test_exists_and_covers_the_analyzer(self):
-        text = _read("docs/CONCURRENCY.md")
-        for topic in (
-            "repro.concheck/v1", "benchmarks/concheck_baseline.json",
-            "worker-reachab", "effect lattice", "pure", "deterministic",
-            "global-mutating", "SeedSequence", "fsync", "noqa",
-        ):
-            assert topic in text, f"CONCURRENCY.md does not cover {topic}"
-
-    def test_documents_every_concheck_code(self):
-        from repro.diagnostics import codes_for
-
-        text = _read("docs/CONCURRENCY.md")
-        for code in codes_for("concheck"):
-            assert code in text, f"CONCURRENCY.md does not mention {code}"
-
-    def test_linked_from_readme_and_api(self):
-        assert "docs/CONCURRENCY.md" in _read("README.md")
-        assert "CONCURRENCY.md" in _read("docs/API.md")
-        assert (_ROOT / "docs" / "CONCURRENCY.md").exists()
-
-
 class TestApiDoc:
     def test_exit_code_table_matches_cli_constants(self):
         """API.md's exit-code table and the CLI constants must agree."""

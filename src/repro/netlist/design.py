@@ -143,7 +143,7 @@ class Design:
             raise ValueError("net pin references a nonexistent instance")
         for cascade in self.cascades:
             for idx in cascade.instances:
-                if idx >= n:
+                if not 0 <= idx < n:
                     raise ValueError("cascade references a nonexistent instance")
                 if not self.instances[idx].is_macro:
                     raise ValueError(
@@ -152,7 +152,7 @@ class Design:
                     )
         for region in self.regions:
             for idx in region.instances:
-                if idx >= n:
+                if not 0 <= idx < n:
                     raise ValueError("region references a nonexistent instance")
 
     # -- convenience -----------------------------------------------------------------

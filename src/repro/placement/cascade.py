@@ -66,6 +66,12 @@ class GroupMap:
         self.group_sizes = np.bincount(
             group_of[self._movable], minlength=num_groups
         ).astype(np.float64)
+        # Largest member offset per group: how far below the device top
+        # the group variable must stay.
+        self._max_off = np.zeros(num_groups)
+        np.maximum.at(
+            self._max_off, group_of[self._movable], offset_y[self._movable]
+        )
 
     # -- variable <-> instance maps ------------------------------------------------
 
@@ -110,10 +116,6 @@ class GroupMap:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Keep every member of every group inside the device."""
         device = self.design.device
-        max_off = np.zeros(self.num_groups)
-        np.maximum.at(
-            max_off, self.group_of[self._movable], self.offset_y[self._movable]
-        )
         gx = np.clip(gx, 0.0, device.width - 1.0)
-        gy = np.clip(gy, 0.0, device.height - 1.0 - max_off)
+        gy = np.clip(gy, 0.0, device.height - 1.0 - self._max_off)
         return gx, gy

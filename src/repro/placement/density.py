@@ -13,6 +13,13 @@ Instances are deposited with bilinear weights over the four bins nearest
 their center, scaled by their (possibly inflated) area, so the
 congestion-driven inflation of Eqs. 11–13 directly raises local density
 and pushes neighbours away.
+
+The fields stay independent but are computed together: one ``bincount``
+deposits every field into an ``(F, bins, bins)`` stack, one DCT pair
+solves all F Poisson problems (the denominator is built once per
+system), and one bilinear gather and one ``bincount`` per axis turn the
+fields into forces.  Each step adds in the same order as the former
+per-field loop, so energies and forces are bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -115,6 +122,14 @@ class ElectrostaticSystem:
                 capacity=capacity,
                 bins=bins,
             )
+        # Poisson denominator of the DCT modes, shared by every solve.
+        kx = np.pi * np.arange(bins) / bins
+        ky = np.pi * np.arange(bins) / bins
+        self._denom = (
+            (2.0 - 2.0 * np.cos(kx))[:, None] / (self.bin_w**2)
+            + (2.0 - 2.0 * np.cos(ky))[None, :] / (self.bin_h**2)
+        )
+        self._denom[0, 0] = 1.0  # zero mode: potential defined up to a constant
 
     def _site_capacity_map(self, field: str) -> np.ndarray:
         """Sites of the field's type per bin (site units, not resources)."""
@@ -137,56 +152,113 @@ class ElectrostaticSystem:
 
     def _deposit(
         self, field: DensityField, x: np.ndarray, y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Bilinear scatter of member areas into the bin grid.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Bilinear scatter of one field's member areas into the bin grid.
 
-        Returns ``(density, ix, iy, fx, fy)`` where ``ix/iy`` are the
-        lower bin indices and ``fx/fy`` the fractional offsets, reused by
-        the force gather.
+        Returns ``(density, flat, fx, fy)`` as :meth:`_deposit_fields`
+        does, with ``density`` a single ``(bins, bins)`` grid.
         """
-        mx = x[field.members] / self.bin_w - 0.5
-        my = y[field.members] / self.bin_h - 0.5
-        mx = np.clip(mx, 0.0, self.bins - 1.0 - 1e-9)
-        my = np.clip(my, 0.0, self.bins - 1.0 - 1e-9)
+        density, flat, fx, fy = self._deposit_fields([field], x, y)
+        return density[0], flat, fx, fy
+
+    def _deposit_fields(
+        self, fields: list[DensityField], x: np.ndarray, y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Bilinear scatter of several fields into an ``(F, bins, bins)`` stack.
+
+        Returns ``(density, flat, fx, fy)``: per member (the fields'
+        members concatenated in ``fields`` order) the flat index
+        ``field·bins² + ix·bins + iy`` of its lower bin and its fractional
+        offsets, reused by the force gather.  One ``bincount`` adds the
+        four corner weights corner by corner; fields own disjoint bins,
+        so every bin sums in the order four ``np.add.at`` calls per field
+        would, bitwise alike.
+        """
+        n = self.bins
+        members = np.concatenate([f.members for f in fields])
+        mx = x[members] / self.bin_w - 0.5
+        my = y[members] / self.bin_h - 0.5
+        mx = np.clip(mx, 0.0, n - 1.0 - 1e-9)
+        my = np.clip(my, 0.0, n - 1.0 - 1e-9)
         ix = mx.astype(np.int64)
         iy = my.astype(np.int64)
         fx = mx - ix
         fy = my - iy
 
-        density = np.zeros((self.bins, self.bins))
-        a = field.areas
-        np.add.at(density, (ix, iy), a * (1 - fx) * (1 - fy))
-        np.add.at(density, (ix + 1, iy), a * fx * (1 - fy))
-        np.add.at(density, (ix, iy + 1), a * (1 - fx) * fy)
-        np.add.at(density, (ix + 1, iy + 1), a * fx * fy)
-        return density, ix, iy, fx, fy
+        sizes = [f.members.size for f in fields]
+        flat = np.repeat(np.arange(len(fields)) * n * n, sizes) + ix * n + iy
+        a = np.concatenate([f.areas for f in fields])
+        density = np.bincount(
+            np.concatenate([flat, flat + n, flat + 1, flat + n + 1]),
+            weights=np.concatenate([
+                a * (1 - fx) * (1 - fy),
+                a * fx * (1 - fy),
+                a * (1 - fx) * fy,
+                a * fx * fy,
+            ]),
+            minlength=len(fields) * n * n,
+        ).reshape(len(fields), n, n)
+        return density, flat, fx, fy
 
     # -- Poisson solve ------------------------------------------------------------
 
     def _solve_poisson(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Solve ∇²φ = -ρ with Neumann boundaries; return (φ, Ex, Ey)."""
-        n = self.bins
-        rho_hat = sp_fft.dctn(rho, type=2, norm="ortho")
-        kx = np.pi * np.arange(n) / n
-        ky = np.pi * np.arange(n) / n
-        denom = (
-            (2.0 - 2.0 * np.cos(kx))[:, None] / (self.bin_w**2)
-            + (2.0 - 2.0 * np.cos(ky))[None, :] / (self.bin_h**2)
-        )
-        denom[0, 0] = 1.0  # zero mode: potential defined up to a constant
-        phi_hat = rho_hat / denom
-        phi_hat[0, 0] = 0.0
-        phi = sp_fft.idctn(phi_hat, type=2, norm="ortho")
+        """Solve ∇²φ = -ρ with Neumann boundaries; return (φ, Ex, Ey).
+
+        ``rho`` is one ``(bins, bins)`` grid or an ``(F, bins, bins)``
+        stack; the DCT pair runs over the last two axes.
+        """
+        axes = (-2, -1)
+        rho_hat = sp_fft.dctn(rho, type=2, norm="ortho", axes=axes)
+        phi_hat = rho_hat / self._denom
+        phi_hat[..., 0, 0] = 0.0
+        phi = sp_fft.idctn(phi_hat, type=2, norm="ortho", axes=axes)
         # Electric field E = -∇φ via central differences.
         ex = np.zeros_like(phi)
         ey = np.zeros_like(phi)
-        ex[1:-1, :] = (phi[:-2, :] - phi[2:, :]) / (2.0 * self.bin_w)
-        ex[0, :] = (phi[0, :] - phi[1, :]) / self.bin_w
-        ex[-1, :] = (phi[-2, :] - phi[-1, :]) / self.bin_w
-        ey[:, 1:-1] = (phi[:, :-2] - phi[:, 2:]) / (2.0 * self.bin_h)
-        ey[:, 0] = (phi[:, 0] - phi[:, 1]) / self.bin_h
-        ey[:, -1] = (phi[:, -2] - phi[:, -1]) / self.bin_h
+        ex[..., 1:-1, :] = (phi[..., :-2, :] - phi[..., 2:, :]) / (2.0 * self.bin_w)
+        ex[..., 0, :] = (phi[..., 0, :] - phi[..., 1, :]) / self.bin_w
+        ex[..., -1, :] = (phi[..., -2, :] - phi[..., -1, :]) / self.bin_w
+        ey[..., 1:-1] = (phi[..., :-2] - phi[..., 2:]) / (2.0 * self.bin_h)
+        ey[..., 0] = (phi[..., 0] - phi[..., 1]) / self.bin_h
+        ey[..., -1] = (phi[..., -2] - phi[..., -1]) / self.bin_h
         return phi, ex, ey
+
+    def _solve_fields(
+        self, x: np.ndarray, y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Deposit, solve and gather every field in one pass.
+
+        Returns ``(rho, phi, exm, eym)``: the charge-neutral residual and
+        potential stacks ``(F, bins, bins)`` in ``self.fields`` order, and
+        per member (fields concatenated) the field gathered with the
+        deposition's bilinear weights, term for term.
+        """
+        fields = list(self.fields.values())
+        n = self.bins
+        density, flat, fx, fy = self._deposit_fields(fields, x, y)
+        # Charge-neutral residual: subtract the scaled capacity so a
+        # perfectly spread placement has zero field.
+        scale = np.array(
+            [f.total_area / max(f.total_capacity, 1e-12) for f in fields]
+        )
+        capacity = np.stack([f.capacity for f in fields])
+        rho = density - capacity * scale[:, None, None]
+        phi, ex, ey = self._solve_poisson(rho)
+        ex, ey = ex.ravel(), ey.ravel()
+        exm = (
+            ex[flat] * (1 - fx) * (1 - fy)
+            + ex[flat + n] * fx * (1 - fy)
+            + ex[flat + 1] * (1 - fx) * fy
+            + ex[flat + n + 1] * fx * fy
+        )
+        eym = (
+            ey[flat] * (1 - fx) * (1 - fy)
+            + ey[flat + n] * fx * (1 - fy)
+            + ey[flat + 1] * (1 - fx) * fy
+            + ey[flat + n + 1] * fx * fy
+        )
+        return rho, phi, exm, eym
 
     # -- public API ---------------------------------------------------------------------
 
@@ -244,58 +316,41 @@ class ElectrostaticSystem:
         per-field multipliers, so sparse fields (URAM) still feel a pull
         comparable to the dense CLB field.
         """
-        energies: dict[str, float] = {}
-        force_x = np.zeros(self.design.num_instances)
-        force_y = np.zeros(self.design.num_instances)
-        for name, field in self.fields.items():
-            weight = 1.0 if field_weights is None else field_weights.get(name, 1.0)
-            density, ix, iy, fx, fy = self._deposit(field, x, y)
-            # Charge-neutral residual: subtract the scaled capacity so a
-            # perfectly spread placement has zero field.
-            scale = field.total_area / max(field.total_capacity, 1e-12)
-            rho = density - field.capacity * scale
-            phi, ex, ey = self._solve_poisson(rho)
-            energies[name] = float(0.5 * (rho * phi).sum())
-            # Gather field at each member (bilinear, matching deposition).
-            exm = (
-                ex[ix, iy] * (1 - fx) * (1 - fy)
-                + ex[ix + 1, iy] * fx * (1 - fy)
-                + ex[ix, iy + 1] * (1 - fx) * fy
-                + ex[ix + 1, iy + 1] * fx * fy
-            )
-            eym = (
-                ey[ix, iy] * (1 - fx) * (1 - fy)
-                + ey[ix + 1, iy] * fx * (1 - fy)
-                + ey[ix, iy + 1] * (1 - fx) * fy
-                + ey[ix + 1, iy + 1] * fx * fy
-            )
-            np.add.at(force_x, field.members, weight * field.areas * exm)
-            np.add.at(force_y, field.members, weight * field.areas * eym)
+        num = self.design.num_instances
+        if not self.fields:
+            return {}, np.zeros(num), np.zeros(num)
+        fields = self.fields.values()
+        rho, phi, exm, eym = self._solve_fields(x, y)
+        energies = {
+            name: float(0.5 * (rho[k] * phi[k]).sum())
+            for k, name in enumerate(self.fields)
+        }
+        weights = [
+            1.0 if field_weights is None else field_weights.get(name, 1.0)
+            for name in self.fields
+        ]
+        sizes = [f.members.size for f in fields]
+        charge = np.repeat(weights, sizes) * np.concatenate([f.areas for f in fields])
+        members = np.concatenate([f.members for f in fields])
+        force_x = np.bincount(members, weights=charge * exm, minlength=num)
+        force_y = np.bincount(members, weights=charge * eym, minlength=num)
         return energies, force_x, force_y
 
     def field_force_norms(self, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
         """RMS force per field at the current placement (for λ balancing)."""
+        if not self.fields:
+            return {}
+        _, _, exm, eym = self._solve_fields(x, y)
+        areas = np.concatenate([f.areas for f in self.fields.values()])
+        fx_m = areas * exm
+        fy_m = areas * eym
+        sq = fx_m**2 + fy_m**2
         norms: dict[str, float] = {}
+        lo = 0
         for name, field in self.fields.items():
-            density, ix, iy, fx, fy = self._deposit(field, x, y)
-            scale = field.total_area / max(field.total_capacity, 1e-12)
-            rho = density - field.capacity * scale
-            _, ex, ey = self._solve_poisson(rho)
-            exm = (
-                ex[ix, iy] * (1 - fx) * (1 - fy)
-                + ex[ix + 1, iy] * fx * (1 - fy)
-                + ex[ix, iy + 1] * (1 - fx) * fy
-                + ex[ix + 1, iy + 1] * fx * fy
-            )
-            eym = (
-                ey[ix, iy] * (1 - fx) * (1 - fy)
-                + ey[ix + 1, iy] * fx * (1 - fy)
-                + ey[ix, iy + 1] * (1 - fx) * fy
-                + ey[ix + 1, iy + 1] * fx * fy
-            )
-            fx_m = field.areas * exm
-            fy_m = field.areas * eym
-            norms[name] = float(np.sqrt(np.mean(fx_m**2 + fy_m**2)) + 1e-12)
+            hi = lo + field.members.size
+            norms[name] = float(np.sqrt(np.mean(sq[lo:hi])) + 1e-12)
+            lo = hi
         return norms
 
     def inflate(self, field_name: str, member_scale: np.ndarray) -> None:

@@ -11,18 +11,21 @@ Eq. 1 scores, and from whose convergence behaviour
 Algorithm
 ---------
 * Nets are decomposed into two-pin connections with a Prim MST over
-  their pin tiles.
+  their pin tiles.  All nets are decomposed in one batched pass
+  (:func:`repro.routing.topology.batched_mst_connections`): Prim runs in
+  lockstep over the nets that have the same number of unique tiles.
 * Short connections use *short* wires, long connections *global* wires —
   mirroring the two congestion classes of the contest metric.  A global
   wire spans several tiles, so each boundary crossing consumes
   ``1/GLOBAL_SPAN`` of a global track.
 * Each iteration routes **all** connections against a congestion cost
   snapshot using 1- and 2-bend pattern candidates (costs are O(1) per
-  candidate via prefix sums), then rebuilds usage and raises PathFinder
-  history costs on overused edges.  Iterating this batch scheme is the
-  negotiated-congestion loop; the number of iterations needed to clear
-  (or the residual overuse at the cap) measures how routable the
-  placement is.
+  candidate via prefix sums), then rebuilds usage (one ``bincount`` of
+  run ends per orientation into a difference array) and raises
+  PathFinder history costs on overused edges.  Iterating this batch
+  scheme is the negotiated-congestion loop; the number of iterations
+  needed to clear (or the residual overuse at the cap) measures how
+  routable the placement is.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ def _net_connections(
     default).  Returns an ``(M, 4)`` int array of ``(x0, y0, x1, y1)``
     tile endpoints with zero-length connections removed.
     """
-    from .topology import decompose_net
+    from .topology import batched_mst_connections, decompose_net
 
     device = design.device
     tx = np.clip(
@@ -117,23 +120,23 @@ def _net_connections(
         (design.y / device.height * grid_h).astype(np.int64), 0, grid_h - 1
     )
 
-    pieces: list[np.ndarray] = []
-    order = np.argsort(design.pin_net, kind="stable")
-    sorted_nets = design.pin_net[order]
-    sorted_inst = design.pin_inst[order]
-    boundaries = np.searchsorted(
-        sorted_nets, np.arange(design.num_nets + 1)
-    )
-    for net in range(design.num_nets):
-        lo, hi = boundaries[net], boundaries[net + 1]
-        insts = sorted_inst[lo:hi]
-        pts = np.stack([tx[insts], ty[insts]], axis=1)
-        conns = decompose_net(pts, mode=decomposition)
-        if conns.size:
-            pieces.append(conns)
-    if not pieces:
-        return np.zeros((0, 4), dtype=np.int64)
-    arr = np.concatenate(pieces, axis=0)
+    if decomposition == "mst":
+        pts = np.stack([tx[design.pin_inst], ty[design.pin_inst]], axis=1)
+        arr = batched_mst_connections(design.pin_net, pts)
+    else:
+        pieces: list[np.ndarray] = [np.zeros((0, 4), dtype=np.int64)]
+        order = np.argsort(design.pin_net, kind="stable")
+        sorted_nets = design.pin_net[order]
+        sorted_inst = design.pin_inst[order]
+        boundaries = np.searchsorted(
+            sorted_nets, np.arange(design.num_nets + 1)
+        )
+        for net in range(design.num_nets):
+            lo, hi = boundaries[net], boundaries[net + 1]
+            insts = sorted_inst[lo:hi]
+            pts = np.stack([tx[insts], ty[insts]], axis=1)
+            pieces.append(decompose_net(pts, mode=decomposition))
+        arr = np.concatenate(pieces, axis=0)
     keep = (arr[:, 0] != arr[:, 2]) | (arr[:, 1] != arr[:, 3])
     return arr[keep]
 
@@ -160,6 +163,66 @@ def _pattern_path(
     for a, b in zip(waypoints[:-1], waypoints[1:]):
         path.extend(straight(a, b)[1:])
     return path
+
+
+def _run_diff(
+    runs: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    shape: tuple[int, int],
+    demand_unit: float,
+    axis: int,
+) -> np.ndarray:
+    """Difference array of straight wire runs along ``axis``.
+
+    Each run ``(a, b, at, mask)`` spans ``min(a, b)..max(a, b)`` along
+    ``axis`` at index ``at`` across it, for the connections in ``mask``:
+    ``+demand_unit`` lands at its low end, ``-demand_unit`` at its high
+    end.  One ``bincount`` adds them in run order, low ends before high
+    ends, as a ``np.add.at`` pair per run would.
+    """
+    flat, weights = [], []
+    for a, b, at, mask in runs:
+        lo = np.minimum(a, b)[mask]
+        hi = np.maximum(a, b)[mask]
+        at = at[mask]
+        for end, sign in ((lo, 1.0), (hi, -1.0)):
+            cell = end * shape[1] + at if axis == 0 else at * shape[1] + end
+            flat.append(cell)
+            weights.append(np.full(cell.size, sign * demand_unit))
+    return np.bincount(
+        np.concatenate(flat),
+        weights=np.concatenate(weights),
+        minlength=shape[0] * shape[1],
+    ).reshape(shape)
+
+
+def _pattern_usage(
+    conns: np.ndarray,
+    kind: np.ndarray,
+    bend: np.ndarray,
+    gw: int,
+    gh: int,
+    demand_unit: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary usage ``(h_use, v_use)`` of connections routed as patterns.
+
+    ``kind`` is 0 for HVH (bend column ``bend``) and 1 for VHV (bend row
+    ``bend``).  Each pattern is three straight runs; their ends go into
+    one difference array per orientation, whose prefix sum is the usage.
+    """
+    x0, y0, x1, y1 = conns.T
+    hvh = kind == 0
+    vhv = ~hvh
+    h_diff = _run_diff(
+        [(x0, bend, y0, hvh), (bend, x1, y1, hvh), (x0, x1, bend, vhv)],
+        (gw + 1, gh), demand_unit, axis=0,
+    )
+    v_diff = _run_diff(
+        [(y0, y1, bend, hvh), (y0, bend, x0, vhv), (bend, y1, x1, vhv)],
+        (gw, gh + 1), demand_unit, axis=1,
+    )
+    h_use = np.cumsum(h_diff, axis=0)[: gw - 1, :]
+    v_use = np.cumsum(v_diff, axis=1)[:, : gh - 1]
+    return h_use, v_use
 
 
 class GlobalRouter:
@@ -272,35 +335,9 @@ class GlobalRouter:
                 best_kind = np.where(better, 1, best_kind)
                 best_bend = np.where(better, ym, best_bend)
 
-            # Rebuild usage from the chosen patterns via difference arrays.
-            h_diff = np.zeros((gw + 1, gh))
-            v_diff = np.zeros((gw, gh + 1))
-            hvh = best_kind == 0
-            vhv = ~hvh
-
-            def add_h_runs(xa, xb, yy, mask):
-                lo = np.minimum(xa, xb)[mask]
-                hi = np.maximum(xa, xb)[mask]
-                rows = yy[mask]
-                np.add.at(h_diff, (lo, rows), demand_unit)
-                np.add.at(h_diff, (hi, rows), -demand_unit)
-
-            def add_v_runs(xx, ya, yb, mask):
-                lo = np.minimum(ya, yb)[mask]
-                hi = np.maximum(ya, yb)[mask]
-                cols = xx[mask]
-                np.add.at(v_diff, (cols, lo), demand_unit)
-                np.add.at(v_diff, (cols, hi), -demand_unit)
-
-            add_h_runs(x0, best_bend, y0, hvh)
-            add_v_runs(best_bend, y0, y1, hvh)
-            add_h_runs(best_bend, x1, y1, hvh)
-            add_v_runs(x0, y0, best_bend, vhv)
-            add_h_runs(x0, x1, best_bend, vhv)
-            add_v_runs(x1, best_bend, y1, vhv)
-
-            h_use = np.cumsum(h_diff, axis=0)[: gw - 1, :]
-            v_use = np.cumsum(v_diff, axis=1)[:, : gh - 1]
+            h_use, v_use = _pattern_usage(
+                conns, best_kind, best_bend, gw, gh, demand_unit
+            )
 
             total_overuse = float(
                 np.maximum(0.0, h_use - cap).sum()

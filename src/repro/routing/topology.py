@@ -7,6 +7,10 @@ with a vertical branch per pin), which inserts Steiner points and often
 shortens wide nets.  ``decompose_net(pts, mode="best")`` evaluates both
 and keeps the shorter — a lightweight stand-in for FLUTE-style RSMT
 construction.
+
+``batched_mst_connections`` builds the MSTs of every net of a design in
+one pass (Prim in lockstep over all nets with the same number of unique
+tiles) and returns exactly what ``mst_connections`` gives net by net.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "mst_connections",
+    "batched_mst_connections",
     "trunk_steiner_connections",
     "connections_length",
     "decompose_net",
@@ -55,6 +60,66 @@ def mst_connections(pts: np.ndarray) -> np.ndarray:
         dist = np.where(closer, nd, dist)
         parent = np.where(closer, nxt, parent)
     return np.asarray(conns, dtype=np.int64)
+
+
+def _prim_lockstep(pts: np.ndarray) -> np.ndarray:
+    """Prim MSTs of ``G`` point sets of equal size ``k``, stepped together.
+
+    ``pts`` is ``(G, k, 2)`` with unique rows per set.  Every set follows
+    the exact steps of :func:`mst_connections` (``argmin`` keeps its
+    first-index tie-break), so ``out[g]`` equals its edge array.
+    """
+    g, k, _ = pts.shape
+    rows = np.arange(g)
+    xs, ys = pts[:, :, 0], pts[:, :, 1]
+    in_tree = np.zeros((g, k), dtype=bool)
+    in_tree[:, 0] = True
+    dist = np.abs(xs - xs[:, :1]) + np.abs(ys - ys[:, :1])
+    parent = np.zeros((g, k), dtype=np.int64)
+    out = np.empty((g, k - 1, 4), dtype=np.int64)
+    for step in range(k - 1):
+        masked = np.where(in_tree, np.iinfo(np.int64).max, dist)
+        nxt = np.argmin(masked, axis=1)
+        in_tree[rows, nxt] = True
+        p = parent[rows, nxt]
+        nx, ny = xs[rows, nxt], ys[rows, nxt]
+        out[:, step] = np.stack([xs[rows, p], ys[rows, p], nx, ny], axis=1)
+        nd = np.abs(xs - nx[:, None]) + np.abs(ys - ny[:, None])
+        closer = nd < dist
+        dist = np.where(closer, nd, dist)
+        parent = np.where(closer, nxt[:, None], parent)
+    return out
+
+
+def batched_mst_connections(net: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Prim MSTs of all nets at once.
+
+    ``net[i]`` is the net of pin ``i`` and ``pts[i]`` its tile.  Returns
+    the ``mst_connections`` edges of every net, concatenated in ascending
+    net order: the same array, row order included, as the per-net loop.
+    One ``lexsort`` over ``(net, x, y)`` with repeated rows dropped does
+    every net's ``np.unique(axis=0)``; nets with the same number of
+    unique tiles then run :func:`_prim_lockstep` together.
+    """
+    net = np.asarray(net, dtype=np.int64)
+    pts = np.asarray(pts, dtype=np.int64)
+    if net.size == 0:
+        return np.zeros((0, 4), dtype=np.int64)
+    order = np.lexsort((pts[:, 1], pts[:, 0], net))
+    net, pts = net[order], pts[order]
+    fresh = np.ones(net.size, dtype=bool)
+    fresh[1:] = (net[1:] != net[:-1]) | np.any(pts[1:] != pts[:-1], axis=1)
+    net, pts = net[fresh], pts[fresh]
+
+    starts = np.flatnonzero(np.r_[True, net[1:] != net[:-1]])
+    sizes = np.diff(np.r_[starts, net.size])
+    offsets = np.r_[0, np.cumsum(sizes - 1)]
+    out = np.empty((int(offsets[-1]), 4), dtype=np.int64)
+    for k in np.unique(sizes[sizes >= 2]):
+        runs = np.flatnonzero(sizes == k)
+        edges = _prim_lockstep(pts[starts[runs][:, None] + np.arange(k)])
+        out[offsets[runs][:, None] + np.arange(k - 1)] = edges
+    return out
 
 
 def trunk_steiner_connections(pts: np.ndarray) -> np.ndarray:

@@ -70,6 +70,21 @@ class TestDesignConstruction:
                 regions=[RegionConstraint(0, 0, 4, 4, frozenset({9}))],
             )
 
+    @pytest.mark.parametrize("idx", (-1, -2))
+    def test_negative_constraint_index_rejected(self, tiny_device, idx):
+        # A negative index would otherwise alias instance n + idx.
+        instances = [Instance("a", ResourceType.DSP), Instance("b", ResourceType.DSP)]
+        with pytest.raises(ValueError, match="cascade references a nonexistent"):
+            Design(
+                "bad", tiny_device, instances, [Net((0, 1))],
+                cascades=[CascadeShape((0, idx))],
+            )
+        with pytest.raises(ValueError, match="region references a nonexistent"):
+            Design(
+                "bad", tiny_device, instances, [Net((0, 1))],
+                regions=[RegionConstraint(0, 0, 4, 4, frozenset({idx}))],
+            )
+
 
 class TestPlacementState:
     def test_set_placement_clips_to_device(self, manual_design):

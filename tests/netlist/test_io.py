@@ -130,6 +130,18 @@ class TestErrors:
         with pytest.raises(ValueError, match=rf"\.netlist:\d+: PLACE index {idx} "):
             load_design(p)
 
+    @pytest.mark.parametrize(
+        "record", ("REGION 0 0 4 4 -3", "CASCADE {macro} -1"), ids=("region", "cascade")
+    )
+    def test_negative_constraint_index_rejected(self, tmp_path, tiny_design, record):
+        # Loaded as-is, -3 would put instance n-3 into the region.
+        record = record.format(macro=tiny_design.macro_indices()[0])
+        p = tmp_path / "design.netlist"
+        save_design(tiny_design, p)
+        p.write_text(p.read_text().replace("\nEND\n", f"\n{record}\nEND\n"))
+        with pytest.raises(ValueError, match="references a nonexistent instance"):
+            load_design(p)
+
     def test_comments_and_blanks_ignored(self, tmp_path, tiny_design):
         p = tmp_path / "design.netlist"
         save_design(tiny_design, p)

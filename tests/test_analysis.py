@@ -1,5 +1,10 @@
 """Analysis utilities: correlation, forward selection, report export."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +22,18 @@ def _correlated_stack(rng, grid=16):
     features = rng.uniform(0, 1, size=(2, 6, grid, grid))
     labels = np.clip((features[:, 3] * 7).round(), 0, 7)
     return features, labels
+
+
+def test_import_repro_leaves_scipy_stats_unloaded():
+    """``spearmanr`` imports scipy.stats on first use, not at import time."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, repro; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestCorrelation:

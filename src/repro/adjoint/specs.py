@@ -477,6 +477,17 @@ def _(rng):
     return lambda a: F.log_softmax(a, axis=0), (_n(rng, 4, 3),)
 
 
+@_case("position_attention/d1-c1", "position_attention", "position_attention")
+def _(rng):
+    # d = 1: the rank-1 (broadcast outer product) energy path.
+    return F.position_attention, (_n(rng, 2, 1, 7), _n(rng, 2, 1, 7), _n(rng, 2, 1, 7))
+
+
+@_case("position_attention/d3-c2", "position_attention", "position_attention")
+def _(rng):
+    return F.position_attention, (_n(rng, 2, 3, 6), _n(rng, 2, 3, 6), _n(rng, 2, 2, 6))
+
+
 @_case("batch_norm/training", "batch_norm", "batch_norm", scale=100.0)
 def _(rng):
     rm, rv = np.zeros(3), np.ones(3)

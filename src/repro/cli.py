@@ -265,6 +265,7 @@ def _cmd_train(args) -> int:
     from .models import build_model
     from .netlist import MLCAD2023_SPECS
     from .nn import save_module
+    from .resilience import CheckpointMismatch
     from .train import CongestionDataset, DatasetConfig, TrainConfig, Trainer
 
     if args.resume and not args.checkpoint_dir:
@@ -278,6 +279,11 @@ def _cmd_train(args) -> int:
     )
     specs = [MLCAD2023_SPECS[name] for name in args.designs]
     dataset = CongestionDataset.build(specs, config)
+    if not dataset.train:
+        print(f"error: --placements {args.placements} leaves no training "
+              "samples (each design keeps at least one placement for "
+              "evaluation); use --placements 2 or more", file=sys.stderr)
+        return 2
     model = build_model(args.model, "fast", grid=args.grid)
     trainer = Trainer(
         TrainConfig(epochs=args.epochs, batch_size=8, lr=2e-3,
@@ -287,7 +293,11 @@ def _cmd_train(args) -> int:
                     checkpoint_every=args.checkpoint_every,
                     resume=args.resume)
     )
-    result = trainer.train(model, dataset)
+    try:
+        result = trainer.train(model, dataset)
+    except CheckpointMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     metrics = Trainer.evaluate(model, dataset.eval)
     if result.resumed_from_epoch:
         print(f"resumed from epoch {result.resumed_from_epoch} "

@@ -15,7 +15,10 @@ Three design points worth knowing:
 
 * **Aliasing is modelled.**  Views (transpose, contiguous reshape,
   slicing, ``broadcast_to``) produce zero-byte alias nodes; reshaping a
-  non-contiguous array materializes a copy, exactly as numpy does.
+  non-contiguous array materializes a copy, exactly as numpy does.  An
+  elementwise ufunc whose ``out=`` is one of its own inputs (``x -=
+  m``, ``np.exp(x, out=x)``) is a zero-byte node aliasing that operand,
+  with the vrange and meta the out-of-place op would get.
   This is what makes the memory planner's peak match reality.
 * **Value intervals** propagate through every op (interval arithmetic,
   conservatively widened to ``(-inf, inf)`` when unclear), which is what
@@ -314,15 +317,24 @@ class SymbolicArray:
             raise TraceError(
                 f"ufunc method {ufunc.__name__}.{method} is not supported in tracing"
             )
-        if kwargs.get("out") is not None:
-            raise TraceError("out= is not supported on symbolic arrays")
         handler = _UFUNCS.get(ufunc)
         if handler is None:
             raise TraceError(
                 f"ufunc {ufunc.__name__!r} has no symbolic rule; add one in "
                 "repro.ir.symbolic"
             )
-        return handler(_session_of(inputs), inputs)
+        out = kwargs.get("out")
+        if out is None:
+            return handler(_session_of(inputs), inputs)
+        # In place: ``out=`` naming one of the call's own inputs writes
+        # over that operand, so the result aliases its buffer.
+        (into,) = out
+        if not any(into is v for v in inputs) or handler is _matmul_handler:
+            raise TraceError(
+                "out= is supported in tracing only for an elementwise ufunc "
+                "writing over one of its own inputs"
+            )
+        return handler(into.sess, inputs, into=into)
 
     # -- function protocol -----------------------------------------------------
 
@@ -345,6 +357,9 @@ class SymbolicArray:
 
     def __sub__(self, other):
         return np.subtract(self, other)
+
+    def __isub__(self, other):
+        return np.subtract(self, other, out=(self,))
 
     def __rsub__(self, other):
         return np.subtract(other, self)
@@ -529,10 +544,19 @@ def _slice_shape(shape: tuple[int, ...], index) -> tuple[int, ...]:
 
 
 def _elementwise(op: str, rng_fn: Callable | None, *, boolean: bool = False):
-    def handler(sess, inputs):
+    def handler(sess, inputs, into: SymbolicArray | None = None):
         _, dtype_args, vranges = _operands(sess, inputs)
         shape = np.broadcast_shapes(*(_shape_of(v) for v in inputs))
         dtype = np.dtype(bool) if boolean else np.result_type(*dtype_args)
+        alias_of, contiguous = None, True
+        if into is not None:
+            if shape != into.shape:
+                raise TraceError(
+                    f"in-place {op} result {shape} does not fit its output "
+                    f"{into.shape}"
+                )
+            dtype, contiguous = into.dtype, into.contiguous
+            alias_of = sess.graph.buffer_of(into.node_id)
         vrange = (0.0, 1.0) if boolean else rng_fn(*vranges)
         sym = next(v for v in inputs if isinstance(v, SymbolicArray))
         meta = None
@@ -545,7 +569,7 @@ def _elementwise(op: str, rng_fn: Callable | None, *, boolean: bool = False):
         return sym._emit(
             op, inputs, shape, dtype,
             flops=int(np.prod(shape)) if shape else 1,
-            vrange=vrange, meta=meta,
+            alias_of=alias_of, contiguous=contiguous, vrange=vrange, meta=meta,
         )
 
     return handler

@@ -28,7 +28,7 @@ class CongestionModel(nn.Module):
         """Softmax level probabilities, ``(N, 8, H, W)``."""
         self.eval()
         with nn.no_grad():
-            logits = self(Tensor(np.asarray(features, dtype=np.float64)))
+            logits = self(Tensor(features))
             return F.softmax(logits, axis=1).data
 
     def predict_levels(self, features: np.ndarray) -> np.ndarray:

@@ -14,6 +14,12 @@ original channel count with a final convolution, wrapped in a residual
 connection.  (The paper's Eq. 4/6 subscripts contain typos; we implement
 the canonical DANet formulation — see DESIGN.md §5.)
 
+PAM's attention product is one autograd primitive,
+:func:`repro.nn.functional.position_attention`, with a hand-written vjp:
+the formulation (``S = softmax(BᵀC)``, output ``D·Sᵀ``) is DANet's,
+unchanged, but the ``L × L`` attention is built in place and backward
+never forms an ``L × L`` gradient.
+
 For large feature maps the full ``L × L`` spatial attention matrix
 (``L = H·W``) is quadratic in memory; PAM therefore optionally pools its
 key/query/value maps so ``L`` stays below ``max_tokens``, matching how
@@ -63,13 +69,11 @@ class PositionAttention(nn.Module):
         tokens = ah * aw
 
         # B, C, D of Eqs. 4–5.
-        q = self.query_conv(att_in).reshape(n, -1, tokens).transpose((0, 2, 1))
+        q = self.query_conv(att_in).reshape(n, -1, tokens)
         k = self.key_conv(att_in).reshape(n, -1, tokens)
         v = self.value_conv(att_in).reshape(n, c, tokens)
 
-        energy = q @ k  # (n, L, L): influence of position i on position j
-        attention = F.softmax(energy, axis=-1)
-        out = v @ attention.transpose((0, 2, 1))  # Eq. 5: D · P^T
+        out = F.position_attention(q, k, v)  # Eq. 5: D · softmax(BᵀC)ᵀ
         out = out.reshape(n, c, ah, aw)
         if factor > 1:
             out = F.upsample_nearest(out, factor)

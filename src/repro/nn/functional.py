@@ -2,11 +2,11 @@
 
 These are the image-shaped primitives the paper's models need —
 2-D convolution (via im2col), max pooling, nearest-neighbour
-upsampling, zero padding, softmax/log-softmax and normalization — built
-on :class:`repro.nn.tensor.Tensor`.  Each op installs an explicit
-backward closure rather than composing scalar autograd primitives, which
-keeps numpy training tractable at the grid sizes used by the benchmark
-harness.
+upsampling, zero padding, softmax/log-softmax, position attention and
+normalization — built on :class:`repro.nn.tensor.Tensor`.  Each op
+installs an explicit backward closure rather than composing scalar
+autograd primitives, which keeps numpy training tractable at the grid
+sizes used by the benchmark harness.
 
 All image tensors follow the NCHW convention used throughout the paper
 (Fig. 5 reports shapes as ``[channels, height, width]``).
@@ -29,6 +29,7 @@ __all__ = [
     "upsample_nearest",
     "softmax",
     "log_softmax",
+    "position_attention",
     "batch_norm",
     "layer_norm",
     "dropout",
@@ -304,6 +305,61 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         x._accumulate(out_data * (g - dot))
 
     return Tensor._make(out_data, (x,), backward)
+
+
+def position_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """DANet position attention (Eqs. 4–5): ``v · softmax(qᵀk)ᵀ``.
+
+    ``q`` and ``k`` are ``(N, d, L)`` queries and keys, ``v`` is the
+    ``(N, c, L)`` value map; the result is ``(N, c, L)`` with
+    ``out[:, :, i] = Σ_j P_ij v[:, :, j]`` and ``P = softmax_j(qᵢ·kⱼ)``.
+
+    One primitive instead of matmul → softmax → transpose → matmul: the
+    ``L × L`` attention is built in place (unnormalized ``X = exp(E -
+    max E)`` plus per-row ``1/ΣX``) and backward uses it only inside
+    matmuls, so no ``L × L`` gradient is ever formed.  With ``G`` the
+    output gradient and ``r_i = Σ_c G_ci out_ci`` the softmax row dot,
+    ``dE_ij = P_ij (Σ_c G_ci v_cj − r_i)``, which contracts as
+
+    * ``dv = (G / ΣX) @ X``;
+    * ``dq = ((Σ_c G_c · X @ (v_c ⊙ k)ᵀ) − r · X @ kᵀ) / ΣX``;
+    * ``dk = Σ_c v_c ⊙ ((q ⊙ G_c / ΣX) @ X) − (q ⊙ r / ΣX) @ X``.
+    """
+    n, d, tokens = q.shape
+    c = v.shape[1]
+    cd = c * d
+    qd, kd, vd = q.data, k.data, v.data
+    if d == 1:
+        # Rank-1 energy: an outer product, which broadcasting builds
+        # without a matmul of inner dimension 1.
+        energy = qd.reshape(n, tokens, 1) * kd
+    else:
+        energy = np.swapaxes(qd, 1, 2) @ kd
+    energy -= energy.max(axis=-1, keepdims=True)
+    x = np.exp(energy, out=energy)
+    inv = 1 / x.sum(axis=-1)
+    out_data = (vd @ np.swapaxes(x, 1, 2)) * inv.reshape(n, 1, tokens)
+
+    def backward(out: Tensor) -> None:
+        g = out.grad
+        g_inv = g * inv[:, None, :]  # (N, c, L)
+        r_inv = (g * out.data).sum(axis=1) * inv  # (N, L)
+        # dq: one right-multiply of X by [v_c ⊙ k_a ; k_a]ᵀ.
+        vk = (vd[:, :, None, :] * kd[:, None, :, :]).reshape(n, cd, tokens)
+        m = x @ np.swapaxes(np.concatenate([vk, kd], axis=1), 1, 2)
+        dq = np.einsum("nci,nica->nai", g_inv, m[:, :, :cd].reshape(n, tokens, c, d))
+        dq -= r_inv[:, None, :] * np.swapaxes(m[:, :, cd:], 1, 2)
+        # dv and dk: one left-multiply of X by
+        # [G / ΣX ; q_a ⊙ G_c / ΣX ; q_a ⊙ r / ΣX].
+        qg = (qd[:, None, :, :] * g_inv[:, :, None, :]).reshape(n, cd, tokens)
+        left = np.concatenate([g_inv, qg, qd * r_inv[:, None, :]], axis=1) @ x
+        dk = np.einsum("ncj,ncaj->naj", vd, left[:, c : c + cd].reshape(n, c, d, tokens))
+        dk -= left[:, c + cd :]
+        q._accumulate(dq)
+        k._accumulate(dk)
+        v._accumulate(left[:, :c])
+
+    return Tensor._make(out_data, (q, k, v), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

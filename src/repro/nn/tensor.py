@@ -241,8 +241,13 @@ class Tensor:
         if _ACCUM_HOOK is not None:
             _ACCUM_HOOK(self, grad)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # One copy in self.data's dtype and layout, never the caller's
+            # array: vjps hand over views of another tensor's grad
+            # (reshape, pad2d), which later accumulations must not write.
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, grad)
+        else:
+            self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor through the recorded graph.

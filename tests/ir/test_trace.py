@@ -107,3 +107,39 @@ class TestTraceHygiene:
         graph = trace(Linear(5, 7, rng=np.random.default_rng(0)), (4, 5))
         names = [n.name for n in graph if n.kind == "const"]
         assert len(names) == len(set(names))
+
+
+class TestInPlaceUfuncs:
+    """``x -= m`` and ``np.exp(x, out=x)`` trace as zero-byte aliases."""
+
+    @staticmethod
+    def _input(shape=(2, 5)):
+        sess = TraceSession()
+        node = sess.graph.add(
+            "input", (), shape, np.float64, kind="input", meta={"vrange": (-3.0, 3.0)}
+        )
+        return sess, SymbolicArray(sess, node.id, shape, np.dtype(np.float64))
+
+    def test_stable_softmax_in_place(self):
+        sess, x = self._input()
+        energy = x * 2.0
+        product = energy.node_id
+        energy -= energy.max(axis=-1, keepdims=True)
+        shifted = energy.node
+        e = np.exp(energy, out=energy)
+        total = e.sum(axis=-1)
+        for node in (shifted, e.node):
+            assert node.bytes == 0 and node.flops == 10
+            assert sess.graph.buffer_of(node.id) == product
+        assert shifted.op == "subtract" and shifted.meta["max_shifted"] == (1,)
+        assert shifted.vrange == (-12.0, 0.0)
+        assert e.node.op == "exp" and e.node.meta["unit_max_axes"] == (1,)
+        assert total.vrange[0] >= 1.0  # the stabilization tag reached exp
+
+    def test_out_must_be_an_input(self):
+        _, x = self._input()
+        other = x * 1.0
+        with pytest.raises(TraceError):
+            np.exp(x, out=(other,))
+        with pytest.raises(TraceError):
+            np.matmul(x, x.transpose(), out=(x,))

@@ -92,6 +92,33 @@ class TestCommands:
         assert "--checkpoint-dir" in capsys.readouterr().err
 
 
+    def test_train_resume_under_other_config_is_usage_error(self, tmp_path, capsys):
+        ckpt_dir = tmp_path / "ckpts"
+        base = ["train", "--designs", "Design_120", "--scale", "256",
+                "--grid", "32", "--placements", "2", "--epochs", "1",
+                "--out", str(tmp_path / "model.npz"),
+                "--checkpoint-dir", str(ckpt_dir)]
+        assert main(base + ["--model", "unet"]) == 0
+        capsys.readouterr()
+        rc = main(base + ["--model", "pgnn", "--resume"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "different configuration" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_train_without_training_samples_is_usage_error(self, tmp_path, capsys):
+        rc = main(
+            ["train", "--designs", "Design_120", "--scale", "256",
+             "--grid", "32", "--placements", "1", "--epochs", "1",
+             "--model", "unet", "--out", str(tmp_path / "m.npz")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--placements" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "m.npz").exists()
+
+
 class TestAnalysisJSONSchemas:
     """Schema snapshots for the machine-readable analysis reports.
 

@@ -1,13 +1,10 @@
-"""Backward-pass IR and gradient verification for :mod:`repro.nn`.
+"""Gradient verification for :mod:`repro.nn`.
 
 The fourth leg of the correctness tooling (after :mod:`repro.lint`,
 the runtime sanitizers and the forward symbolic IR of :mod:`repro.ir`):
-capture the *backward* pass itself and verify it three independent
+observe the *backward* pass itself and verify it two independent
 ways —
 
-* :mod:`repro.adjoint.graph` — reverse the tape recorded by
-  :func:`repro.ir.trace.trace_tape` into an adjoint SSA graph with
-  per-op vjp attribution and primal↔adjoint links;
 * :mod:`repro.adjoint.capture` / :mod:`repro.adjoint.contracts` —
   observe a real forward+backward and audit every accumulation against
   the vjp contract (REPRO201–203: adjoint shape/dtype, broadcast
@@ -15,34 +12,20 @@ ways —
 * :mod:`repro.adjoint.gradcheck` / :mod:`repro.adjoint.specs` — a
   randomized central-difference derivative audit per primitive op kind,
   with a principled float64 tolerance model and dedicated kink-point
-  probes for subgradient ops (REPRO204);
-* :mod:`repro.adjoint.flow` — gradient-flow interval analysis over the
-  adjoint graph: provably vanishing/exploding parameter gradients, dead
-  ReLUs / saturated sigmoids, detached parameters (REPRO205–207);
-* :mod:`repro.adjoint.memory` — forward+backward peak-memory planning
-  (tape retention, gradient buffers, backward transients).
+  probes for subgradient ops (REPRO204).
 
-Entry points: ``repro gradcheck <model|all>`` and ``repro analyze
---backward`` on the command line, :func:`audit_model` /
-:func:`audit_registry` in code.  Findings share the diagnostic format,
-rule-code namespace (:mod:`repro.diagnostics`) and ``# noqa``
-suppression of :mod:`repro.lint` and :mod:`repro.ir`.
+Entry points: ``repro gradcheck <model|all|ops>`` on the command line,
+:func:`audit_model` / :func:`audit_registry` in code.  Findings share
+the diagnostic format, rule-code namespace (:mod:`repro.diagnostics`)
+and ``# noqa`` suppression of :mod:`repro.lint` and :mod:`repro.ir`.
 """
 
 from repro.diagnostics import codes_for
 
 from .capture import AccumEvent, OpRecord, capture_tape
 from .contracts import check_contracts
-from .flow import (
-    EXPLODE_BOUND,
-    SATURATION_BOUND,
-    VANISH_BOUND,
-    flow_analysis,
-)
 from .gradcheck import fd_tolerance, gradcheck_case, run_gradcheck, run_kink_probes
-from .graph import AdjointGraph, AdjointNode, build_adjoint_graph
-from .memory import plan_training_memory
-from .report import SCHEMA, audit_model, audit_registry, backward_section
+from .report import SCHEMA, audit_model, audit_registry
 from .specs import CASES, UNCOVERED, Case, cases_for, covered_targets, op_kinds
 
 #: rule code -> message, sourced from the central registry.
@@ -51,29 +34,20 @@ ADJOINT_RULES = codes_for("adjoint")
 __all__ = [
     "ADJOINT_RULES",
     "AccumEvent",
-    "AdjointGraph",
-    "AdjointNode",
     "CASES",
     "Case",
-    "EXPLODE_BOUND",
     "OpRecord",
-    "SATURATION_BOUND",
     "SCHEMA",
     "UNCOVERED",
-    "VANISH_BOUND",
     "audit_model",
     "audit_registry",
-    "backward_section",
-    "build_adjoint_graph",
     "capture_tape",
     "cases_for",
     "check_contracts",
     "covered_targets",
     "fd_tolerance",
-    "flow_analysis",
     "gradcheck_case",
     "op_kinds",
-    "plan_training_memory",
     "run_gradcheck",
     "run_kink_probes",
 ]

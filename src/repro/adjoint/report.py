@@ -8,13 +8,6 @@
 2. **Derivative audit** — the central-difference harness
    (:mod:`repro.adjoint.gradcheck`), restricted to the op kinds the
    model actually recorded (REPRO202/204).
-3. **Adjoint-graph analyses** — a symbolic ``trace_tape``, the adjoint
-   SSA graph, gradient-flow interval analysis (REPRO205–207) and the
-   forward+backward training-memory plan.
-
-``backward_section`` is the symbolic half alone; ``repro analyze
---backward`` embeds it into ``repro.ir/v1`` reports so the shared
-baseline checker can pin backward invariants too.
 """
 
 from __future__ import annotations
@@ -23,44 +16,15 @@ import numpy as np
 
 from repro.diagnostics import is_blocking
 from repro.ir.report import serialize_finding
-from repro.ir.trace import trace_tape
 from repro.nn.tensor import Tensor
 
 from .capture import capture_tape
 from .contracts import check_contracts
-from .flow import flow_analysis
-from .graph import build_adjoint_graph
 from .gradcheck import run_gradcheck
-from .memory import plan_training_memory
 
-__all__ = ["SCHEMA", "audit_model", "audit_registry", "backward_section"]
+__all__ = ["SCHEMA", "audit_model", "audit_registry"]
 
 SCHEMA = "repro.adjoint/v1"
-
-
-def backward_section(
-    model_name: str, *, preset: str = "fast", grid: int = 64, batch: int = 1
-) -> dict:
-    """Symbolic backward analyses for one registry model (JSON-ready)."""
-    from repro.models.registry import build_model
-
-    model = build_model(model_name, preset=preset, grid=grid)
-    graph, tape = trace_tape(
-        model, (batch, 6, grid, grid), input_vrange=(0.0, 1.0), name=model_name
-    )
-    adjoint = build_adjoint_graph(graph, tape)
-    flow = flow_analysis(graph, tape, adjoint)
-    memory = plan_training_memory(graph, tape)
-    return {
-        "tape_entries": len(tape),
-        "adjoint_nodes": flow["adjoint_nodes"],
-        "adjoint_counts": flow["adjoint_counts"],
-        "params_total": flow["params_total"],
-        "params_connected": flow["params_connected"],
-        "memory": memory,
-        "findings": [serialize_finding(f) for f in flow["findings"]],
-        "failures": [str(f) for f in flow["findings"] if is_blocking(f.code)],
-    }
 
 
 def audit_model(
@@ -83,11 +47,9 @@ def audit_model(
     contract_findings = check_contracts(cap.records)
 
     gradcheck = run_gradcheck(cap.ops_used(), seed=seed)
-    backward = backward_section(model_name, preset=preset, grid=grid, batch=batch)
 
     findings = list(contract_findings) + list(gradcheck["findings"])
     failures = [str(f) for f in findings if is_blocking(f.code)]
-    failures.extend(backward["failures"])
     return {
         "schema": SCHEMA,
         "model": model_name,
@@ -107,7 +69,6 @@ def audit_model(
             "case_results": gradcheck["cases"],
             "findings": [serialize_finding(f) for f in gradcheck["findings"]],
         },
-        "backward": backward,
         "failures": failures,
     }
 

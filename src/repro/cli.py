@@ -15,12 +15,10 @@ combined JSON report (``repro.check/v1``) whose ``--update-baselines``
 atomically refreshes every ``benchmarks/*_baseline.json`` instead:
 
 * ``lint``   — static autograd lint + ShapeTracer model validation.
-* ``analyze`` — symbolic-IR static analysis: memory plan, FLOP cost,
-  stability + determinism audit (see repro.ir); ``--backward`` adds the
-  adjoint-graph/gradient-flow/training-memory section (repro.adjoint).
-* ``gradcheck`` — gradient audit: vjp contract capture, randomized
-  central-difference derivative checks, gradient-flow analysis
-  (see repro.adjoint).
+* ``analyze`` — symbolic-IR static analysis: FLOP cost, stability +
+  determinism audit (see repro.ir).
+* ``gradcheck`` — gradient audit: vjp contract capture and randomized
+  central-difference derivative checks (see repro.adjoint).
 
 Every analysis command reports through one exit-code contract (the
 table lives in ``docs/API.md``): 0 = clean, 1 = blocking findings,
@@ -190,11 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", action="store_true",
                        help="print one combined repro.check/v1 report")
     check.add_argument(
-        "--fail-on", default="blocking", choices=("advisory", "blocking"),
-        help="failure threshold: 'blocking' (default, current behavior) "
-        "or 'advisory' to also fail when non-blocking findings appear",
-    )
-    check.add_argument(
         "--update-baselines", action="store_true",
         help="refresh every benchmarks/*_baseline.json atomically with "
         "the CI-pinned configurations (all land, or none do), then exit",
@@ -299,6 +292,10 @@ def _cmd_train(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     metrics = Trainer.evaluate(model, dataset.eval)
+    if result.quarantined:
+        print(f"warning: quarantined {len(result.quarantined)} corrupt "
+              f"checkpoint bundle(s) in {args.checkpoint_dir}; training from "
+              f"epoch {result.resumed_from_epoch + 1}", file=sys.stderr)
     if result.resumed_from_epoch:
         print(f"resumed from epoch {result.resumed_from_epoch} "
               f"({args.checkpoint_dir})")
@@ -453,25 +450,19 @@ def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true",
                    help="print the full repro.ir/v1 report bundle")
     p.add_argument("--top", type=_non_negative_int, default=5,
-                   help="rows in the layer/live-range tables (default 5)")
+                   help="rows in the hottest-layer table (default 5)")
     p.add_argument(
         "--no-determinism", action="store_true",
         help="skip the source-level RNG/iteration-order audit",
     )
     p.add_argument(
         "--check-baseline", metavar="PATH", default=None,
-        help="diff FLOPs/peak-memory/node counts against a baseline JSON "
+        help="diff FLOP/parameter/node counts against a baseline JSON "
         "and fail on any drift",
     )
     p.add_argument(
         "--update-baseline", metavar="PATH", default=None,
         help="write the invariant slice of this run to a baseline JSON",
-    )
-    p.add_argument(
-        "--backward", action="store_true",
-        help="also trace the backward tape: adjoint-graph stats, "
-        "gradient-flow findings (REPRO205-207) and the forward+backward "
-        "training-memory plan (see repro.adjoint)",
     )
 
 
@@ -481,50 +472,16 @@ def _mb(nbytes: int) -> str:
 
 def _print_report(report: dict, top: int) -> None:
     cost = report["cost"]
-    mem = report["memory"]
     print(f"{report['model']} (preset={report['preset']}, "
           f"grid={report['grid']}, batch={report['batch']})")
     print(f"  graph: {report['graph']['nodes']} nodes, "
           f"params={cost['param_count']:,} ({_mb(cost['param_bytes'])})")
     print(f"  flops: {cost['total_flops']:,} "
           f"({cost['flops_per_output_pixel']:,}/output px)")
-    print(f"  memory: peak activations {_mb(mem['peak_bytes'])} "
-          f"(+{_mb(mem['persistent_bytes'])} persistent, "
-          f"{mem['activation_buffers']} buffers)")
     print("  hottest layers:")
     for layer in cost["by_layer"][:top]:
         print(f"    {layer['flops']:>15,}  {layer['name']} "
               f"({layer['nodes']} nodes)")
-    print("  fattest live ranges:")
-    for rng in mem["top_liveranges"][:top]:
-        dies = "end" if rng["dies"] is None else f"%{rng['dies']}"
-        print(f"    {_mb(rng['bytes']):>12}  %{rng['node']} {rng['op']} "
-              f"in {rng['scope'] or '<toplevel>'} (dies {dies})")
-    opp = report["opportunities"]
-    print(f"  opportunities: {opp['dead']['dead_nodes']} dead nodes "
-          f"({opp['dead']['dead_flops']:,} flops), "
-          f"{opp['duplicates']['duplicate_groups']} duplicate groups "
-          f"({opp['duplicates']['wasted_flops']:,} wasted flops, "
-          f"{_mb(opp['duplicates']['wasted_bytes'])} wasted)")
-    for finding in opp["findings"]:
-        print(f"    note: {finding['path']}:{finding['line']}: "
-              f"{finding['code']} {finding['message']}")
-    if "backward" in report:
-        back = report["backward"]
-        mem = back["memory"]
-        counts = back["adjoint_counts"]
-        print(f"  backward: {back['tape_entries']} tape entries -> "
-              f"{back['adjoint_nodes']} adjoint nodes "
-              f"(vjp={counts.get('vjp', 0)}, add={counts.get('add', 0)}), "
-              f"{back['params_connected']}/{back['params_total']} params "
-              "connected")
-        print(f"  training memory: peak {_mb(mem['train_peak_bytes'])} at "
-              f"{mem['peak_pos']} (retained at backward "
-              f"{_mb(mem['retained_at_backward_bytes'])}, gradients "
-              f"{_mb(mem['grad_bytes_total'])})")
-        for finding in back["findings"]:
-            print(f"    note: {finding['path']}:{finding['line']}: "
-                  f"{finding['code']} {finding['message']}")
     for failure in report["failures"]:
         print(f"  FAIL: {failure}")
 
@@ -538,7 +495,6 @@ def _cmd_analyze(args) -> int:
     bundle = analyze_registry(
         models, preset=args.preset, grids=grids,
         determinism=not args.no_determinism,
-        backward=args.backward,
     )
 
     failures = _report_failures(bundle)
@@ -566,14 +522,8 @@ def _analyze_gate(args) -> tuple[dict, list[str]]:
 def _analyze_baselines(bench: Path) -> dict[str, dict]:
     from .ir import analyze_registry, baseline_from_reports
 
-    forward = analyze_registry(preset="fast", grids=(64, 256))
-    backward = analyze_registry(
-        preset="fast", grids=(64, 256), determinism=False, backward=True
-    )
-    return {
-        str(bench / "ir_baseline.json"): baseline_from_reports(forward),
-        str(bench / "adjoint_baseline.json"): baseline_from_reports(backward),
-    }
+    bundle = analyze_registry(preset="fast", grids=(64, 256))
+    return {str(bench / "ir_baseline.json"): baseline_from_reports(bundle)}
 
 
 def _gradcheck_args(p: argparse.ArgumentParser) -> None:
@@ -590,8 +540,6 @@ def _gradcheck_args(p: argparse.ArgumentParser) -> None:
 
 
 def _print_gradcheck_report(report: dict) -> None:
-    back = report["backward"]
-    mem = back["memory"]
     print(f"{report['model']} (preset={report['preset']}, "
           f"grid={report['grid']})")
     print(f"  contracts: {report['contracts']['ran']}/"
@@ -600,11 +548,7 @@ def _print_gradcheck_report(report: dict) -> None:
           f"{len(report['contracts']['findings'])} finding(s)")
     print(f"  gradcheck: {report['gradcheck']['cases']} cases, "
           f"{report['gradcheck']['failed']} failed")
-    print(f"  flow: {back['params_connected']}/{back['params_total']} "
-          f"params connected, {len(back['findings'])} finding(s)")
-    print(f"  training memory: peak {_mb(mem['train_peak_bytes'])} at "
-          f"{mem['peak_pos']}")
-    for section in (report["contracts"], report["gradcheck"], back):
+    for section in (report["contracts"], report["gradcheck"]):
         for finding in section["findings"]:
             print(f"    {finding['path']}:{finding['line']}: "
                   f"{finding['code']} {finding['message']}")
@@ -674,7 +618,7 @@ SECTIONS = (
     ),
     Section(
         "analyze",
-        "symbolic-IR static analysis (memory/FLOPs/stability/determinism)",
+        "symbolic-IR static analysis (FLOPs/stability/determinism)",
         _analyze_args, _cmd_analyze, _analyze_gate, _analyze_baselines,
     ),
     Section(
@@ -705,18 +649,6 @@ def _update_all_baselines() -> int:
     return EXIT_OK
 
 
-def _iter_finding_codes(obj):
-    """Every diagnostic code in a combined report (recursive walk)."""
-    if isinstance(obj, dict):
-        if "code" in obj and "message" in obj and isinstance(obj["code"], str):
-            yield obj["code"]
-        for value in obj.values():
-            yield from _iter_finding_codes(value)
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            yield from _iter_finding_codes(value)
-
-
 def _cmd_check(args) -> int:
     """The unified gate: every section in ``SECTIONS``, one report."""
     if args.update_baselines:
@@ -736,16 +668,6 @@ def _cmd_check(args) -> int:
         failures.extend(found)
     combined["failures"] = failures
 
-    advisories: list[str] = []
-    if args.fail_on == "advisory":
-        from .diagnostics import all_codes
-
-        registered = all_codes()
-        advisories = sorted(
-            code
-            for code in set(_iter_finding_codes(combined))
-            if code in registered and not registered[code].blocking
-        )
     if args.json:
         print(json.dumps(combined, indent=2))
     else:
@@ -756,13 +678,6 @@ def _cmd_check(args) -> int:
     if failures:
         print(f"error: {len(failures)} blocking finding(s) across the gate",
               file=sys.stderr)
-        return EXIT_BLOCKING
-    if advisories:
-        print(
-            f"error: --fail-on advisory: {len(advisories)} advisory "
-            f"code(s) present ({', '.join(advisories)})",
-            file=sys.stderr,
-        )
         return EXIT_BLOCKING
     if not args.json:
         print("check OK")

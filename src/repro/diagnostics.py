@@ -5,7 +5,8 @@ per band: the AST lint rules (:mod:`repro.lint`, ``REPRO0xx``), the
 forward-IR passes (:mod:`repro.ir`, ``REPRO1xx``) and the
 adjoint/backward passes (:mod:`repro.adjoint`, ``REPRO2xx``).  The
 ``REPRO3xx``, ``REPRO4xx``, ``REPRO6xx``, ``REPRO7xx`` and ``REPRO8xx``
-bands are retired and stay unassigned.
+bands are retired and stay unassigned, as do the retired codes 106, 107
+and 205–207.
 Before this registry each component kept its own table, which is
 exactly how two PRs end up assigning the same code to different rules.
 Now every code is declared here,
@@ -16,9 +17,10 @@ are views produced by :func:`codes_for`.
 
 Severity: ``blocking`` findings fail gates (``repro lint`` /
 ``repro analyze`` / ``repro gradcheck`` exit non-zero,
-``build_model(analyze=True)`` raises); non-blocking codes report
-*opportunities* and never fail anything.  Every finding, whatever its
-component, honours ``# noqa: REPROxxx`` suppression on its source line.
+``build_model(analyze=True)`` raises).  Every static code is blocking;
+only runtime incidents (below) can be non-blocking.  Every finding,
+whatever its component, honours ``# noqa: REPROxxx`` suppression on its
+source line.
 
 The orchestration runtime (:mod:`repro.orchestrate`, ``REPRO5xx``) is
 the one component whose codes label *runtime incidents* rather than
@@ -149,18 +151,6 @@ register_code(
     "unordered iteration can leak into numeric results",
     component="ir",
 )
-register_code(
-    "REPRO106",
-    "dead subgraph (computed but unused in inference)",
-    component="ir",
-    blocking=False,
-)
-register_code(
-    "REPRO107",
-    "duplicate subgraph (CSE opportunity)",
-    component="ir",
-    blocking=False,
-)
 
 # Adjoint/backward passes (repro.adjoint) — 2xx.
 register_code(
@@ -181,21 +171,6 @@ register_code(
 register_code(
     "REPRO204",
     "analytic vjp disagrees with central-difference derivative",
-    component="adjoint",
-)
-register_code(
-    "REPRO205",
-    "gradient path provably vanishes or explodes (interval analysis)",
-    component="adjoint",
-)
-register_code(
-    "REPRO206",
-    "dead ReLU / saturated activation blocks all gradient flow",
-    component="adjoint",
-)
-register_code(
-    "REPRO207",
-    "trainable parameter provably disconnected from the loss (detach/no_grad)",
     component="adjoint",
 )
 

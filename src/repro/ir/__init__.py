@@ -5,14 +5,11 @@ rules and runtime sanitizers): run any model's *own* ``forward`` over
 data-free symbolic tensors to obtain a typed SSA graph
 (:mod:`repro.ir.graph`), then analyze it statically —
 
-* :mod:`repro.ir.memory` — liveness/peak activation-memory planner;
 * :mod:`repro.ir.cost` — FLOP/byte cost model with stage/layer rollups;
 * :mod:`repro.ir.stability` — interval-domain numerical-stability
   checks (REPRO101–103);
 * :mod:`repro.ir.determinism` — unseeded-RNG / iteration-order audit of
-  the training+placement call-graph (REPRO104–105);
-* :mod:`repro.ir.dedup` — dead and duplicate subgraph detection
-  (REPRO106–107, reported as optimization opportunities).
+  the training+placement call-graph (REPRO104–105).
 
 Entry points: ``repro analyze <model|all> --grid N --json`` on the
 command line, ``build_model(name, analyze=True)`` in code, and
@@ -23,17 +20,8 @@ suppression of :mod:`repro.lint`.
 
 from .determinism import audit_determinism
 from .graph import Graph, Node
-from .memory import plan_memory
 from .cost import cost_model
-from .dedup import find_dead, find_duplicates
-from .passes import (
-    IR_RULES,
-    OPPORTUNITY_RULES,
-    collect_findings,
-    register_pass,
-    registered_passes,
-    run_passes,
-)
+from .passes import IR_RULES
 from .report import (
     SCHEMA,
     AnalysisError,
@@ -45,30 +33,20 @@ from .report import (
 )
 from .stability import check_stability
 from .symbolic import SymbolicArray, TraceError
-from .trace import TapeEntry, TraceSession, trace, trace_model, trace_tape
+from .trace import TraceSession, trace, trace_model
 
 __all__ = [
     "Graph",
     "Node",
     "SymbolicArray",
-    "TapeEntry",
     "TraceError",
     "TraceSession",
     "trace",
     "trace_model",
-    "trace_tape",
     "IR_RULES",
-    "OPPORTUNITY_RULES",
-    "register_pass",
-    "registered_passes",
-    "run_passes",
-    "collect_findings",
-    "plan_memory",
     "cost_model",
     "check_stability",
     "audit_determinism",
-    "find_dead",
-    "find_duplicates",
     "SCHEMA",
     "AnalysisError",
     "analyze_graph",

@@ -14,7 +14,6 @@ them into a machine-readable summary:
 from __future__ import annotations
 
 from .graph import Graph
-from .passes import register_pass
 
 __all__ = ["cost_model"]
 
@@ -67,8 +66,3 @@ def cost_model(graph: Graph, top_layers: int = 10) -> dict:
         "by_stage": _ranked(by_stage),
         "by_layer": _ranked(by_layer, top_layers),
     }
-
-
-@register_pass("cost")
-def _cost_pass(graph: Graph) -> dict:
-    return cost_model(graph)

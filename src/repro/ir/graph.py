@@ -10,9 +10,8 @@ do a single forward or backward sweep.
 
 Aliasing is explicit: view-producing ops (reshape of a contiguous
 array, transpose, slicing, ``broadcast_to``) carry ``alias_of`` pointing
-at the node that owns the underlying buffer and report ``bytes == 0``;
-the memory planner resolves views onto their buffers when computing
-liveness.
+at the node that owns the underlying buffer and report ``bytes == 0``,
+so byte counts never charge a view for its owner's buffer.
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ class Node:
     scope: str = ""
     src: str = ""
     name: str = ""
-    # Structural attributes (axis, subscripts, pad widths, ...) — part of
-    # the node's identity for CSE hashing, unlike the free-form analysis
-    # annotations in ``meta`` (value ranges, pattern tags).
+    # Structural attributes (axis, subscripts, pad widths, ...), unlike
+    # the free-form analysis annotations in ``meta`` (value ranges,
+    # pattern tags).
     attrs: tuple[tuple[str, Any], ...] = ()
     meta: dict[str, Any] = field(default_factory=dict)
 
@@ -140,18 +139,6 @@ class Graph:
         while node.alias_of is not None:
             node = self.nodes[node.alias_of]
         return node.id
-
-    def users(self) -> dict[int, list[int]]:
-        """Map each node id to the ids of nodes consuming it directly."""
-        out: dict[int, list[int]] = {n.id: [] for n in self.nodes}
-        for node in self.nodes:
-            for i in node.inputs:
-                out[i].append(node.id)
-        return out
-
-    def live_through_end(self) -> set[int]:
-        """Buffer ids that must stay resident when the trace finishes."""
-        return {self.buffer_of(i) for i in self.outputs}
 
     # -- summaries ------------------------------------------------------------
 

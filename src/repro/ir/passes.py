@@ -1,13 +1,11 @@
-"""Analysis-pass framework over the tensor IR.
+"""Shared finding helpers for the IR analyses.
 
-A pass is a function ``pass_fn(graph) -> dict`` (a JSON-ready result)
-registered under a short name with :func:`register_pass`.  Passes that
-detect problems put a list of :class:`repro.lint.rules.LintDiagnostic`
-under the ``"findings"`` key of their result; the framework reuses the
-lint diagnostic format (``path:line:col: CODE message``) and the shared
-``REPROxxx`` code namespace, and honours the same ``# noqa`` comment
-suppression — a finding whose source line carries ``# noqa: REPRO101``
-(or a bare ``# noqa``) is dropped.
+Analyses that detect problems return :class:`repro.lint.rules.LintDiagnostic`
+findings: they reuse the lint diagnostic format
+(``path:line:col: CODE message``) and the shared ``REPROxxx`` code
+namespace, and honour the same ``# noqa`` comment suppression — a
+finding whose source line carries ``# noqa: REPRO101`` (or a bare
+``# noqa``) is dropped by :func:`filter_noqa`.
 
 Rule codes 1xx belong to the IR analyses (the AST lint rules own 0xx):
 
@@ -22,80 +20,23 @@ Rule codes 1xx belong to the IR analyses (the AST lint rules own 0xx):
   generator (AST audit of the training/placement call-graph).
 * ``REPRO105`` — iteration order of an unordered collection (set,
   ``os.listdir``) can leak into numeric results (AST audit).
-* ``REPRO106`` — dead subgraph: computed during the forward but
-  unreachable from any output (optimization opportunity, not an error).
-* ``REPRO107`` — duplicate subgraph: structurally identical computation
-  performed more than once (CSE opportunity, not an error).
 
 Codes and messages are allocated centrally in :mod:`repro.diagnostics`;
-``IR_RULES`` is the ir-component view and ``OPPORTUNITY_RULES`` the
-non-blocking subset.
+``IR_RULES`` is the ir-component view.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable
 
-from repro.diagnostics import all_codes, codes_for
+from repro.diagnostics import codes_for
 from repro.lint.rules import LintDiagnostic, _noqa_lines
 
-from .graph import Graph, Node
+from .graph import Node
 
-__all__ = [
-    "IR_RULES",
-    "OPPORTUNITY_RULES",
-    "register_pass",
-    "run_passes",
-    "registered_passes",
-    "node_finding",
-    "filter_noqa",
-    "collect_findings",
-]
+__all__ = ["IR_RULES", "node_finding", "filter_noqa"]
 
 IR_RULES = codes_for("ir")
-
-# Codes that report *opportunities*: they appear in the report but are
-# never treated as failures by ``repro analyze`` or ``build_model``.
-OPPORTUNITY_RULES = tuple(
-    code
-    for code, spec in all_codes().items()
-    if spec.component == "ir" and not spec.blocking
-)
-
-_PASSES: dict[str, Callable[[Graph], dict]] = {}
-
-
-def register_pass(name: str):
-    """Register an analysis pass under ``name`` (decorator)."""
-
-    def decorator(fn: Callable[[Graph], dict]):
-        if name in _PASSES:
-            raise ValueError(f"pass {name!r} already registered")
-        _PASSES[name] = fn
-        return fn
-
-    return decorator
-
-
-def registered_passes() -> tuple[str, ...]:
-    return tuple(_PASSES)
-
-
-def run_passes(graph: Graph, names: tuple[str, ...] | None = None) -> dict[str, dict]:
-    """Run the named passes (default: all registered) over ``graph``."""
-    selected = names if names is not None else tuple(_PASSES)
-    results: dict[str, dict] = {}
-    for name in selected:
-        if name not in _PASSES:
-            raise KeyError(
-                f"unknown pass {name!r}; registered: {', '.join(_PASSES)}"
-            )
-        result = _PASSES[name](graph)
-        if "findings" in result:
-            result["findings"] = filter_noqa(result["findings"])
-        results[name] = result
-    return results
 
 
 def node_finding(node: Node, code: str, message: str) -> LintDiagnostic:
@@ -135,17 +76,3 @@ def filter_noqa(findings: list[LintDiagnostic]) -> list[LintDiagnostic]:
         kept.append(f)
     return kept
 
-
-def collect_findings(
-    results: dict[str, dict], *, include_opportunities: bool = False
-) -> list[LintDiagnostic]:
-    """All findings across pass results, most severe (non-opportunity) first."""
-    findings: list[LintDiagnostic] = []
-    for result in results.values():
-        findings.extend(result.get("findings", ()))
-    if not include_opportunities:
-        findings = [f for f in findings if f.code not in OPPORTUNITY_RULES]
-    return sorted(
-        findings,
-        key=lambda f: (f.code in OPPORTUNITY_RULES, f.code, f.path, f.line),
-    )

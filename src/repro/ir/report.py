@@ -1,17 +1,16 @@
 """Analysis driver and machine-readable report (schema ``repro.ir/v1``).
 
-``analyze_model`` traces one registry model at one grid, runs every
-registered graph pass plus the source-level determinism audit, and
-assembles a single JSON-serializable report.  ``analyze_registry``
-sweeps models × grids.  ``check_baseline`` diffs the invariant slice of
-a report set (FLOPs, peak activation bytes, parameter/node counts)
+``analyze_model`` traces one registry model at one grid, runs the
+stability check and the cost model over the graph plus the source-level
+determinism audit, and assembles a single JSON-serializable report.
+``analyze_registry`` sweeps models × grids.  ``check_baseline`` diffs
+the invariant slice of a report set (FLOPs, parameter and node counts)
 against a checked-in baseline so CI catches silent cost regressions.
 
-Severity model: stability (``REPRO101``–``103``) and determinism
-(``REPRO104``/``105``) findings are *failures* — ``repro analyze``
-exits non-zero and ``build_model(analyze=True)`` raises
-:class:`AnalysisError`.  Dead/duplicate subgraphs (``REPRO106``/``107``)
-are *opportunities* and never fail anything.
+Severity model: every stability (``REPRO101``–``103``) and determinism
+(``REPRO104``/``105``) finding is a *failure* — ``repro analyze`` exits
+non-zero and ``build_model(analyze=True)`` raises
+:class:`AnalysisError`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,9 @@ from repro.lint.rules import LintDiagnostic
 
 from .determinism import audit_determinism
 from .graph import Graph
-from .passes import OPPORTUNITY_RULES, collect_findings, filter_noqa, run_passes
+from .cost import cost_model
+from .passes import filter_noqa
+from .stability import check_stability
 from .trace import trace_model
 
 __all__ = [
@@ -71,19 +72,12 @@ def serialize_finding(finding: LintDiagnostic) -> dict:
 
 
 def analyze_graph(graph: Graph, *, determinism: bool = True) -> dict:
-    """Run all graph passes (and optionally the source audit) on ``graph``."""
-    results = run_passes(graph)
+    """Run the graph analyses (and optionally the source audit) on ``graph``."""
+    stability = filter_noqa(check_stability(graph)["findings"])
     audit = audit_determinism() if determinism else {"audited_files": 0, "findings": []}
     audit["findings"] = filter_noqa(audit["findings"])
-
-    failures = collect_findings(results) + [
-        f for f in audit["findings"] if f.code not in OPPORTUNITY_RULES
-    ]
-    opportunities = [
-        f
-        for f in collect_findings(results, include_opportunities=True)
-        if f.code in OPPORTUNITY_RULES
-    ]
+    failures = sorted(stability, key=lambda f: (f.code, f.path, f.line))
+    failures += audit["findings"]
 
     return {
         "schema": SCHEMA,
@@ -97,17 +91,11 @@ def analyze_graph(graph: Graph, *, determinism: bool = True) -> dict:
             "counts": graph.counts(),
             "output_shapes": [list(graph[i].shape) for i in graph.outputs],
         },
-        "memory": results["memory"],
-        "cost": results["cost"],
-        "stability": {"findings": [serialize_finding(f) for f in results["stability"]["findings"]]},
+        "cost": cost_model(graph),
+        "stability": {"findings": [serialize_finding(f) for f in stability]},
         "determinism": {
             "audited_files": audit["audited_files"],
             "findings": [serialize_finding(f) for f in audit["findings"]],
-        },
-        "opportunities": {
-            "dead": {k: v for k, v in results["dead"].items() if k != "findings"},
-            "duplicates": {k: v for k, v in results["cse"].items() if k != "findings"},
-            "findings": [serialize_finding(f) for f in opportunities],
         },
         "failures": [str(f) for f in failures],
     }
@@ -120,26 +108,10 @@ def analyze_model(
     grid: int = 64,
     batch: int = 1,
     determinism: bool = True,
-    backward: bool = False,
 ) -> dict:
-    """Trace + analyze one registry model; returns a ``repro.ir/v1`` report.
-
-    With ``backward=True`` the report grows a ``"backward"`` section from
-    :mod:`repro.adjoint`: tape/adjoint-graph statistics, gradient-flow
-    findings (REPRO205–207, blocking ones join ``"failures"``) and the
-    forward+backward training-memory plan.
-    """
+    """Trace + analyze one registry model; returns a ``repro.ir/v1`` report."""
     graph = trace_model(model_name, preset=preset, grid=grid, batch=batch)
-    report = analyze_graph(graph, determinism=determinism)
-    if backward:
-        # Function-level import: repro.adjoint builds on repro.ir.
-        from repro.adjoint.report import backward_section
-
-        report["backward"] = backward_section(
-            model_name, preset=preset, grid=grid, batch=batch
-        )
-        report["failures"].extend(report["backward"]["failures"])
-    return report
+    return analyze_graph(graph, determinism=determinism)
 
 
 def analyze_registry(
@@ -148,7 +120,6 @@ def analyze_registry(
     preset: str = "fast",
     grids: tuple[int, ...] = (64,),
     determinism: bool = True,
-    backward: bool = False,
 ) -> dict:
     """Sweep models × grids.  The source audit runs once (it is per-repo)."""
     from repro.models.registry import MODEL_NAMES
@@ -163,7 +134,6 @@ def analyze_registry(
                     preset=preset,
                     grid=grid,
                     determinism=determinism and i == 0 and j == 0,
-                    backward=backward,
                 )
             )
     return {"schema": SCHEMA, "reports": reports}
@@ -173,34 +143,18 @@ def analyze_registry(
 
 
 def baseline_from_reports(bundle: dict) -> dict:
-    """Reduce a report bundle to the invariant slice CI checks.
-
-    Reports carrying a ``"backward"`` section (``analyze --backward``)
-    contribute the backward invariants too — tape length, adjoint node
-    count and the planned training peak.
-    """
-    entries = []
-    for report in bundle["reports"]:
-        entry = {
+    """Reduce a report bundle to the invariant slice CI checks."""
+    entries = [
+        {
             "model": report["model"],
             "preset": report["preset"],
             "grid": report["grid"],
             "total_flops": report["cost"]["total_flops"],
             "param_count": report["cost"]["param_count"],
-            "peak_bytes": report["memory"]["peak_bytes"],
             "nodes": report["graph"]["nodes"],
         }
-        if "backward" in report:
-            back = report["backward"]
-            entry.update(
-                {
-                    "tape_entries": back["tape_entries"],
-                    "adjoint_nodes": back["adjoint_nodes"],
-                    "train_peak_bytes": back["memory"]["train_peak_bytes"],
-                    "grad_bytes_total": back["memory"]["grad_bytes_total"],
-                }
-            )
-        entries.append(entry)
+        for report in bundle["reports"]
+    ]
     return {"schema": SCHEMA, "entries": entries}
 
 
@@ -216,10 +170,8 @@ def check_baseline(bundle: dict, baseline: dict) -> list[str]:
     """Exact-match diff of the invariant slice; returns mismatch messages.
 
     Records are keyed on (model, preset, grid), and the comparison is
-    driven by the *baseline's* fields, so one checker serves both the
-    forward slice (``benchmarks/ir_baseline.json``) and the
-    forward+backward slice (``benchmarks/adjoint_baseline.json``) — a
-    baseline only pins the numbers it records.
+    driven by the *baseline's* fields: a baseline only pins the numbers
+    it records.
     """
     key = ("model", "preset", "grid")
 
@@ -243,13 +195,7 @@ def check_baseline(bundle: dict, baseline: dict) -> list[str]:
         for field, want in want_by_key[k].items():
             if field in key:
                 continue
-            if field not in got_by_key[k]:
-                problems.append(
-                    f"{name}: baseline pins {field!r} but the report has no "
-                    "such field (re-run with --backward?)"
-                )
-                continue
-            got = got_by_key[k][field]
+            got = got_by_key[k].get(field)
             if got != want:
                 problems.append(
                     f"{name}: {field} changed {_fmt_change(want, got)}"

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .graph import Graph, Node
-from .passes import node_finding, register_pass
+from .passes import node_finding
 
 __all__ = ["check_stability"]
 
@@ -150,8 +150,3 @@ def _excludes_zero(node: Node) -> bool:
     Currently: none needed — kept as the single extension point.
     """
     return False
-
-
-@register_pass("stability")
-def _stability_pass(graph: Graph) -> dict:
-    return check_stability(graph)

@@ -19,7 +19,7 @@ Three design points worth knowing:
   elementwise ufunc whose ``out=`` is one of its own inputs (``x -=
   m``, ``np.exp(x, out=x)``) is a zero-byte node aliasing that operand,
   with the vrange and meta the out-of-place op would get.
-  This is what makes the memory planner's peak match reality.
+  This is what keeps the cost model's byte counts equal to numpy's.
 * **Value intervals** propagate through every op (interval arithmetic,
   conservatively widened to ``(-inf, inf)`` when unclear), which is what
   the numerical-stability passes consume.
@@ -704,8 +704,8 @@ def _f_einsum(subscripts, *operands, **kwargs):
     sym = next(o for o in operands if isinstance(o, SymbolicArray))
     # The optimized einsum path lowers to tensordot/GEMM, which copies
     # any operand whose axes are not already in matrix layout; rank-3+
-    # operands are the ones that get transposed in practice.  The
-    # memory planner accounts for this transient workspace.
+    # operands are the ones that get transposed in practice; the node
+    # records that transient workspace in its meta.
     workspace = sum(
         _shape_bytes(_shape_of(op), d)
         for op, d in zip(operands, dtype_args)

@@ -13,7 +13,7 @@ Tracing conventions:
   trace (and restored after).  The training-mode BatchNorm path updates
   running statistics in place, which has no meaning for a symbolic
   value; eval mode is also what the deployment-oriented analyses
-  (memory planner, cost model) should describe.
+  (cost model, stability pass) should describe.
 * Gradients are disabled (``no_grad``), so no tape is recorded.
 * Parameters and buffers are registered eagerly as ``param``/``buffer``
   nodes.  Any other concrete array the forward touches becomes a
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -39,9 +38,7 @@ import numpy as np
 from repro.nn.module import Module, _set_call_hook
 from repro.nn.tensor import (
     Tensor,
-    _get_tape_hook,
     _register_abstract_array_type,
-    _set_tape_hook,
     get_default_dtype,
     no_grad,
 )
@@ -49,7 +46,7 @@ from repro.nn.tensor import (
 from .graph import Graph
 from .symbolic import SymbolicArray, TraceError
 
-__all__ = ["TapeEntry", "TraceSession", "trace", "trace_model", "trace_tape"]
+__all__ = ["TraceSession", "trace", "trace_model"]
 
 _register_abstract_array_type(SymbolicArray)
 
@@ -172,34 +169,6 @@ class TraceSession:
             self._scope.pop()
 
 
-@dataclass(frozen=True)
-class TapeEntry:
-    """One recorded autograd op: the raw material of the adjoint graph.
-
-    ``out``/``parents`` are node ids into the primal :class:`Graph`;
-    ``captured`` lists every graph buffer the backward closure holds in
-    its cells (the activations the tape *retains* until that closure
-    runs — exactly what forward+backward memory planning needs).
-    ``src`` is the ``path:line`` of the ``def backward`` that will
-    produce this entry's adjoints, so findings anchor to the vjp's own
-    source (and honour ``# noqa`` there).
-    """
-
-    index: int
-    out: int
-    op: str
-    src: str
-    parents: tuple[int, ...]
-    parent_requires_grad: tuple[bool, ...]
-    captured: tuple[int, ...]
-
-
-def _op_of(backward) -> str:
-    """Vjp attribution: ``Tensor.__add__.<locals>.backward`` -> ``__add__``."""
-    qual = backward.__qualname__.split(".<locals>")[0]
-    return qual.split(".")[-1]
-
-
 def _flatten_outputs(out) -> list[Tensor]:
     if isinstance(out, Tensor):
         return [out]
@@ -276,121 +245,6 @@ def trace(
             )
         sess.graph.outputs.append(payload.node_id)
     return sess.graph
-
-
-def trace_tape(
-    module: Module,
-    *input_shapes,
-    dtype=None,
-    input_vrange: tuple[float, float] = UNBOUNDED,
-    name: str = "",
-    input_requires_grad: bool = False,
-) -> tuple[Graph, list[TapeEntry]]:
-    """Trace a *grad-enabled* forward, capturing the backward tape.
-
-    Unlike :func:`trace` this runs with gradients on, so every op that
-    wires the autograd graph also emits a :class:`TapeEntry` (in
-    execution = topological order).  The module still runs in ``eval``
-    mode — the training-mode BatchNorm path mutates running statistics
-    in place, which a symbolic value cannot represent — and the forward
-    graph is identical to the one :func:`trace` produces, so forward
-    analyses and baselines stay comparable.
-
-    Returns the primal graph and the tape; feed both to
-    :func:`repro.adjoint.build_adjoint_graph` /
-    :func:`repro.adjoint.plan_training_memory`.
-    """
-    if not input_shapes:
-        raise ValueError("trace_tape() needs at least one input shape")
-    dtype = np.dtype(dtype if dtype is not None else get_default_dtype())
-    sess = TraceSession()
-    sess.graph.meta.update(
-        {
-            "model": name or type(module).__name__,
-            "input_shapes": [tuple(int(d) for d in s) for s in input_shapes],
-            "dtype": dtype.name,
-        }
-    )
-    sess.register_module(module)
-    entries: list[TapeEntry] = []
-
-    def resolve(payload) -> int | None:
-        if isinstance(payload, Tensor):
-            payload = payload.data
-        if isinstance(payload, SymbolicArray):
-            return payload.node_id
-        if isinstance(payload, np.ndarray):
-            # Concrete operands (params, buffers, coerced scalars) were
-            # registered eagerly; _register_array dedupes by buffer.
-            return sess._register_array(payload, kind="const").id
-        return None
-
-    prev_hook = _get_tape_hook()
-
-    def tape_hook(event, out, parents, backward) -> None:
-        if prev_hook is not None:
-            prev_hook(event, out, parents, backward)
-        if event != "record":
-            return
-        code = backward.__code__
-        captured = []
-        for cell in backward.__closure__ or ():
-            try:
-                value = cell.cell_contents
-            except ValueError:  # pragma: no cover - empty cell
-                continue
-            if isinstance(value, (Tensor, SymbolicArray, np.ndarray)):
-                nid = resolve(value)
-                if nid is not None:
-                    captured.append(nid)
-        entries.append(
-            TapeEntry(
-                index=len(entries),
-                out=resolve(out.data),
-                op=_op_of(backward),
-                src=f"{code.co_filename}:{code.co_firstlineno}",
-                parents=tuple(resolve(p) for p in parents),
-                parent_requires_grad=tuple(p.requires_grad for p in parents),
-                captured=tuple(dict.fromkeys(captured)),
-            )
-        )
-
-    was_training = [(m, m.training) for m in module.modules()]
-    module.eval()
-    _set_call_hook(sess._hook)
-    _set_tape_hook(tape_hook)
-    try:
-        args = []
-        for i, shape in enumerate(input_shapes):
-            node = sess.graph.add(
-                "input", (), tuple(shape), dtype,
-                bytes=int(np.prod(shape, dtype=object)) * dtype.itemsize,
-                kind="input", name=f"input{i}",
-                meta={"vrange": input_vrange},
-            )
-            args.append(
-                Tensor(
-                    SymbolicArray(sess, node.id, shape, dtype),
-                    requires_grad=input_requires_grad,
-                )
-            )
-        out = module(*args)
-    finally:
-        _set_tape_hook(prev_hook)
-        _set_call_hook(None)
-        for mod, mode in was_training:
-            mod.training = mode
-
-    for tensor in _flatten_outputs(out):
-        payload = tensor.data
-        if not isinstance(payload, SymbolicArray):
-            raise TraceError(
-                "forward returned a concrete array; symbolic inputs never "
-                "reached this output"
-            )
-        sess.graph.outputs.append(payload.node_id)
-    sess.graph.meta["tape_entries"] = len(entries)
-    return sess.graph, entries
 
 
 def trace_model(

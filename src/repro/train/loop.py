@@ -84,9 +84,11 @@ class TrainResult:
     unused_parameters: list[str] = field(default_factory=list)
     leaked_ops: list[str] = field(default_factory=list)
     # Fault-tolerance bookkeeping: the epoch a resume restarted from
-    # (0 for fresh runs) and one dict per divergence rollback.
+    # (0 for fresh runs), one dict per divergence rollback, and the
+    # corrupt checkpoint files moved to ``quarantine/`` before training.
     resumed_from_epoch: int = 0
     recoveries: list[dict] = field(default_factory=list)
+    quarantined: list[str] = field(default_factory=list)
 
 
 class Trainer:
@@ -194,6 +196,8 @@ class Trainer:
                     guard.observe(loss)
                 if result.losses:
                     best_loss = min(result.losses)
+        if manager is not None:
+            result.quarantined = [str(path) for path in manager.quarantined]
 
         if cfg.sanitize:
             from ..lint.sanitize import detect_anomaly, unused_parameter_report

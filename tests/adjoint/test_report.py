@@ -1,16 +1,10 @@
-"""Audit reports, ``analyze --backward`` integration, baseline diffing."""
+"""Gradient audit reports and the ``repro gradcheck`` CLI."""
 
-import copy
 import json
 
 import pytest
 
 from repro.adjoint import SCHEMA, audit_model, audit_registry
-from repro.ir import (
-    analyze_model,
-    baseline_from_reports,
-    check_baseline,
-)
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +15,7 @@ def audit():
 class TestAuditModel:
     def test_schema_and_shape(self, audit):
         assert audit["schema"] == SCHEMA
-        for key in ("contracts", "gradcheck", "backward", "failures"):
+        for key in ("contracts", "gradcheck", "failures"):
             assert key in audit
         assert audit["model"] == "unet"
 
@@ -38,14 +32,6 @@ class TestAuditModel:
         assert gc["cases"] > 0 and gc["failed"] == 0
         assert set(gc["checked_ops"]) <= set(audit["contracts"]["ops"])
 
-    def test_backward_section_embedded(self, audit):
-        bwd = audit["backward"]
-        assert bwd["tape_entries"] > 0
-        assert bwd["adjoint_nodes"] > bwd["tape_entries"]
-        assert bwd["params_connected"] == bwd["params_total"]
-        assert bwd["memory"]["train_peak_bytes"] > 0
-        assert bwd["findings"] == []
-
     def test_registry_model_audit_is_clean(self, audit):
         assert audit["failures"] == []
 
@@ -53,51 +39,6 @@ class TestAuditModel:
         bundle = audit_registry(("pgnn",), preset="tiny", grid=32)
         assert bundle["schema"] == SCHEMA
         assert [r["model"] for r in bundle["reports"]] == ["pgnn"]
-
-
-class TestAnalyzeBackward:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return analyze_model(
-            "unet", preset="tiny", grid=64, determinism=False, backward=True
-        )
-
-    def test_backward_section_present(self, report):
-        assert "backward" in report
-        assert report["backward"]["tape_entries"] > 0
-        json.dumps(report)
-
-    def test_forward_only_report_has_no_backward(self):
-        report = analyze_model("unet", preset="tiny", grid=64, determinism=False)
-        assert "backward" not in report
-
-    def test_baseline_pins_backward_fields(self, report):
-        baseline = baseline_from_reports({"reports": [report]})
-        entry = baseline["entries"][0]
-        for field in ("tape_entries", "adjoint_nodes", "train_peak_bytes",
-                      "grad_bytes_total"):
-            assert field in entry
-
-    def test_baseline_roundtrip_clean(self, report):
-        bundle = {"reports": [report]}
-        baseline = baseline_from_reports(bundle)
-        assert check_baseline(bundle, baseline) == []
-
-    def test_baseline_flags_backward_drift(self, report):
-        bundle = {"reports": [report]}
-        baseline = copy.deepcopy(baseline_from_reports(bundle))
-        baseline["entries"][0]["train_peak_bytes"] += 1
-        problems = check_baseline(bundle, baseline)
-        assert len(problems) == 1
-        assert "train_peak_bytes" in problems[0]
-
-    def test_baseline_flags_missing_backward_section(self, report):
-        baseline = baseline_from_reports({"reports": [report]})
-        forward_only = analyze_model(
-            "unet", preset="tiny", grid=64, determinism=False
-        )
-        problems = check_baseline({"reports": [forward_only]}, baseline)
-        assert any("--backward" in p for p in problems)
 
 
 class TestCLI:
@@ -108,7 +49,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "gradcheck OK" in out
-        assert "params connected" in out
+        assert "contracts:" in out
 
     def test_gradcheck_ops_mode(self, capsys):
         from repro.cli import main as cli_main
@@ -127,12 +68,3 @@ class TestCLI:
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["schema"] == SCHEMA
 
-    def test_analyze_backward_flag(self, capsys):
-        from repro.cli import main as cli_main
-
-        rc = cli_main(["analyze", "unet", "--preset", "tiny", "--grid", "64",
-                       "--no-determinism", "--backward"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "backward:" in out
-        assert "training memory:" in out

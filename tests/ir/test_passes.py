@@ -1,9 +1,8 @@
-"""Pass framework: registration, rule table, shared # noqa suppression."""
+"""IR rule table and the shared # noqa suppression of graph findings."""
 
 import numpy as np
-import pytest
 
-from repro.ir import IR_RULES, OPPORTUNITY_RULES, register_pass, registered_passes
+from repro.ir import IR_RULES
 from repro.ir.graph import Graph
 from repro.ir.passes import filter_noqa, node_finding
 from repro.lint.rules import RULES as LINT_RULES
@@ -12,25 +11,12 @@ from repro.lint.rules import RULES as LINT_RULES
 class TestRuleTable:
     def test_ir_codes_complete(self):
         assert set(IR_RULES) == {
-            "REPRO101", "REPRO102", "REPRO103", "REPRO104",
-            "REPRO105", "REPRO106", "REPRO107",
+            "REPRO101", "REPRO102", "REPRO103", "REPRO104", "REPRO105",
         }
 
     def test_namespace_disjoint_from_lint(self):
         # 0xx belongs to the AST lint rules, 1xx to the IR analyses.
         assert not set(IR_RULES) & set(LINT_RULES)
-
-    def test_opportunity_rules_subset(self):
-        assert set(OPPORTUNITY_RULES) <= set(IR_RULES)
-
-    def test_builtin_passes_registered(self):
-        assert {"memory", "cost", "stability", "dead", "cse"} <= set(
-            registered_passes()
-        )
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_pass("memory")(lambda g: {})
 
 
 class TestNoqa:

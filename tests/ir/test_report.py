@@ -27,8 +27,7 @@ class TestReport:
     def test_schema_and_shape(self, bundle):
         assert bundle["schema"] == SCHEMA
         report = bundle["reports"][0]
-        for key in ("graph", "memory", "cost", "stability", "determinism",
-                    "opportunities", "failures"):
+        for key in ("graph", "cost", "stability", "determinism", "failures"):
             assert key in report
         assert report["model"] == "unet"
         assert report["grid"] == 64
@@ -49,7 +48,7 @@ class TestReport:
         report = analyze_model("unet", preset="tiny", grid=64,
                                determinism=False)
         assert report["cost"]["total_flops"] > 0
-        assert report["memory"]["peak_bytes"] > 0
+        assert report["graph"]["nodes"] > 0
 
 
 class TestBaseline:
@@ -88,6 +87,20 @@ class TestIntegration:
         model = build_model("unet", "tiny", grid=64, analyze=True)
         assert model.num_parameters() > 0
 
+    def test_build_model_analyze_true_raises_on_blocking_finding(
+        self, monkeypatch
+    ):
+        # An unshifted exp of a scaled input overflows: the stability
+        # pass must block the model at construction time.
+        from repro.models.unet import UNet
+
+        monkeypatch.setattr(UNet, "forward", lambda self, x: (x * 1e4).exp())
+        with pytest.raises(AnalysisError) as exc:
+            build_model("unet", "tiny", grid=32, validate=False, analyze=True)
+        assert exc.value.findings
+        assert {f.code for f in exc.value.findings} == {"REPRO101"}
+        assert "REPRO101" in str(exc.value)
+
     def test_analysis_error_formatting(self):
         err = AnalysisError(
             [LintDiagnostic("f.py", 3, 0, "REPRO101", "exp overflows")]
@@ -99,7 +112,7 @@ class TestIntegration:
         rc = cli_main(["analyze", "unet", "--preset", "tiny", "--grid", "64"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "flops:" in out and "memory:" in out
+        assert "flops:" in out and "hottest layers:" in out
 
     def test_cli_analyze_json(self, capsys):
         rc = cli_main(["analyze", "unet", "--preset", "tiny", "--grid", "64",

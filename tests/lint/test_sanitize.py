@@ -17,7 +17,7 @@ from repro.lint import (
     detect_anomaly,
     unused_parameter_report,
 )
-from repro.models import build_model
+from repro.models import MODEL_NAMES, build_model
 from repro.nn.tensor import Tensor, _get_tape_hook
 from repro.train import CongestionDataset, Sample, TrainConfig, Trainer
 
@@ -154,8 +154,10 @@ class TestZeroCostOff:
 
 
 class TestUnusedParameters:
-    def test_reports_parameters_without_grad(self):
-        model = build_model("unet", "tiny")
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_reports_parameters_without_grad(self, name):
+        # Every registry parameter must reach the loss.
+        model = build_model(name, "tiny", grid=16)
         x = Tensor(np.zeros((1, 6, 16, 16), dtype=np.float32))
         model.train()
         model(x).sum().backward()

@@ -14,7 +14,7 @@ a subcommand and a section of ``check``, the unified gate with one
 combined JSON report (``repro.check/v1``) whose ``--update-baselines``
 atomically refreshes every ``benchmarks/*_baseline.json`` instead:
 
-* ``lint``   — static autograd lint + ShapeTracer model validation.
+* ``lint``   — static autograd lint of the package (AST rules).
 * ``analyze`` — symbolic-IR static analysis: FLOP cost, stability +
   determinism audit (see repro.ir).
 * ``gradcheck`` — gradient audit: vjp contract capture and randomized
@@ -270,6 +270,13 @@ def _cmd_train(args) -> int:
         design_scale=1.0 / args.scale,
         seed=2023,
     )
+    # Build (and so validate) the model first: a grid it rejects is a
+    # usage error, found before the dataset is generated.
+    try:
+        model = build_model(args.model, "fast", grid=args.grid)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     specs = [MLCAD2023_SPECS[name] for name in args.designs]
     dataset = CongestionDataset.build(specs, config)
     if not dataset.train:
@@ -277,7 +284,6 @@ def _cmd_train(args) -> int:
               "samples (each design keeps at least one placement for "
               "evaluation); use --placements 2 or more", file=sys.stderr)
         return 2
-    model = build_model(args.model, "fast", grid=args.grid)
     trainer = Trainer(
         TrainConfig(epochs=args.epochs, batch_size=8, lr=2e-3,
                     max_class_weight=4.0,
@@ -403,7 +409,7 @@ def _lint_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "lint_args", nargs=argparse.REMAINDER,
         help="arguments forwarded to python -m repro.lint "
-        "(default: lint the repro package and validate the models)",
+        "(default: lint the repro package)",
     )
 
 
@@ -414,27 +420,17 @@ def _cmd_lint(args) -> int:
     if argv and argv[0] == "--":
         argv = argv[1:]
     if not argv:
-        # Default gate: lint the installed repro package and statically
-        # validate the registry models at every paper grid.
-        argv = [str(Path(__file__).resolve().parent), "--models"]
+        argv = [str(Path(__file__).resolve().parent)]  # the repro package
     return lint_main(argv)
 
 
 def _lint_gate(args) -> tuple[dict, list[str]]:
     from .ir.report import serialize_finding
     from .lint.rules import lint_paths
-    from .lint.shapes import ShapeError, validate_registry_models
 
     findings = lint_paths([Path(__file__).resolve().parent])
-    failures = [str(f) for f in findings]
-    shape_error = None
-    try:
-        validate_registry_models(grids=(args.grid,), preset=args.preset)
-    except ShapeError as exc:
-        shape_error = str(exc)
-        failures.append(f"shape validation: {exc}")
-    return {"findings": [serialize_finding(f) for f in findings],
-            "shape_error": shape_error}, failures
+    return ({"findings": [serialize_finding(f) for f in findings]},
+            [str(f) for f in findings])
 
 
 def _analyze_args(p: argparse.ArgumentParser) -> None:
@@ -492,10 +488,14 @@ def _cmd_analyze(args) -> int:
 
     models = MODEL_NAMES if args.model == "all" else (args.model,)
     grids = tuple(args.grids or [64])
-    bundle = analyze_registry(
-        models, preset=args.preset, grids=grids,
-        determinism=not args.no_determinism,
-    )
+    try:
+        bundle = analyze_registry(
+            models, preset=args.preset, grids=grids,
+            determinism=not args.no_determinism,
+        )
+    except ValueError as exc:  # build_model rejected a grid
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     failures = _report_failures(bundle)
     if args.json:
@@ -613,7 +613,7 @@ class Section:
 #: this tuple; a new section is one entry here.
 SECTIONS = (
     Section(
-        "lint", "static autograd lint + shape checks (see repro.lint)",
+        "lint", "static autograd lint (see repro.lint)",
         _lint_args, _cmd_lint, _lint_gate,
     ),
     Section(

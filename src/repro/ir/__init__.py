@@ -3,7 +3,9 @@
 The third leg of the correctness tooling (after :mod:`repro.lint`'s AST
 rules and runtime sanitizers): run any model's *own* ``forward`` over
 data-free symbolic tensors to obtain a typed SSA graph
-(:mod:`repro.ir.graph`), then analyze it statically —
+(:mod:`repro.ir.graph`).  A forward that rejects its shapes raises
+:class:`ShapeError`; ``build_model`` traces every model this way to
+validate it.  The graph is then analyzed statically —
 
 * :mod:`repro.ir.cost` — FLOP/byte cost model with stage/layer rollups;
 * :mod:`repro.ir.stability` — interval-domain numerical-stability
@@ -32,12 +34,13 @@ from .report import (
     check_baseline,
 )
 from .stability import check_stability
-from .symbolic import SymbolicArray, TraceError
+from .symbolic import ShapeError, SymbolicArray, TraceError
 from .trace import TraceSession, trace, trace_model
 
 __all__ = [
     "Graph",
     "Node",
+    "ShapeError",
     "SymbolicArray",
     "TraceError",
     "TraceSession",

@@ -31,7 +31,11 @@ Three design points worth knowing:
 
 Attempting to *read* data (``float()``, ``bool()``, ``np.asarray``)
 raises :class:`TraceError`: symbolic tracing cannot follow
-data-dependent control flow, by construction.
+data-dependent control flow, by construction.  Where numpy would reject
+the shapes of an operation with a ``ValueError`` (reshape, matmul,
+einsum, concatenate, stack, squeeze, in-place ``out=``), the symbolic
+rule raises :class:`ShapeError`, so a trace fails wherever the real
+forward would.
 """
 
 from __future__ import annotations
@@ -41,13 +45,17 @@ from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["SymbolicArray", "TraceError"]
+__all__ = ["ShapeError", "SymbolicArray", "TraceError"]
 
 INF = math.inf
 
 
 class TraceError(RuntimeError):
     """An operation the symbolic tracer cannot represent."""
+
+
+class ShapeError(ValueError):
+    """Operand shapes that the real numpy operation would reject."""
 
 
 # -- interval arithmetic -------------------------------------------------------
@@ -191,11 +199,11 @@ def _resolve_shape(shape, size: int) -> tuple[int, ...]:
     if -1 in shape:
         known = int(np.prod([d for d in shape if d != -1]))
         if shape.count(-1) > 1 or known == 0 or size % known:
-            raise TraceError(f"cannot reshape size {size} into {shape}")
+            raise ShapeError(f"cannot reshape size {size} into {shape}")
         shape = tuple(size // known if d == -1 else d for d in shape)
     total = int(np.prod(shape)) if shape else 1
     if total != size:
-        raise TraceError(f"cannot reshape size {size} into {shape}")
+        raise ShapeError(f"cannot reshape size {size} into {shape}")
     return shape
 
 
@@ -230,7 +238,7 @@ class SymbolicArray:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:
@@ -286,7 +294,7 @@ class SymbolicArray:
         ids, _, _ = _operands(sess, operands)
         shape = tuple(int(d) for d in shape)
         dtype = np.dtype(dtype)
-        nbytes = 0 if alias_of is not None else int(np.prod(shape or (1,))) * dtype.itemsize
+        nbytes = 0 if alias_of is not None else math.prod(shape) * dtype.itemsize
         scope_id, scope_depth = sess.scope_instance()
         full_meta = {
             "vrange": _clean(*vrange),
@@ -551,7 +559,7 @@ def _elementwise(op: str, rng_fn: Callable | None, *, boolean: bool = False):
         alias_of, contiguous = None, True
         if into is not None:
             if shape != into.shape:
-                raise TraceError(
+                raise ShapeError(
                     f"in-place {op} result {shape} does not fit its output "
                     f"{into.shape}"
                 )
@@ -568,7 +576,7 @@ def _elementwise(op: str, rng_fn: Callable | None, *, boolean: bool = False):
             meta = _unit_max_meta(inputs)
         return sym._emit(
             op, inputs, shape, dtype,
-            flops=int(np.prod(shape)) if shape else 1,
+            flops=math.prod(shape),
             alias_of=alias_of, contiguous=contiguous, vrange=vrange, meta=meta,
         )
 
@@ -600,9 +608,9 @@ def _matmul_handler(sess, inputs):
     a, b = inputs
     sa, sb = _shape_of(a), _shape_of(b)
     if len(sa) < 2 or len(sb) < 2:
-        raise TraceError(f"matmul needs 2-d+ operands, got {sa} @ {sb}")
+        raise ShapeError(f"matmul needs 2-d+ operands, got {sa} @ {sb}")
     if sa[-1] != sb[-2]:
-        raise TraceError(f"matmul inner-dimension mismatch: {sa} @ {sb}")
+        raise ShapeError(f"matmul inner-dimension mismatch: {sa} @ {sb}")
     batch = np.broadcast_shapes(sa[:-2], sb[:-2])
     shape = batch + (sa[-2], sb[-1])
     _, dtype_args, vranges = _operands(sess, inputs)
@@ -677,12 +685,12 @@ def _parse_einsum(subscripts: str, operands) -> tuple[tuple[int, ...], int, dict
     for term, op in zip(terms, operands):
         shape = _shape_of(op)
         if len(term) != len(shape):
-            raise TraceError(
+            raise ShapeError(
                 f"einsum term {term!r} does not match operand of rank {len(shape)}"
             )
         for label, dim in zip(term, shape):
             if extents.setdefault(label, dim) != dim:
-                raise TraceError(
+                raise ShapeError(
                     f"einsum label {label!r} bound to both "
                     f"{extents[label]} and {dim}"
                 )
@@ -726,10 +734,21 @@ def _shape_bytes(shape, dtype_arg) -> int:
 def _f_concatenate(arrays, axis=0, **kwargs):
     sess = _session_of(arrays)
     first = next(a for a in arrays if isinstance(a, SymbolicArray))
-    ndim = first.ndim
+    shapes = [_shape_of(a) for a in arrays]
+    ndim = len(shapes[0])
+    if ndim == 0 or any(len(s) != ndim for s in shapes):
+        raise ShapeError(
+            f"cannot concatenate arrays of ranks {[len(s) for s in shapes]}"
+        )
     axis = axis % ndim
-    shape = list(first.shape)
-    shape[axis] = sum(_shape_of(a)[axis] for a in arrays)
+    for s in shapes[1:]:
+        if s[:axis] + s[axis + 1:] != shapes[0][:axis] + shapes[0][axis + 1:]:
+            raise ShapeError(
+                f"cannot concatenate {shapes} along axis {axis}: the other "
+                "dimensions differ"
+            )
+    shape = list(shapes[0])
+    shape[axis] = sum(s[axis] for s in shapes)
     ids, dtype_args, vranges = _operands(sess, arrays)
     vrange = vranges[0]
     for r in vranges[1:]:
@@ -743,6 +762,9 @@ def _f_concatenate(arrays, axis=0, **kwargs):
 def _f_stack(arrays, axis=0, **kwargs):
     sess = _session_of(arrays)
     first = next(a for a in arrays if isinstance(a, SymbolicArray))
+    shapes = {_shape_of(a) for a in arrays}
+    if len(shapes) != 1:
+        raise ShapeError(f"cannot stack arrays of different shapes {sorted(shapes)}")
     axis = axis % (first.ndim + 1)
     shape = first.shape[:axis] + (len(list(arrays)),) + first.shape[axis:]
     ids, dtype_args, vranges = _operands(sess, arrays)
@@ -793,7 +815,7 @@ def _f_squeeze(a, axis=None):
         axes = _norm_axes(axis, a.ndim)
         for ax in axes:
             if a.shape[ax] != 1:
-                raise TraceError(f"cannot squeeze axis {ax} of size {a.shape[ax]}")
+                raise ShapeError(f"cannot squeeze axis {ax} of size {a.shape[ax]}")
         shape = tuple(d for i, d in enumerate(a.shape) if i not in axes)
     return a._emit(
         "squeeze", (a,), shape, a.dtype,

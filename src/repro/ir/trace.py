@@ -24,6 +24,10 @@ Tracing conventions:
   a dotted path such as ``MFATransformerNet.dec2.block.conv1``) and the
   source line that executed the op (``src``), which is what lets
   analysis findings share ``# noqa`` suppression with :mod:`repro.lint`.
+* A forward that fails on its shapes (any ``ValueError``: a layer's own
+  check, or a numpy rule in :mod:`repro.ir.symbolic`) raises
+  :class:`~repro.ir.symbolic.ShapeError` prefixed with the scope of the
+  innermost module that was running, e.g. ``UNet.dec3.block.0.conv: ...``.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from repro.nn.tensor import (
 )
 
 from .graph import Graph
-from .symbolic import SymbolicArray, TraceError
+from .symbolic import ShapeError, SymbolicArray, TraceError
 
 __all__ = ["TraceSession", "trace", "trace_model"]
 
@@ -56,6 +60,7 @@ UNBOUNDED = (-math.inf, math.inf)
 # code; call-site attribution skips past them.
 _IR_DIR = os.path.dirname(os.path.abspath(__file__))
 _SKIP_MARKERS = (_IR_DIR, os.sep + "numpy" + os.sep)
+_SKIP_FILES: dict[str, bool] = {}  # filename -> matches a marker
 
 
 class TraceSession:
@@ -73,6 +78,9 @@ class TraceSession:
         # pins its id() so the cache can never alias a freed temporary.
         self._consts: dict[int, tuple[Any, np.ndarray]] = {}
         self._scalars: dict[tuple[str, float], Any] = {}
+        # (scope, exception) of the innermost module that an exception
+        # unwound through first; ``trace`` names it in a ShapeError.
+        self.failure: tuple[str, BaseException] | None = None
 
     # -- module registration ---------------------------------------------------
 
@@ -155,7 +163,10 @@ class TraceSession:
         frame = sys._getframe(1)
         while frame is not None:
             filename = frame.f_code.co_filename
-            if not any(marker in filename for marker in _SKIP_MARKERS):
+            skip = _SKIP_FILES.get(filename)
+            if skip is None:
+                skip = _SKIP_FILES[filename] = any(m in filename for m in _SKIP_MARKERS)
+            if not skip:
                 return f"{filename}:{frame.f_lineno}"
             frame = frame.f_back
         return ""
@@ -166,6 +177,9 @@ class TraceSession:
             name = self._names.get(id(module), type(module).__name__)
             self._scope.append((name, self._serial))
         else:
+            exc = sys.exc_info()[1]
+            if exc is not None and (self.failure is None or self.failure[1] is not exc):
+                self.failure = (self.current_scope(), exc)
             self._scope.pop()
 
 
@@ -202,6 +216,9 @@ def trace(
         consume normalized feature maps, so analyses pass a finite
         interval to get meaningful stability verdicts; the default is
         conservative (unbounded).
+
+    Raises :class:`~repro.ir.symbolic.ShapeError` when the forward
+    rejects the input shapes, naming the innermost failing module.
     """
     if not input_shapes:
         raise ValueError("trace() needs at least one input shape")
@@ -230,7 +247,12 @@ def trace(
                     meta={"vrange": input_vrange},
                 )
                 args.append(Tensor(SymbolicArray(sess, node.id, shape, dtype)))
-            out = module(*args)
+            try:
+                out = module(*args)
+            except ValueError as exc:
+                failed = sess.failure
+                where = failed[0] if failed and failed[1] is exc else sess._names[id(module)]
+                raise ShapeError(f"{where}: {exc}") from exc
     finally:
         _set_call_hook(None)
         for mod, mode in was_training:

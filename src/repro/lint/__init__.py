@@ -1,24 +1,22 @@
 """Static analysis and runtime sanitizers for the numpy DL substrate.
 
-Three independent layers of correctness tooling for :mod:`repro.nn`
+Two independent layers of correctness tooling for :mod:`repro.nn`
 (see docs/API.md, "Static analysis & sanitizers"):
 
 * :mod:`repro.lint.rules` — project-specific AST lint rules that walk
   backward closures and ``Module.forward`` bodies for autograd hazards
   (missing ``_unbroadcast``, tape detaches, unguarded graph wiring,
   in-place mutation, literal ``Sequential`` channel mismatches).
-* :mod:`repro.lint.shapes` — :class:`ShapeTracer`, an abstract
-  interpreter that propagates symbolic ``(N, C, H, W)`` specs through
-  module trees without executing numerics; ``build_model`` uses it to
-  reject inconsistent architectures at construction time.
 * :mod:`repro.lint.sanitize` — opt-in runtime anomaly mode
   (``with detect_anomaly():``) that records op provenance, pinpoints the
   first backward closure producing NaN/Inf gradients, detects in-place
   mutation between forward and backward, and reports leaked graphs and
   unused parameter gradients.
 
-CLI: ``python -m repro.lint src/repro --models`` (also exposed as
-``repro lint``).
+Model shapes are validated by tracing each model's own ``forward``
+with :func:`repro.ir.trace` (``build_model`` does it on every build).
+
+CLI: ``python -m repro.lint src/repro`` (also exposed as ``repro lint``).
 """
 
 from .rules import RULES, LintDiagnostic, lint_file, lint_paths, lint_source
@@ -31,16 +29,6 @@ from .sanitize import (
     detect_anomaly,
     unused_parameter_report,
 )
-from .shapes import (
-    PAPER_GRIDS,
-    ShapeError,
-    ShapeSpec,
-    ShapeTracer,
-    register_shape_rule,
-    trace_module,
-    validate_model,
-    validate_registry_models,
-)
 
 __all__ = [
     "RULES",
@@ -48,14 +36,6 @@ __all__ = [
     "lint_source",
     "lint_file",
     "lint_paths",
-    "ShapeSpec",
-    "ShapeError",
-    "ShapeTracer",
-    "register_shape_rule",
-    "trace_module",
-    "validate_model",
-    "validate_registry_models",
-    "PAPER_GRIDS",
     "AnomalyError",
     "AnomalyDetector",
     "NonFiniteGradientError",

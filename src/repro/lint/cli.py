@@ -1,16 +1,8 @@
-"""Command-line entry point: ``python -m repro.lint``.
+"""Command-line entry point: ``python -m repro.lint <paths...>``.
 
-Two independent gates, both usable from CI:
-
-* ``python -m repro.lint <paths...>`` — run the project AST lint rules
-  over files/directories; prints ``path:line:col: CODE message`` per
-  finding and exits 1 if any fire.
-* ``python -m repro.lint --models`` — statically validate the four
-  registry models with :class:`~repro.lint.shapes.ShapeTracer` at every
-  paper grid size (no numerics executed).
-
-The two can be combined; the exit code is non-zero if either gate
-fails.
+Runs the project AST lint rules over files/directories, prints
+``path:line:col: CODE message`` per finding and exits 1 if any fire
+(2 on usage errors).
 """
 
 from __future__ import annotations
@@ -19,7 +11,6 @@ import argparse
 import sys
 
 from .rules import RULES, lint_paths
-from .shapes import PAPER_GRIDS, ShapeError, validate_registry_models
 
 __all__ = ["main", "build_parser"]
 
@@ -27,23 +18,11 @@ __all__ = ["main", "build_parser"]
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
-        description="static autograd lint + shape checker for the repro codebase",
+        description="static autograd lint for the repro codebase",
     )
     parser.add_argument(
         "paths", nargs="*",
         help="python files or directories to lint (recurses into *.py)",
-    )
-    parser.add_argument(
-        "--models", action="store_true",
-        help="statically validate the registry models with ShapeTracer",
-    )
-    parser.add_argument(
-        "--grids", default=",".join(str(g) for g in PAPER_GRIDS),
-        help="comma-separated grid sizes for --models (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--preset", default="paper", choices=("tiny", "fast", "paper"),
-        help="model capacity preset for --models (default: %(default)s)",
     )
     parser.add_argument(
         "--select", default=None, metavar="CODES",
@@ -59,54 +38,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not args.paths and not args.models:
+    if not args.paths:
         parser.print_usage(sys.stderr)
-        print("repro.lint: error: give paths to lint and/or --models", file=sys.stderr)
+        print("repro.lint: error: give paths to lint", file=sys.stderr)
         return 2
 
-    failures = 0
-
-    if args.paths:
-        rules = None
-        if args.select:
-            rules = {code.strip() for code in args.select.split(",") if code.strip()}
-            unknown = rules - set(RULES) - {"REPRO000"}
-            if unknown:
-                print(
-                    f"repro.lint: error: unknown rule(s) {sorted(unknown)}",
-                    file=sys.stderr,
-                )
-                return 2
-        try:
-            diagnostics = lint_paths(list(args.paths), rules)
-        except OSError as exc:
-            print(f"repro.lint: error: {exc}", file=sys.stderr)
-            return 2
-        for diagnostic in diagnostics:
-            print(diagnostic)
-        failures += len(diagnostics)
-
-    if args.models:
-        try:
-            grids = tuple(int(g) for g in args.grids.split(",") if g)
-        except ValueError:
-            grids = ()
-        if not grids:
+    rules = None
+    if args.select:
+        rules = {code.strip() for code in args.select.split(",") if code.strip()}
+        unknown = rules - set(RULES) - {"REPRO000"}
+        if unknown:
             print(
-                f"repro.lint: error: --grids expects comma-separated "
-                f"integers, got {args.grids!r}",
+                f"repro.lint: error: unknown rule(s) {sorted(unknown)}",
                 file=sys.stderr,
             )
             return 2
-        try:
-            rows = validate_registry_models(grids=grids, preset=args.preset)
-        except ShapeError as exc:
-            print(f"shape error: {exc}", file=sys.stderr)
-            failures += 1
-        else:
-            if not args.quiet:
-                for name, grid, out in rows:
-                    print(f"{name:>6} @ {grid:>4}: ok ({out})")
+    try:
+        diagnostics = lint_paths(list(args.paths), rules)
+    except OSError as exc:
+        print(f"repro.lint: error: {exc}", file=sys.stderr)
+        return 2
+    for diagnostic in diagnostics:
+        print(diagnostic)
+    failures = len(diagnostics)
 
     if not args.quiet:
         noun = "finding" if failures == 1 else "findings"

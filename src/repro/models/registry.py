@@ -26,10 +26,17 @@ def build_model(
     grid: int = 64,
     seed: int = 0,
     in_channels: int = 6,
-    validate: bool = True,
     analyze: bool = False,
 ) -> CongestionModel:
     """Construct one of the Table-I models.
+
+    Every model is validated before it is returned: its own ``forward``
+    is traced over a data-free ``(1, in_channels, grid, grid)`` input
+    with :func:`repro.ir.trace` (no numerics), and the traced output must
+    meet the ``(N, num_classes, H, W)`` logit contract.  A shape failure
+    raises :class:`~repro.ir.ShapeError` naming the innermost failing
+    module; a constructor that rejects the grid raises a plain
+    ``ValueError``.
 
     Parameters
     ----------
@@ -41,20 +48,12 @@ def build_model(
         Input resolution (``ours`` requires a multiple of 16).
     in_channels:
         Number of grid feature channels (6 in the paper).
-    validate:
-        Statically check every layer shape, channel count and
-        encoder/decoder skip connection with
-        :func:`repro.lint.validate_model` before returning — pure shape
-        arithmetic, no numerics.  Raises
-        :class:`~repro.lint.shapes.ShapeError` on an inconsistent
-        architecture instead of failing mid-training.
     analyze:
-        Trace the constructed model through the symbolic IR
-        (:mod:`repro.ir`) and run the numerical-stability and
-        determinism passes on it.  Raises
+        Also run the numerical-stability and determinism passes of
+        :mod:`repro.ir` on the validation trace.  Raises
         :class:`~repro.ir.AnalysisError` if any blocking finding
-        (``REPRO101``–``105``) survives ``# noqa`` suppression.
-        Costs one data-free symbolic forward; off by default.
+        (``REPRO101``–``105``) survives ``# noqa`` suppression.  Off by
+        default.
     """
     if name not in MODEL_NAMES:
         raise ValueError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
@@ -90,16 +89,20 @@ def build_model(
             grid=grid,
             seed=seed,
         )
-    if validate:
-        from ..lint.shapes import validate_model
+    from ..ir import AnalysisError, ShapeError, analyze_graph, trace
 
-        validate_model(model, (1, in_channels, grid, grid))
+    graph = trace(model, (1, in_channels, grid, grid),
+                  input_vrange=(0.0, 1.0), name=name)
+    expected = (1, model.num_classes, grid, grid)
+    shapes = [graph[i].shape for i in graph.outputs]
+    if shapes != [expected]:
+        raise ShapeError(
+            f"{type(model).__name__}: output {shapes} does not match the "
+            f"(N, {model.num_classes}, H, W) logit contract {expected}"
+        )
     if analyze:
-        from ..ir import AnalysisError, analyze_graph, trace
         from ..lint.rules import LintDiagnostic
 
-        graph = trace(model, (1, in_channels, grid, grid),
-                      input_vrange=(0.0, 1.0), name=name)
         graph.meta.update(model=name, preset=preset, grid=grid, batch=1)
         report = analyze_graph(graph, determinism=True)
         if report["failures"]:

@@ -90,13 +90,17 @@ class TestIntegration:
     def test_build_model_analyze_true_raises_on_blocking_finding(
         self, monkeypatch
     ):
-        # An unshifted exp of a scaled input overflows: the stability
-        # pass must block the model at construction time.
+        # An unshifted exp of scaled logits overflows: the stability
+        # pass must block the model at construction time.  The forward
+        # keeps the (N, num_classes, H, W) logit contract, so the
+        # failure comes from the analysis, not from shape validation.
         from repro.models.unet import UNet
 
-        monkeypatch.setattr(UNet, "forward", lambda self, x: (x * 1e4).exp())
+        monkeypatch.setattr(
+            UNet, "forward", lambda self, x: (self.head(self.enc1(x)) * 1e4).exp()
+        )
         with pytest.raises(AnalysisError) as exc:
-            build_model("unet", "tiny", grid=32, validate=False, analyze=True)
+            build_model("unet", "tiny", grid=32, analyze=True)
         assert exc.value.findings
         assert {f.code for f in exc.value.findings} == {"REPRO101"}
         assert "REPRO101" in str(exc.value)

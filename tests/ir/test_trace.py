@@ -10,11 +10,11 @@ data.
 import numpy as np
 import pytest
 
-from repro.ir import SymbolicArray, TraceError, trace, trace_model
+from repro.ir import ShapeError, SymbolicArray, TraceError, trace, trace_model
 from repro.ir.trace import TraceSession
 from repro.models import build_model
 from repro.models.registry import MODEL_NAMES
-from repro.nn import BatchNorm2d, Conv2d, Linear, Sequential
+from repro.nn import BatchNorm2d, Conv2d, Linear, MaxPool2d, Module, ReLU, Sequential
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -143,3 +143,93 @@ class TestInPlaceUfuncs:
             np.exp(x, out=(other,))
         with pytest.raises(TraceError):
             np.matmul(x, x.transpose(), out=(x,))
+
+
+def _traced_vs_real(module, in_shape):
+    graph = trace(module, in_shape)
+    module.eval()
+    with no_grad():
+        real = module(Tensor(np.zeros(in_shape))).shape
+    assert graph[graph.outputs[0]].shape == real
+
+
+class TestLeafFidelity:
+    def test_conv2d(self):
+        _traced_vs_real(Conv2d(3, 8, kernel_size=3, stride=2, padding=1), (2, 3, 9, 9))
+
+    def test_linear(self):
+        _traced_vs_real(Linear(12, 5), (4, 7, 12))
+
+    def test_sequential_chain(self):
+        block = Sequential(Conv2d(3, 8, kernel_size=3, padding=1), BatchNorm2d(8),
+                           ReLU(), MaxPool2d(2))
+        _traced_vs_real(block, (1, 3, 16, 16))
+
+
+class TestShapeErrors:
+    """A forward that rejects its shapes fails the trace with ShapeError."""
+
+    @staticmethod
+    def _mismatched_block():
+        return Sequential(
+            Conv2d(3, 8, kernel_size=3, padding=1),
+            Conv2d(4, 8, kernel_size=3, padding=1),  # noqa: REPRO006
+        )
+
+    def test_conv_channel_mismatch_raises(self):
+        with pytest.raises(ShapeError, match="channels"):
+            trace(self._mismatched_block(), (1, 3, 16, 16))
+
+    def test_error_names_offending_module_path(self):
+        # "1" is the second Sequential entry, the innermost module that
+        # was running when the conv rejected its input.
+        with pytest.raises(ShapeError, match=r"^Sequential\.1: "):
+            trace(self._mismatched_block(), (1, 3, 16, 16))
+
+    def test_pool_divisibility_raises(self):
+        with pytest.raises(ShapeError, match=r"^MaxPool2d: "):
+            trace(MaxPool2d(2), (1, 3, 15, 15))
+
+    def test_linear_feature_mismatch_raises(self):
+        with pytest.raises(ShapeError, match="inner-dimension"):
+            trace(Linear(12, 5), (4, 7, 13))
+
+    def test_is_a_value_error(self):
+        assert issubclass(ShapeError, ValueError)
+        assert not issubclass(TraceError, ValueError)
+
+
+class TestJoinShapes:
+    """Symbolic concatenate/stack reject the shapes numpy rejects."""
+
+    class Join(Module):
+        def __init__(self, fn, other):
+            super().__init__()
+            self.fn, self.other = fn, other
+
+        def forward(self, x):
+            return Tensor(self.fn([x.data, self.other]))
+
+    def _check(self, fn, in_shape, other_shape):
+        other = np.zeros(other_shape)
+        with pytest.raises(ValueError):
+            fn([np.zeros(in_shape), other])
+        module = self.Join(fn, other)
+        with pytest.raises(ShapeError, match=r"^Join: "):
+            trace(module, in_shape)
+
+    def test_concatenate_non_axis_extent(self):
+        self._check(lambda a: np.concatenate(a, axis=1), (1, 4, 8, 8), (1, 2, 4, 4))
+
+    def test_concatenate_rank(self):
+        self._check(lambda a: np.concatenate(a, axis=1), (1, 4, 8, 8), (1, 2, 8))
+
+    def test_stack_shapes_must_match(self):
+        self._check(lambda a: np.stack(a, axis=0), (2, 3), (2, 4))
+
+    def test_valid_joins_still_trace(self):
+        graph = trace(self.Join(lambda a: np.concatenate(a, axis=1), np.zeros((1, 2, 8, 8))),
+                      (1, 4, 8, 8))
+        assert graph[graph.outputs[0]].shape == (1, 6, 8, 8)
+        graph = trace(self.Join(lambda a: np.stack(a, axis=-1), np.zeros((2, 3))), (2, 3))
+        assert graph[graph.outputs[0]].shape == (2, 3, 2)

@@ -87,40 +87,11 @@ class TestExitCodes:
         assert main([str(tmp_path / "nope.py")]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_non_integer_grids_is_usage_error(self, capsys):
-        assert main(["--models", "--grids", "banana"]) == 2
-        assert main(["--models", "--grids", ""]) == 2
-        assert "--grids expects" in capsys.readouterr().err
-
     def test_select_filters(self, tmp_path):
         path = tmp_path / "two_findings.py"
         path.write_text("import os\n\ndef f(x, cache=[]):\n    return cache\n")
         assert main([str(path), "--select", "REPRO004", "--quiet"]) == 1
         assert main([str(path), "--select", "REPRO001", "--quiet"]) == 0
-
-
-class TestModelGate:
-    def test_models_flag_validates(self, capsys):
-        assert main(["--models", "--grids", "32,64", "--preset", "tiny"]) == 0
-        out = capsys.readouterr().out
-        assert "ours @   32: ok" in out
-        assert "unet @   64: ok" in out
-
-    def test_bad_grid_fails(self, capsys):
-        # 40 breaks 'ours' (needs a multiple of 16): non-zero exit and a
-        # shape diagnostic on stderr.
-        assert main(["--models", "--grids", "40", "--preset", "tiny"]) == 1
-        assert "shape error" in capsys.readouterr().err
-
-    def test_constructor_rejection_reported_as_shape_error(self, monkeypatch, capsys):
-        # The 'ours' constructor itself rejects grid 24 (needs a
-        # multiple of 16) with a plain ValueError; the gate must report
-        # it as a shape failure, not crash with a traceback.
-        import repro.models.registry as registry
-
-        monkeypatch.setattr(registry, "MODEL_NAMES", ("ours",))
-        assert main(["--models", "--grids", "24", "--preset", "tiny"]) == 1
-        assert "ours @ 24" in capsys.readouterr().err
 
 
 class TestReproCliSubcommand:

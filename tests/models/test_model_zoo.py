@@ -12,6 +12,7 @@ from repro.models import (
     UNet,
     build_model,
 )
+from repro.ir import ShapeError, trace
 from repro.nn import Tensor
 
 
@@ -53,6 +54,58 @@ class TestRegistry:
         assert any(
             type(m).__name__ == "TransformerStack" for m in ours.modules()
         )
+
+
+class TestBuildModelValidation:
+    """``build_model`` traces every model and rejects broken shapes."""
+
+    def test_all_models_all_paper_grids(self):
+        # build_model raises unless the traced output is (1, 8, grid, grid).
+        for name in MODEL_NAMES:
+            for grid in (64, 128, 256, 512):
+                build_model(name, "paper", grid=grid)
+
+    def test_build_model_validates_by_default(self):
+        # 20 survives UNet's constructor but not its three 2x pools
+        # (20 -> 10 -> 5 -> 2.5), so construction itself must fail.
+        with pytest.raises(ShapeError, match=r"^UNet\.pool: "):
+            build_model("unet", "tiny", grid=20)
+
+    @pytest.mark.parametrize("grid", [20, 24, 40])
+    def test_pros2_rejects_grids_its_forward_cannot_run(self, grid):
+        with pytest.raises(ShapeError, match="concatenate"):
+            build_model("pros2", "tiny", grid=grid)
+
+    def test_constructor_rejection_stays_a_plain_value_error(self):
+        with pytest.raises(ValueError, match="divisible by 16") as exc:
+            build_model("ours", "tiny", grid=24)
+        assert not isinstance(exc.value, ShapeError)
+
+    def test_logit_contract_enforced(self, monkeypatch):
+        monkeypatch.setattr(UNet, "forward", lambda self, x: self.enc1(x))
+        with pytest.raises(ShapeError, match="logit contract"):
+            build_model("unet", "tiny", grid=32)
+
+    def test_skip_connection_mismatch_detected(self):
+        # Sabotage a decoder stage: dec3 consumes up3(e4) concat e3, so
+        # a wrong input width must be rejected without running numerics.
+        from repro.models.unet import DoubleConv
+
+        model = build_model("unet", "tiny", grid=32)
+        c = model.base_channels
+        model.dec3 = DoubleConv(8 * c + 4 * c + 1, 4 * c, rng=np.random.default_rng(0))
+        with pytest.raises(ShapeError, match=r"^UNet\.dec3\."):
+            trace(model, (1, 6, 32, 32))
+
+    def test_encoder_decoder_spatial_mismatch_detected(self):
+        # Break the spatial contract instead of the channel one: an
+        # upsample factor of 4 makes up3(e4) 2x larger than skip e3.
+        from repro.nn import UpsampleNearest
+
+        model = build_model("unet", "tiny", grid=32)
+        model.up3 = UpsampleNearest(4)
+        with pytest.raises(ShapeError, match="concatenate"):
+            trace(model, (1, 6, 32, 32))
 
 
 class TestBaselineModels:

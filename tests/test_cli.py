@@ -143,6 +143,35 @@ class TestCommands:
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "m.npz").exists()
 
+    @pytest.mark.parametrize("model,grid", [("ours", "24"), ("pros2", "20")])
+    def test_train_rejected_grid_is_usage_error(self, model, grid, tmp_path,
+                                                capsys, monkeypatch):
+        # The model is built (and validated) before any dataset work.
+        import repro.train
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("the dataset was built")
+
+        monkeypatch.setattr(repro.train.CongestionDataset, "build", no_dataset)
+        rc = main(
+            ["train", "--designs", "Design_116", "--scale", "256",
+             "--placements", "2", "--grid", grid, "--epochs", "1",
+             "--model", model, "--out", str(tmp_path / "m.npz")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("model,grid", [("ours", "24"), ("pros2", "20")])
+    def test_analyze_rejected_grid_is_usage_error(self, model, grid, capsys):
+        rc = main(["analyze", model, "--preset", "tiny", "--grid", grid,
+                   "--no-determinism"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
 
 class TestAnalysisJSONSchemas:
     """Schema snapshots for the machine-readable analysis reports.

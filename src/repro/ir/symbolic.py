@@ -705,30 +705,15 @@ def _f_einsum(subscripts, *operands, **kwargs):
         raise TraceError("einsum interleaved-operand form is not supported")
     sess = _session_of(operands)
     shape, flops, _ = _parse_einsum(subscripts, operands)
-    ids, dtype_args, vranges = _operands(sess, operands)
+    _, dtype_args, vranges = _operands(sess, operands)
     vrange = UNBOUNDED
     if all(r[0] >= 0 for r in vranges):
         vrange = (0.0, INF)
     sym = next(o for o in operands if isinstance(o, SymbolicArray))
-    # The optimized einsum path lowers to tensordot/GEMM, which copies
-    # any operand whose axes are not already in matrix layout; rank-3+
-    # operands are the ones that get transposed in practice; the node
-    # records that transient workspace in its meta.
-    workspace = sum(
-        _shape_bytes(_shape_of(op), d)
-        for op, d in zip(operands, dtype_args)
-        if len(_shape_of(op)) >= 3
-    )
     return sym._emit(
         "einsum", operands, shape, np.result_type(*dtype_args),
         flops=flops, attrs=(("subscripts", subscripts),), vrange=vrange,
-        meta={"workspace_bytes": int(workspace)},
     )
-
-
-def _shape_bytes(shape, dtype_arg) -> int:
-    itemsize = np.dtype(dtype_arg).itemsize if not np.isscalar(dtype_arg) else 8
-    return int(np.prod(shape, dtype=object)) * itemsize if shape else itemsize
 
 
 def _f_concatenate(arrays, axis=0, **kwargs):

@@ -282,18 +282,19 @@ def trace_model(
     """Build a registry model and trace one forward pass.
 
     The default input interval ``(0, 1)`` matches the normalized feature
-    maps produced by :mod:`repro.data.features`.
+    maps produced by :mod:`repro.features`.  At batch 1 with that
+    interval this is the graph ``build_model`` already traced to
+    validate the model, so it is reused rather than traced again.
     """
-    from repro.models.registry import build_model
+    from repro.models.registry import _build_and_trace
 
-    model = build_model(
-        model_name, preset=preset, grid=grid, seed=seed, in_channels=in_channels
-    )
-    graph = trace(
-        model,
-        (batch, in_channels, grid, grid),
-        input_vrange=input_vrange,
-        name=model_name,
-    )
+    model, graph = _build_and_trace(model_name, preset, grid, seed, in_channels)
+    if batch != 1 or tuple(input_vrange) != (0.0, 1.0):
+        graph = trace(
+            model,
+            (batch, in_channels, grid, grid),
+            input_vrange=input_vrange,
+            name=model_name,
+        )
     graph.meta.update({"preset": preset, "grid": grid, "batch": batch})
     return graph

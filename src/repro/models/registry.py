@@ -55,6 +55,23 @@ def build_model(
         (``REPRO101``–``105``) survives ``# noqa`` suppression.  Off by
         default.
     """
+    return _build_and_trace(name, preset, grid, seed, in_channels, analyze)[0]
+
+
+def _build_and_trace(
+    name: str,
+    preset: str,
+    grid: int,
+    seed: int,
+    in_channels: int,
+    analyze: bool = False,
+):
+    """:func:`build_model`, also returning its ``(1, C, grid, grid)`` graph.
+
+    The validation trace is the batch-1 forward graph with inputs in
+    ``(0, 1)``; :func:`repro.ir.trace_model` reuses it instead of
+    tracing the model a second time.
+    """
     if name not in MODEL_NAMES:
         raise ValueError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
     if preset not in PRESETS:
@@ -112,4 +129,4 @@ def build_model(
                 + report["determinism"]["findings"]
             ]
             raise AnalysisError(findings)
-    return model
+    return model, graph

@@ -1,7 +1,9 @@
 """Structured neural-network operations with hand-written adjoints.
 
 These are the image-shaped primitives the paper's models need —
-2-D convolution (via im2col), max pooling, nearest-neighbour
+2-D convolution (im2col + BLAS matmul; stride-1 input gradient via
+flipped-kernel correlation; col2im only for strided convs), transposed
+convolution, max pooling, nearest-neighbour
 upsampling, zero padding, softmax/log-softmax, position attention and
 normalization — built on :class:`repro.nn.tensor.Tensor`.  Each op
 installs an explicit backward closure rather than composing scalar
@@ -57,15 +59,19 @@ def im2col(
     """Unfold padded NCHW data into convolution columns.
 
     Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N, C * kernel * kernel, out_h * out_w)``.
+    ``(N, C * kernel * kernel, out_h * out_w)``.  A 1×1 stride-1 kernel
+    needs no unfold: its columns are the pixels, so ``cols`` is a
+    reshape of ``data`` (a view when ``data`` is contiguous).
     """
+    n, c, h, w = data.shape
+    if kernel == 1 and stride == 1:
+        return data.reshape(n, c, h * w), h, w
     # Symbolic tracing hook: as_strided does not speak the
     # __array_function__ protocol, so abstract arrays provide their own
     # shape-only implementation (see repro.ir.symbolic).
     symbolic = getattr(data, "__symbolic_im2col__", None)
     if symbolic is not None:
         return symbolic(kernel, stride)
-    n, c, h, w = data.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
     s0, s1, s2, s3 = data.strides
@@ -85,7 +91,12 @@ def col2im(
     kernel: int,
     stride: int,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back to NCHW."""
+    """Adjoint of :func:`im2col`: scatter-add columns back to NCHW.
+
+    One strided read-modify-write pass per kernel tap.  :func:`conv2d`
+    needs it only for the input gradient of strided convolutions;
+    :func:`conv_transpose2d` uses it for its forward.
+    """
     symbolic = getattr(cols, "__symbolic_col2im__", None)
     if symbolic is not None:
         return symbolic(shape, kernel, stride)
@@ -111,6 +122,12 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution over an NCHW tensor.
 
+    im2col + BLAS matmul: the forward is ``w2d @ cols`` and the weight
+    gradient ``(grad @ colsᵀ).sum(0)``.  For stride 1 the input gradient
+    is a forward correlation of the output gradient with the flipped,
+    in/out-swapped kernel (im2col + one matmul); col2im is used only for
+    strided convolutions.
+
     Parameters
     ----------
     x:
@@ -135,8 +152,7 @@ def conv2d(
     ) if padding else x.data
     cols, out_h, out_w = im2col(padded, kernel, stride)
     w2d = weight.data.reshape(c_out, -1)
-    out_data = np.einsum("ok,nkl->nol", w2d, cols, optimize=True)
-    out_data = out_data.reshape(n, c_out, out_h, out_w)
+    out_data = (w2d @ cols).reshape(n, c_out, out_h, out_w)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
 
@@ -147,16 +163,27 @@ def conv2d(
         if bias is not None:
             bias._accumulate(grad.sum(axis=(0, 2)))
         if weight.requires_grad:
-            grad_w = np.einsum("nol,nkl->ok", grad, cols, optimize=True)
+            grad_w = (grad @ cols.transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(grad_w.reshape(weight.shape))
-        if x.requires_grad:
-            grad_cols = np.einsum("ok,nol->nkl", w2d, grad, optimize=True)
-            grad_padded = col2im(grad_cols, padded.shape, kernel, stride)
-            if padding:
-                grad_padded = grad_padded[
-                    :, :, padding:-padding, padding:-padding
-                ]
-            x._accumulate(grad_padded)
+        if not x.requires_grad:
+            return
+        if stride == 1:
+            # dx = correlate(pad(dy, k-1), flip(w)ᵀ) cropped by
+            # ``padding``: pad (or crop) dy by k-1-padding in one step.
+            edge = kernel - 1 - padding
+            g = out.grad
+            if edge > 0:
+                g = np.pad(g, ((0, 0), (0, 0), (edge, edge), (edge, edge)))
+            elif edge < 0:
+                g = g[:, :, -edge:edge, -edge:edge]
+            grad_cols, _, _ = im2col(g, kernel, 1)
+            w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            x._accumulate((w_flip.reshape(c_in, -1) @ grad_cols).reshape(x.shape))
+            return
+        grad_padded = col2im(w2d.T @ grad, padded.shape, kernel, stride)
+        if padding:
+            grad_padded = grad_padded[:, :, padding:-padding, padding:-padding]
+        x._accumulate(grad_padded)
 
     return Tensor._make(out_data, parents, backward)
 
@@ -201,7 +228,7 @@ def conv_transpose2d(
     # kernel into columns, then scatter-add (col2im) onto the output.
     w2d = weight.data.reshape(c_in, c_out * kernel * kernel)
     x_flat = x.data.reshape(n, c_in, h * w)
-    cols = np.einsum("ik,nil->nkl", w2d, x_flat, optimize=True)
+    cols = w2d.T @ x_flat
     padded_shape = (n, c_out, out_h + 2 * padding, out_w + 2 * padding)
     out_data = col2im(cols, padded_shape, kernel, stride)
     if padding:
@@ -222,10 +249,10 @@ def conv_transpose2d(
         )
         grad_cols, _, _ = im2col(grad_padded, kernel, stride)
         if weight.requires_grad:
-            grad_w = np.einsum("nkl,nil->ik", grad_cols, x_flat, optimize=True)
+            grad_w = (x_flat @ grad_cols.transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(grad_w.reshape(weight.shape))
         if x.requires_grad:
-            grad_x = np.einsum("ik,nkl->nil", w2d, grad_cols, optimize=True)
+            grad_x = w2d @ grad_cols
             x._accumulate(grad_x.reshape(n, c_in, h, w))
 
     return Tensor._make(out_data, parents, backward)
@@ -395,20 +422,24 @@ def batch_norm(
     n, c, h, w = x.shape
     axes = (0, 2, 3)
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        # One centering pass serves the variance and x_hat; the sums are
+        # the ones np.mean/np.var take, so the statistics are bitwise
+        # equal to theirs.
         count = n * h * w
+        mean = x.data.mean(axis=axes, keepdims=True)
+        centered = x.data - mean
+        var = (centered * centered).sum(axis=axes) / count
         running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
+        running_mean += momentum * mean.reshape(c)
         unbiased = var * count / max(count - 1, 1)
         running_var *= 1.0 - momentum
         running_var += momentum * unbiased
     else:
-        mean = running_mean
+        centered = x.data - running_mean.reshape(1, c, 1, 1)
         var = running_var
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
+    x_hat = centered * inv_std.reshape(1, c, 1, 1)
     out_data = gamma.data.reshape(1, c, 1, 1) * x_hat + beta.data.reshape(
         1, c, 1, 1
     )

@@ -12,21 +12,21 @@ def _rng():
 
 class TestAnalyticFlops:
     def test_conv2d_exact(self):
-        # im2col conv: the single einsum contraction does
+        # im2col conv: the single matmul does
         # 2 * N * C_out * (C_in * k^2) * H_out * W_out flops.
         n, c_in, c_out, k, h = 1, 3, 8, 3, 16
         conv = Conv2d(c_in, c_out, k, padding=1, rng=_rng())
         graph = trace(conv, (n, c_in, h, h))
-        einsum_flops = sum(node.flops for node in graph if node.op == "einsum")
-        assert einsum_flops == 2 * n * c_out * (c_in * k * k) * h * h
+        matmul_flops = sum(node.flops for node in graph if node.op == "matmul")
+        assert matmul_flops == 2 * n * c_out * (c_in * k * k) * h * h
 
     def test_conv2d_strided_exact(self):
         n, c_in, c_out, k, h, stride = 2, 4, 6, 3, 16, 2
         h_out = (h - k) // stride + 1
         conv = Conv2d(c_in, c_out, k, stride=stride, rng=_rng())
         graph = trace(conv, (n, c_in, h, h))
-        einsum_flops = sum(node.flops for node in graph if node.op == "einsum")
-        assert einsum_flops == 2 * n * c_out * (c_in * k * k) * h_out * h_out
+        matmul_flops = sum(node.flops for node in graph if node.op == "matmul")
+        assert matmul_flops == 2 * n * c_out * (c_in * k * k) * h_out * h_out
 
     def test_linear_exact(self):
         # y = x @ W^T: 2 * batch * in * out flops for the matmul.

@@ -32,6 +32,37 @@ class TestShapeFidelity:
         assert graph[graph.outputs[0]].dtype == out.data.dtype
 
 
+class TestTraceModelReuse:
+    def _sessions(self, monkeypatch):
+        count = []
+        init = TraceSession.__init__
+
+        def counting(self):
+            count.append(1)
+            init(self)
+
+        monkeypatch.setattr(TraceSession, "__init__", counting)
+        return count
+
+    def test_batch_one_reuses_the_validation_trace(self, monkeypatch):
+        count = self._sessions(monkeypatch)
+        graph = trace_model("unet", preset="tiny", grid=32)
+        assert len(count) == 1
+        fresh = trace(build_model("unet", "tiny", grid=32), (1, 6, 32, 32),
+                      input_vrange=(0.0, 1.0))
+        assert [(n.op, n.shape, n.flops) for n in graph] == [
+            (n.op, n.shape, n.flops) for n in fresh
+        ]
+        assert graph.meta["batch"] == 1
+
+    def test_other_batches_and_intervals_trace_again(self, monkeypatch):
+        count = self._sessions(monkeypatch)
+        graph = trace_model("unet", preset="tiny", grid=32, batch=2)
+        assert graph.meta["input_shapes"] == [(2, 6, 32, 32)]
+        trace_model("unet", preset="tiny", grid=32, input_vrange=(-1.0, 1.0))
+        assert len(count) == 4
+
+
 class TestGraphStructure:
     @pytest.fixture(scope="class")
     def graph(self):

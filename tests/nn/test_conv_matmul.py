@@ -1,0 +1,201 @@
+"""Differential oracle for the matmul convolutions.
+
+``conv2d`` and ``conv_transpose2d`` run on plain BLAS matmuls, skip the
+unfold for 1×1 stride-1 kernels and compute the stride-1 input gradient
+as a correlation with the flipped kernel.  The reference below is the
+einsum + col2im formulation they replaced, written out on plain numpy
+arrays, so every value and gradient is checked against an independent
+derivation.
+"""
+
+import numpy as np
+import pytest
+
+from repro import nn
+from repro.ir import trace
+from repro.nn import Tensor
+from repro.nn import functional as F
+
+RTOL = 1e-12  # relative to the largest magnitude of each compared array
+
+
+def _ref_im2col(data, kernel, stride):
+    n, c, h, w = data.shape
+    out_h = (h - kernel) // stride + 1
+    out_w = (w - kernel) // stride + 1
+    s0, s1, s2, s3 = data.strides
+    windows = np.lib.stride_tricks.as_strided(
+        data,
+        shape=(n, c, kernel, kernel, out_h, out_w),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+        writeable=False,
+    )
+    return windows.reshape(n, c * kernel * kernel, out_h * out_w), out_h, out_w
+
+
+def _ref_col2im(cols, shape, kernel, stride):
+    n, c, h, w = shape
+    out_h = (h - kernel) // stride + 1
+    out_w = (w - kernel) // stride + 1
+    cols = cols.reshape(n, c, kernel, kernel, out_h, out_w)
+    data = np.zeros(shape, dtype=cols.dtype)
+    for ki in range(kernel):
+        for kj in range(kernel):
+            data[:, :, ki : ki + stride * out_h : stride,
+                 kj : kj + stride * out_w : stride] += cols[:, :, ki, kj]
+    return data
+
+
+def _pad(a, p):
+    return np.pad(a, ((0, 0), (0, 0), (p, p), (p, p))) if p else a
+
+
+def _crop(a, p):
+    return a[:, :, p:-p, p:-p] if p else a
+
+
+def _ref_conv2d(x, w, b, stride, padding, g):
+    """Forward output and (dx, dw, db) for upstream gradient ``g``."""
+    n = x.shape[0]
+    c_out, _, k, _ = w.shape
+    padded = _pad(x, padding)
+    cols, oh, ow = _ref_im2col(padded, k, stride)
+    w2d = w.reshape(c_out, -1)
+    out = np.einsum("ok,nkl->nol", w2d, cols, optimize=True).reshape(n, c_out, oh, ow)
+    if b is not None:
+        out = out + b.reshape(1, c_out, 1, 1)
+    g = g.reshape(n, c_out, oh * ow)
+    dw = np.einsum("nol,nkl->ok", g, cols, optimize=True).reshape(w.shape)
+    dcols = np.einsum("ok,nol->nkl", w2d, g, optimize=True)
+    dx = _crop(_ref_col2im(dcols, padded.shape, k, stride), padding)
+    db = g.sum(axis=(0, 2)) if b is not None else None
+    return out, dx, dw, db
+
+
+def _ref_conv_transpose2d(x, w, b, stride, padding, g):
+    n, c_in, h, wd = x.shape
+    _, c_out, k, _ = w.shape
+    out_h = (h - 1) * stride + k - 2 * padding
+    out_w = (wd - 1) * stride + k - 2 * padding
+    w2d = w.reshape(c_in, c_out * k * k)
+    x_flat = x.reshape(n, c_in, h * wd)
+    cols = np.einsum("ik,nil->nkl", w2d, x_flat, optimize=True)
+    shape = (n, c_out, out_h + 2 * padding, out_w + 2 * padding)
+    out = _crop(_ref_col2im(cols, shape, k, stride), padding)
+    if b is not None:
+        out = out + b.reshape(1, c_out, 1, 1)
+    gcols, _, _ = _ref_im2col(_pad(g, padding), k, stride)
+    dw = np.einsum("nkl,nil->ik", gcols, x_flat, optimize=True).reshape(w.shape)
+    dx = np.einsum("ik,nkl->nil", w2d, gcols, optimize=True).reshape(x.shape)
+    db = g.sum(axis=(0, 2, 3)) if b is not None else None
+    return out, dx, dw, db
+
+
+def _assert_close(actual, expected):
+    assert actual.shape == expected.shape
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    assert float(np.abs(actual - expected).max()) <= RTOL * scale
+
+
+def _run(op, x, w, b, stride, padding, g):
+    xt = Tensor(x, requires_grad=True)
+    wt = nn.Parameter(w)
+    bt = nn.Parameter(b) if b is not None else None
+    out = op(xt, wt, bt, stride=stride, padding=padding)
+    (out * Tensor(g)).sum().backward()
+    return out.data, xt.grad, wt.grad, (bt.grad if bt is not None else None)
+
+
+def _check(actual, expected):
+    for got, want in zip(actual, expected):
+        if want is None:
+            assert got is None
+        else:
+            _assert_close(got, want)
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel", [1, 3])
+def test_conv2d_matches_einsum_reference(kernel, stride, padding, batch, bias):
+    rng = np.random.default_rng(kernel * 1000 + stride * 100 + padding * 10 + batch)
+    c_in, c_out = 3, 5
+    x = rng.normal(size=(batch, c_in, 7, 6))
+    w = rng.normal(size=(c_out, c_in, kernel, kernel))
+    b = rng.normal(size=c_out) if bias else None
+    out_h = (7 + 2 * padding - kernel) // stride + 1
+    out_w = (6 + 2 * padding - kernel) // stride + 1
+    g = rng.normal(size=(batch, c_out, out_h, out_w))
+    expected = _ref_conv2d(x, w, b, stride, padding, g)
+    _check(_run(F.conv2d, x, w, b, stride, padding, g), expected)
+
+
+@pytest.mark.parametrize("channels", [(3, 5), (4, 4)])
+def test_conv2d_input_grad_channel_layouts(channels):
+    # Equal channel counts let a kernel that is not swapped in/out
+    # through the flipped-kernel gradient still have a valid shape.
+    c_in, c_out = channels
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(2, c_in, 6, 6))
+    w = rng.normal(size=(c_out, c_in, 3, 3))
+    g = rng.normal(size=(2, c_out, 6, 6))
+    _check(_run(F.conv2d, x, w, None, 1, 1, g), _ref_conv2d(x, w, None, 1, 1, g))
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize(
+    "kernel,stride,padding",
+    [(1, 1, 0), (2, 2, 0), (3, 1, 0), (3, 1, 1), (3, 2, 1), (4, 2, 1)],
+)
+def test_conv_transpose2d_matches_einsum_reference(kernel, stride, padding, batch, bias):
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + padding + batch)
+    c_in, c_out = 4, 3
+    x = rng.normal(size=(batch, c_in, 5, 4))
+    w = rng.normal(size=(c_in, c_out, kernel, kernel))
+    b = rng.normal(size=c_out) if bias else None
+    out_h = (5 - 1) * stride + kernel - 2 * padding
+    out_w = (4 - 1) * stride + kernel - 2 * padding
+    g = rng.normal(size=(batch, c_out, out_h, out_w))
+    expected = _ref_conv_transpose2d(x, w, b, stride, padding, g)
+    _check(_run(F.conv_transpose2d, x, w, b, stride, padding, g), expected)
+
+
+def test_convs_call_no_einsum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(2, 3, 6, 6))
+    for stride in (1, 2):
+        w = rng.normal(size=(4, 3, 3, 3))
+        g = np.ones(F.conv2d(Tensor(x), Tensor(w), stride=stride, padding=1).shape)
+        _run(F.conv2d, x, w, None, stride, 1, g)
+        wt = rng.normal(size=(3, 4, 2, 2))
+        g = np.ones(F.conv_transpose2d(Tensor(x), Tensor(wt), stride=stride).shape)
+        _run(F.conv_transpose2d, x, wt, None, stride, 0, g)
+
+
+def test_stride_one_input_grad_needs_no_col2im(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("col2im called")
+
+    monkeypatch.setattr(F, "col2im", refuse)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(2, 3, 6, 6))
+    for kernel, padding in ((1, 0), (1, 2), (3, 0), (3, 1), (3, 2)):
+        w = rng.normal(size=(4, 3, kernel, kernel))
+        g = np.ones(F.conv2d(Tensor(x), Tensor(w), padding=padding).shape)
+        _run(F.conv2d, x, w, None, 1, padding, g)
+
+
+def test_pointwise_conv_traces_without_unfold():
+    conv = nn.Conv2d(4, 6, 1, rng=np.random.default_rng(0))
+    graph = trace(conv, (2, 4, 8, 8))
+    ops = [node.op for node in graph if node.kind == "op"]
+    assert "im2col" not in ops
+    assert ops.count("reshape") >= 1
+    assert ops.count("matmul") == 1

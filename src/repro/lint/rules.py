@@ -48,7 +48,7 @@ __all__ = ["LintDiagnostic", "RULES", "lint_source", "lint_file", "lint_paths"]
 
 # Layer constructors whose first two positional arguments are
 # (in_channels/features, out_channels/features); used by REPRO006.
-_CHANNEL_LAYERS = {"Conv2d", "ConvTranspose2d", "Linear", "ConvBNReLU"}
+_CHANNEL_LAYERS = {"Conv2d", "Linear", "ConvBNReLU"}
 
 RULES = codes_for("lint")
 

@@ -17,13 +17,14 @@ the canonical DANet formulation — see DESIGN.md §5.)
 PAM's attention product is one autograd primitive,
 :func:`repro.nn.functional.position_attention`, with a hand-written vjp:
 the formulation (``S = softmax(BᵀC)``, output ``D·Sᵀ``) is DANet's,
-unchanged, but the ``L × L`` attention is built in place and backward
-never forms an ``L × L`` gradient.
+unchanged, but the ``L × L`` attention (``L = H·W``) is computed in
+cache-sized blocks of query rows and recomputed in backward, so memory
+is O(rows·L) and no ``L × L`` map or gradient is ever held.
 
-For large feature maps the full ``L × L`` spatial attention matrix
-(``L = H·W``) is quadratic in memory; PAM therefore optionally pools its
+Compute stays quadratic in ``L``; PAM therefore optionally pools its
 key/query/value maps so ``L`` stays below ``max_tokens``, matching how
-DANet-style models are deployed at high resolution.
+DANet-style models are deployed at high resolution.  The pooling bounds
+compute only: memory no longer needs it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,12 @@ __all__ = ["PositionAttention", "ChannelAttention", "MFABlock"]
 
 
 class PositionAttention(nn.Module):
-    """PAM: spatial self-attention with a learnable residual gain α."""
+    """PAM: spatial self-attention with a learnable residual gain α.
+
+    Attention memory is O(rows·L) for ``L`` tokens (row blocks of about
+    1 MiB, recomputed in backward); ``max_tokens`` pools the maps to
+    bound the O(L²) compute, not memory.
+    """
 
     def __init__(
         self,

@@ -14,7 +14,6 @@ from .layers import (
     AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    ConvTranspose2d,
     ConvBNReLU,
     Dropout,
     GELU,
@@ -58,7 +57,6 @@ __all__ = [
     "Parameter",
     "Sequential",
     "Conv2d",
-    "ConvTranspose2d",
     "Linear",
     "BatchNorm2d",
     "LayerNorm",

@@ -2,13 +2,13 @@
 
 These are the image-shaped primitives the paper's models need —
 2-D convolution (im2col + BLAS matmul; stride-1 input gradient via
-flipped-kernel correlation; col2im only for strided convs), transposed
-convolution, max pooling, nearest-neighbour
-upsampling, zero padding, softmax/log-softmax, position attention and
-normalization — built on :class:`repro.nn.tensor.Tensor`.  Each op
-installs an explicit backward closure rather than composing scalar
-autograd primitives, which keeps numpy training tractable at the grid
-sizes used by the benchmark harness.
+flipped-kernel correlation; col2im only for strided convs), max
+pooling, nearest-neighbour upsampling, zero padding,
+softmax/log-softmax, position attention and normalization — built on
+:class:`repro.nn.tensor.Tensor`.  Each op installs an explicit backward
+closure rather than composing scalar autograd primitives, which keeps
+numpy training tractable at the grid sizes used by the benchmark
+harness.
 
 All image tensors follow the NCHW convention used throughout the paper
 (Fig. 5 reports shapes as ``[channels, height, width]``).
@@ -25,7 +25,6 @@ __all__ = [
     "im2col",
     "col2im",
     "conv2d",
-    "conv_transpose2d",
     "max_pool2d",
     "avg_pool2d",
     "upsample_nearest",
@@ -93,9 +92,8 @@ def col2im(
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add columns back to NCHW.
 
-    One strided read-modify-write pass per kernel tap.  :func:`conv2d`
-    needs it only for the input gradient of strided convolutions;
-    :func:`conv_transpose2d` uses it for its forward.
+    One strided read-modify-write pass per kernel tap.  Only the input
+    gradient of strided convolutions in :func:`conv2d` needs it.
     """
     symbolic = getattr(cols, "__symbolic_col2im__", None)
     if symbolic is not None:
@@ -188,76 +186,6 @@ def conv2d(
     return Tensor._make(out_data, parents, backward)
 
 
-def conv_transpose2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
-    """2-D transposed convolution (the adjoint of :func:`conv2d`).
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(N, C_in, H, W)``.
-    weight:
-        Kernel of shape ``(C_in, C_out, k, k)`` (PyTorch convention).
-    bias:
-        Optional per-output-channel bias of shape ``(C_out,)``.
-
-    Output spatial size is ``(H - 1) * stride + k - 2 * padding``.
-    """
-    x = as_tensor(x)
-    n, c_in, h, w = x.shape
-    c_in_w, c_out, kernel, kernel_w = weight.shape
-    if kernel != kernel_w:
-        raise ValueError("only square kernels are supported")
-    if c_in != c_in_w:
-        raise ValueError(
-            f"input has {c_in} channels but weight expects {c_in_w}"
-        )
-    out_h = (h - 1) * stride + kernel - 2 * padding
-    out_w = (w - 1) * stride + kernel - 2 * padding
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"non-positive output size {(out_h, out_w)}; check padding"
-        )
-
-    # Forward of convT == input-backward of conv: expand x through the
-    # kernel into columns, then scatter-add (col2im) onto the output.
-    w2d = weight.data.reshape(c_in, c_out * kernel * kernel)
-    x_flat = x.data.reshape(n, c_in, h * w)
-    cols = w2d.T @ x_flat
-    padded_shape = (n, c_out, out_h + 2 * padding, out_w + 2 * padding)
-    out_data = col2im(cols, padded_shape, kernel, stride)
-    if padding:
-        out_data = out_data[:, :, padding:-padding, padding:-padding]
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(out: Tensor) -> None:
-        grad = out.grad
-        if bias is not None:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
-        grad_padded = (
-            np.pad(grad, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-            if padding
-            else grad
-        )
-        grad_cols, _, _ = im2col(grad_padded, kernel, stride)
-        if weight.requires_grad:
-            grad_w = (x_flat @ grad_cols.transpose(0, 2, 1)).sum(axis=0)
-            weight._accumulate(grad_w.reshape(weight.shape))
-        if x.requires_grad:
-            grad_x = w2d @ grad_cols
-            x._accumulate(grad_x.reshape(n, c_in, h, w))
-
-    return Tensor._make(out_data, parents, backward)
-
-
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     """Max pooling over non-overlapping (by default) windows."""
     stride = kernel if stride is None else stride
@@ -334,6 +262,52 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
+#: Bytes of one row block of the position attention: ``rows · N · L``
+#: elements of the unnormalized attention, sized to stay in cache.
+_ATTENTION_BLOCK_BYTES = 1 << 20
+
+
+def _attention_block_rows(qd: np.ndarray, tokens: int) -> int:
+    """Query rows per block of :func:`position_attention`.
+
+    Symbolic arrays (:mod:`repro.ir.symbolic`) record the whole
+    attention as one block, so the traced graph does not depend on the
+    block size.
+    """
+    if not isinstance(qd, np.ndarray):
+        return tokens
+    n = qd.shape[0]
+    return max(1, _ATTENTION_BLOCK_BYTES // (n * tokens * qd.dtype.itemsize))
+
+
+def _attention_exp(qb: np.ndarray, kd: np.ndarray, row_max=None):
+    """``(X, max E)`` for the query block ``qb``: ``X = exp(E - max E)``.
+
+    ``E = qbᵀk`` is ``(N, rows, L)``; ``X`` is built in place over it.
+    Given the stored ``row_max`` of a previous call, ``X`` is recomputed
+    bitwise identically.
+    """
+    n, d, rows = qb.shape
+    if d == 1:
+        # Rank-1 energy: an outer product, which broadcasting builds
+        # without a matmul of inner dimension 1.
+        energy = qb.reshape(n, rows, 1) * kd
+    else:
+        energy = np.swapaxes(qb, 1, 2) @ kd
+    if row_max is None:
+        row_max = energy.max(axis=-1, keepdims=True)
+    energy -= row_max
+    return np.exp(energy, out=energy), row_max
+
+
+def _attention_forward(qb: np.ndarray, kd: np.ndarray, vd: np.ndarray):
+    """``(out, 1/ΣX, max E)`` for the query block ``qb``."""
+    x, row_max = _attention_exp(qb, kd)
+    inv = 1 / x.sum(axis=-1)
+    out = (vd @ np.swapaxes(x, 1, 2)) * inv.reshape(qb.shape[0], 1, qb.shape[2])
+    return out, inv, row_max
+
+
 def position_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """DANet position attention (Eqs. 4–5): ``v · softmax(qᵀk)ᵀ``.
 
@@ -341,12 +315,21 @@ def position_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     ``(N, c, L)`` value map; the result is ``(N, c, L)`` with
     ``out[:, :, i] = Σ_j P_ij v[:, :, j]`` and ``P = softmax_j(qᵢ·kⱼ)``.
 
-    One primitive instead of matmul → softmax → transpose → matmul: the
-    ``L × L`` attention is built in place (unnormalized ``X = exp(E -
-    max E)`` plus per-row ``1/ΣX``) and backward uses it only inside
-    matmuls, so no ``L × L`` gradient is ever formed.  With ``G`` the
-    output gradient and ``r_i = Σ_c G_ci out_ci`` the softmax row dot,
-    ``dE_ij = P_ij (Σ_c G_ci v_cj − r_i)``, which contracts as
+    One primitive instead of matmul → softmax → transpose → matmul, run
+    over blocks of whole query rows (FlashAttention-style row tiling and
+    recompute).  A block of the unnormalized attention ``X = exp(E -
+    max E)`` holds ``rows · N · L`` elements, about 1 MiB, so it stays
+    in cache and no ``L × L`` map is ever held.  The forward stores only
+    the output, per-row ``1/ΣX`` and per-row ``max E``; each block holds
+    whole rows, so the max is exact and nothing is rescaled.  Only the
+    BLAS products (the ``d > 1`` energy and ``v @ Xᵀ``) may round
+    differently from a one-block computation, since BLAS picks its gemm
+    kernel by matrix size.  Backward recomputes each block of ``X`` from
+    ``q``, ``k`` and the stored max (bitwise the forward's ``X``) and
+    uses it only inside matmuls, so no ``L × L`` gradient is formed
+    either.  With ``G`` the output gradient and ``r_i = Σ_c G_ci out_ci``
+    the softmax row dot, ``dE_ij = P_ij (Σ_c G_ci v_cj − r_i)``, which
+    contracts as
 
     * ``dv = (G / ΣX) @ X``;
     * ``dq = ((Σ_c G_c · X @ (v_c ⊙ k)ᵀ) − r · X @ kᵀ) / ΣX``;
@@ -356,16 +339,18 @@ def position_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     c = v.shape[1]
     cd = c * d
     qd, kd, vd = q.data, k.data, v.data
-    if d == 1:
-        # Rank-1 energy: an outer product, which broadcasting builds
-        # without a matmul of inner dimension 1.
-        energy = qd.reshape(n, tokens, 1) * kd
+    rows = _attention_block_rows(qd, tokens)
+    blocks = [slice(start, start + rows) for start in range(0, tokens, rows)]
+    if len(blocks) == 1:
+        out_data, inv, row_max = _attention_forward(qd, kd, vd)
     else:
-        energy = np.swapaxes(qd, 1, 2) @ kd
-    energy -= energy.max(axis=-1, keepdims=True)
-    x = np.exp(energy, out=energy)
-    inv = 1 / x.sum(axis=-1)
-    out_data = (vd @ np.swapaxes(x, 1, 2)) * inv.reshape(n, 1, tokens)
+        out_data = np.empty((n, c, tokens), dtype=np.result_type(qd, kd, vd))
+        inv = np.empty((n, tokens), dtype=out_data.dtype)
+        row_max = np.empty((n, tokens, 1), dtype=out_data.dtype)
+        for b in blocks:
+            out_data[:, :, b], inv[:, b], row_max[:, b] = _attention_forward(
+                qd[:, :, b], kd, vd
+            )
 
     def backward(out: Tensor) -> None:
         g = out.grad
@@ -373,13 +358,19 @@ def position_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         r_inv = (g * out.data).sum(axis=1) * inv  # (N, L)
         # dq: one right-multiply of X by [v_c ⊙ k_a ; k_a]ᵀ.
         vk = (vd[:, :, None, :] * kd[:, None, :, :]).reshape(n, cd, tokens)
-        m = x @ np.swapaxes(np.concatenate([vk, kd], axis=1), 1, 2)
-        dq = np.einsum("nci,nica->nai", g_inv, m[:, :, :cd].reshape(n, tokens, c, d))
-        dq -= r_inv[:, None, :] * np.swapaxes(m[:, :, cd:], 1, 2)
+        rhs = np.swapaxes(np.concatenate([vk, kd], axis=1), 1, 2)
         # dv and dk: one left-multiply of X by
         # [G / ΣX ; q_a ⊙ G_c / ΣX ; q_a ⊙ r / ΣX].
         qg = (qd[:, None, :, :] * g_inv[:, :, None, :]).reshape(n, cd, tokens)
-        left = np.concatenate([g_inv, qg, qd * r_inv[:, None, :]], axis=1) @ x
+        lhs = np.concatenate([g_inv, qg, qd * r_inv[:, None, :]], axis=1)
+        m = np.empty((n, tokens, cd + d), dtype=rhs.dtype)
+        left = np.zeros_like(lhs)
+        for b in blocks:
+            x, _ = _attention_exp(qd[:, :, b], kd, row_max[:, b])
+            m[:, b] = x @ rhs
+            left += lhs[:, :, b] @ x
+        dq = np.einsum("nci,nica->nai", g_inv, m[:, :, :cd].reshape(n, tokens, c, d))
+        dq -= r_inv[:, None, :] * np.swapaxes(m[:, :, cd:], 1, 2)
         dk = np.einsum("ncj,ncaj->naj", vd, left[:, c : c + cd].reshape(n, c, d, tokens))
         dk -= left[:, c + cd :]
         q._accumulate(dq)

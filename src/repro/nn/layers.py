@@ -17,7 +17,6 @@ from .tensor import Tensor
 
 __all__ = [
     "Conv2d",
-    "ConvTranspose2d",
     "Linear",
     "BatchNorm2d",
     "LayerNorm",
@@ -72,46 +71,6 @@ class Conv2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(
-            x, self.weight, self.bias, stride=self.stride, padding=self.padding
-        )
-
-
-class ConvTranspose2d(Module):
-    """2-D transposed convolution (learnable upsampling).
-
-    ``kernel_size == stride`` with zero padding gives the exact inverse
-    geometry of a stride-``s`` convolution — the standard decoder
-    upsampler.  Weight shape follows PyTorch: ``(in, out, k, k)``.
-    """
-
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel_size: int,
-        stride: int = 1,
-        padding: int = 0,
-        bias: bool = True,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        super().__init__()
-        rng = rng or _default_rng
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        shape = (in_channels, out_channels, kernel_size, kernel_size)
-        # Kaiming fan-in for the *gather* direction (in_channels * k²).
-        bound = np.sqrt(1.0 / (in_channels * kernel_size * kernel_size))
-        self.weight = Parameter(rng.uniform(-bound, bound, size=shape))
-        if bias:
-            self.bias = Parameter(rng.uniform(-bound, bound, size=out_channels))
-        else:
-            self.bias = None
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.conv_transpose2d(
             x, self.weight, self.bias, stride=self.stride, padding=self.padding
         )
 

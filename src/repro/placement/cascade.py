@@ -104,11 +104,10 @@ class GroupMap:
         self, grad_x: np.ndarray, grad_y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Accumulate per-instance gradients onto group variables."""
-        ggx = np.zeros(self.num_groups)
-        ggy = np.zeros(self.num_groups)
         gids = self.group_of[self._movable]
-        np.add.at(ggx, gids, grad_x[self._movable])
-        np.add.at(ggy, gids, grad_y[self._movable])
+        n = self.num_groups
+        ggx = np.bincount(gids, weights=grad_x[self._movable], minlength=n)
+        ggy = np.bincount(gids, weights=grad_y[self._movable], minlength=n)
         return ggx, ggy
 
     def clamp_variables(

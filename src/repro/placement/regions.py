@@ -38,6 +38,8 @@ class RegionTension:
                 self._rects.append(
                     (region.xlo, region.ylo, region.xhi, region.yhi)
                 )
+        # Every region's members in region order (empty without regions).
+        self._all_members = np.concatenate([np.zeros(0, np.int64), *self._members])
 
     @property
     def num_constrained(self) -> int:
@@ -47,9 +49,8 @@ class RegionTension:
         self, x: np.ndarray, y: np.ndarray
     ) -> tuple[float, np.ndarray, np.ndarray]:
         """Quadratic fence-distance penalty and its gradient."""
-        grad_x = np.zeros_like(x)
-        grad_y = np.zeros_like(y)
         total = 0.0
+        steps_x, steps_y = [np.zeros(0)], [np.zeros(0)]
         for members, (xlo, ylo, xhi, yhi) in zip(self._members, self._rects):
             mx = x[members]
             my = y[members]
@@ -57,8 +58,12 @@ class RegionTension:
             dx = np.where(mx < xlo, mx - xlo, np.where(mx > xhi, mx - xhi, 0.0))
             dy = np.where(my < ylo, my - ylo, np.where(my > yhi, my - yhi, 0.0))
             total += float((dx**2 + dy**2).sum())
-            np.add.at(grad_x, members, 2.0 * dx)
-            np.add.at(grad_y, members, 2.0 * dy)
+            steps_x.append(2.0 * dx)
+            steps_y.append(2.0 * dy)
+        # One scatter over every region's members, in region order.
+        members = self._all_members
+        grad_x = np.bincount(members, weights=np.concatenate(steps_x), minlength=x.size)
+        grad_y = np.bincount(members, weights=np.concatenate(steps_y), minlength=y.size)
         return total, grad_x, grad_y
 
     def violation_count(self, x: np.ndarray, y: np.ndarray, tol: float = 1e-6) -> int:

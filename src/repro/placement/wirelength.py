@@ -10,8 +10,10 @@ net with pin coordinates :math:`x_i` the WA span along x is
 
 which approaches ``max(x) - min(x)`` as the smoothing parameter
 ``gamma`` shrinks.  Everything is evaluated with per-net segment
-reductions (``np.add.at`` / ``np.maximum.at``) so the cost is one pass
-over the pin arrays.
+reductions (``np.bincount`` sums, ``np.maximum.at`` / ``np.minimum.at``
+extrema) so the cost is one pass over the pin arrays.  A weighted
+``np.bincount`` adds in index order, exactly as ``np.add.at`` on zeros,
+so the sums are bitwise those of the scatter it replaces.
 """
 
 from __future__ import annotations
@@ -62,17 +64,17 @@ def _wa_axis(
     np.maximum.at(net_max, pin_net, coords)
     np.minimum.at(net_min, pin_net, coords)
 
-    ep = np.exp((coords - net_max[pin_net]) / gamma)  # for the max side
-    em = np.exp((net_min[pin_net] - coords) / gamma)  # for the min side
+    ep = coords - net_max[pin_net]  # for the max side
+    ep /= gamma
+    np.exp(ep, out=ep)
+    em = net_min[pin_net] - coords  # for the min side
+    em /= gamma
+    np.exp(em, out=em)
 
-    sum_ep = np.zeros(num_nets)
-    sum_xep = np.zeros(num_nets)
-    sum_em = np.zeros(num_nets)
-    sum_xem = np.zeros(num_nets)
-    np.add.at(sum_ep, pin_net, ep)
-    np.add.at(sum_xep, pin_net, coords * ep)
-    np.add.at(sum_em, pin_net, em)
-    np.add.at(sum_xem, pin_net, coords * em)
+    sum_ep = np.bincount(pin_net, weights=ep, minlength=num_nets)
+    sum_xep = np.bincount(pin_net, weights=coords * ep, minlength=num_nets)
+    sum_em = np.bincount(pin_net, weights=em, minlength=num_nets)
+    sum_xem = np.bincount(pin_net, weights=coords * em, minlength=num_nets)
 
     wa_max = sum_xep / sum_ep
     wa_min = sum_xem / sum_em
@@ -80,13 +82,12 @@ def _wa_axis(
 
     # d(wa_max)/dx_i = e_i/S * (1 + (x_i - wa_max)/gamma)
     # d(wa_min)/dx_i = m_i/T * (1 - (x_i - wa_min)/gamma)
-    gmax = ep / sum_ep[pin_net] * (
-        1.0 + (coords - wa_max[pin_net]) / gamma
-    )
-    gmin = em / sum_em[pin_net] * (
-        1.0 - (coords - wa_min[pin_net]) / gamma
-    )
-    return span, gmax - gmin
+    ep /= sum_ep[pin_net]
+    ep *= 1.0 + (coords - wa_max[pin_net]) / gamma
+    em /= sum_em[pin_net]
+    em *= 1.0 - (coords - wa_min[pin_net]) / gamma
+    ep -= em
+    return span, ep
 
 
 def wa_wirelength(
@@ -117,10 +118,8 @@ def _lse_axis(
 
     ep = np.exp((coords - net_max[pin_net]) / gamma)
     em = np.exp((net_min[pin_net] - coords) / gamma)
-    sum_ep = np.zeros(num_nets)
-    sum_em = np.zeros(num_nets)
-    np.add.at(sum_ep, pin_net, ep)
-    np.add.at(sum_em, pin_net, em)
+    sum_ep = np.bincount(pin_net, weights=ep, minlength=num_nets)
+    sum_em = np.bincount(pin_net, weights=em, minlength=num_nets)
 
     span = (
         net_max - net_min + gamma * (np.log(sum_ep) + np.log(sum_em))
@@ -147,10 +146,8 @@ def lse_wirelength_grad(
     span_x, pin_gx = _lse_axis(pin_x, design.pin_net, design.num_nets, gamma)
     span_y, pin_gy = _lse_axis(pin_y, design.pin_net, design.num_nets, gamma)
     weights = design.net_weights[design.pin_net]
-    grad_x = np.zeros_like(x)
-    grad_y = np.zeros_like(y)
-    np.add.at(grad_x, design.pin_inst, pin_gx * weights)
-    np.add.at(grad_y, design.pin_inst, pin_gy * weights)
+    grad_x = np.bincount(design.pin_inst, weights=pin_gx * weights, minlength=x.size)
+    grad_y = np.bincount(design.pin_inst, weights=pin_gy * weights, minlength=y.size)
     total = float(((span_x + span_y) * design.net_weights).sum())
     return total, grad_x, grad_y
 
@@ -169,9 +166,7 @@ def wa_wirelength_grad(
     span_y, pin_gy = _wa_axis(pin_y, design.pin_net, design.num_nets, gamma)
 
     weights = design.net_weights[design.pin_net]
-    grad_x = np.zeros_like(x)
-    grad_y = np.zeros_like(y)
-    np.add.at(grad_x, design.pin_inst, pin_gx * weights)
-    np.add.at(grad_y, design.pin_inst, pin_gy * weights)
+    grad_x = np.bincount(design.pin_inst, weights=pin_gx * weights, minlength=x.size)
+    grad_y = np.bincount(design.pin_inst, weights=pin_gy * weights, minlength=y.size)
     total = float(((span_x + span_y) * design.net_weights).sum())
     return total, grad_x, grad_y

@@ -110,7 +110,6 @@ class TestRegistryCompleteness:
         names = {c.name for c in CASES}
         for required in (
             "conv2d/k3-s2-p1-bias",
-            "conv_transpose2d/k3-s2-p1-bias",
             "sum/axis1-keepdims",
             "max/axis-keepdims",
             "transpose/negative-axes",

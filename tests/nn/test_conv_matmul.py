@@ -1,9 +1,9 @@
 """Differential oracle for the matmul convolutions.
 
-``conv2d`` and ``conv_transpose2d`` run on plain BLAS matmuls, skip the
-unfold for 1×1 stride-1 kernels and compute the stride-1 input gradient
-as a correlation with the flipped kernel.  The reference below is the
-einsum + col2im formulation they replaced, written out on plain numpy
+``conv2d`` runs on plain BLAS matmuls, skips the unfold for 1×1
+stride-1 kernels and computes the stride-1 input gradient as a
+correlation with the flipped kernel.  The reference below is the
+einsum + col2im formulation it replaced, written out on plain numpy
 arrays, so every value and gradient is checked against an independent
 derivation.
 """
@@ -72,25 +72,6 @@ def _ref_conv2d(x, w, b, stride, padding, g):
     return out, dx, dw, db
 
 
-def _ref_conv_transpose2d(x, w, b, stride, padding, g):
-    n, c_in, h, wd = x.shape
-    _, c_out, k, _ = w.shape
-    out_h = (h - 1) * stride + k - 2 * padding
-    out_w = (wd - 1) * stride + k - 2 * padding
-    w2d = w.reshape(c_in, c_out * k * k)
-    x_flat = x.reshape(n, c_in, h * wd)
-    cols = np.einsum("ik,nil->nkl", w2d, x_flat, optimize=True)
-    shape = (n, c_out, out_h + 2 * padding, out_w + 2 * padding)
-    out = _crop(_ref_col2im(cols, shape, k, stride), padding)
-    if b is not None:
-        out = out + b.reshape(1, c_out, 1, 1)
-    gcols, _, _ = _ref_im2col(_pad(g, padding), k, stride)
-    dw = np.einsum("nkl,nil->ik", gcols, x_flat, optimize=True).reshape(w.shape)
-    dx = np.einsum("ik,nkl->nil", w2d, gcols, optimize=True).reshape(x.shape)
-    db = g.sum(axis=(0, 2, 3)) if b is not None else None
-    return out, dx, dw, db
-
-
 def _assert_close(actual, expected):
     assert actual.shape == expected.shape
     scale = max(float(np.abs(expected).max()), 1e-300)
@@ -144,25 +125,6 @@ def test_conv2d_input_grad_channel_layouts(channels):
     _check(_run(F.conv2d, x, w, None, 1, 1, g), _ref_conv2d(x, w, None, 1, 1, g))
 
 
-@pytest.mark.parametrize("bias", [False, True])
-@pytest.mark.parametrize("batch", [1, 8])
-@pytest.mark.parametrize(
-    "kernel,stride,padding",
-    [(1, 1, 0), (2, 2, 0), (3, 1, 0), (3, 1, 1), (3, 2, 1), (4, 2, 1)],
-)
-def test_conv_transpose2d_matches_einsum_reference(kernel, stride, padding, batch, bias):
-    rng = np.random.default_rng(kernel * 100 + stride * 10 + padding + batch)
-    c_in, c_out = 4, 3
-    x = rng.normal(size=(batch, c_in, 5, 4))
-    w = rng.normal(size=(c_in, c_out, kernel, kernel))
-    b = rng.normal(size=c_out) if bias else None
-    out_h = (5 - 1) * stride + kernel - 2 * padding
-    out_w = (4 - 1) * stride + kernel - 2 * padding
-    g = rng.normal(size=(batch, c_out, out_h, out_w))
-    expected = _ref_conv_transpose2d(x, w, b, stride, padding, g)
-    _check(_run(F.conv_transpose2d, x, w, b, stride, padding, g), expected)
-
-
 def test_convs_call_no_einsum(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("np.einsum called")
@@ -174,9 +136,6 @@ def test_convs_call_no_einsum(monkeypatch):
         w = rng.normal(size=(4, 3, 3, 3))
         g = np.ones(F.conv2d(Tensor(x), Tensor(w), stride=stride, padding=1).shape)
         _run(F.conv2d, x, w, None, stride, 1, g)
-        wt = rng.normal(size=(3, 4, 2, 2))
-        g = np.ones(F.conv_transpose2d(Tensor(x), Tensor(wt), stride=stride).shape)
-        _run(F.conv_transpose2d, x, wt, None, stride, 0, g)
 
 
 def test_stride_one_input_grad_needs_no_col2im(monkeypatch):

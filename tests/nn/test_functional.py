@@ -296,73 +296,3 @@ class TestDropout:
         out.sum().backward()
         # Gradient equals the mask: zero where dropped, 1/keep where kept.
         assert set(np.unique(x.grad)) <= {0.0, 2.0}
-
-
-class TestConvTranspose2d:
-    def test_output_size(self, rng):
-        x = Tensor(rng.normal(size=(1, 3, 4, 4)))
-        w = Tensor(rng.normal(size=(3, 5, 2, 2)))
-        out = F.conv_transpose2d(x, w, stride=2)
-        assert out.shape == (1, 5, 8, 8)
-
-    def test_inverse_geometry_of_conv(self, rng):
-        """convT(conv(x)) has x's spatial size when k == stride."""
-        x = Tensor(rng.normal(size=(1, 2, 8, 8)))
-        w_down = Tensor(rng.normal(size=(4, 2, 2, 2)))
-        down = F.conv2d(x, w_down, stride=2)
-        w_up = Tensor(rng.normal(size=(4, 2, 2, 2)))
-        up = F.conv_transpose2d(down, w_up, stride=2)
-        assert up.shape == x.shape
-
-    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
-    def test_adjoint_identity(self, stride, padding, rng):
-        """<conv2d(x; W), y> == <x, convT(y; W)> — same weight array,
-        interpreted (out,in,k,k) by conv and (in,out,k,k) by convT.
-
-        The input size is chosen so the geometry round-trips exactly
-        ((H-1)·s + k - 2p == H); for other sizes the stride-s conv is
-        lossy and the adjoint lives on the smaller grid.
-        """
-        w = rng.normal(size=(5, 3, 3, 3))  # conv: Co=5, Ci=3
-        size = 5 if stride == 2 else 6
-        x = Tensor(rng.normal(size=(1, 3, size, size)))
-        conv_x = F.conv2d(x, Tensor(w), stride=stride, padding=padding)
-        y = Tensor(rng.normal(size=conv_x.shape))
-        lhs = float((conv_x.data * y.data).sum())
-        convt_y = F.conv_transpose2d(
-            y, Tensor(w), stride=stride, padding=padding
-        )
-        rhs = float((convt_y.data * x.data).sum())
-        assert lhs == pytest.approx(rhs, rel=1e-9)
-
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 0), (2, 1)])
-    def test_gradcheck(self, stride, padding, rng):
-        x = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
-        w = nn.Parameter(rng.normal(size=(2, 3, 3, 3)))
-        b = nn.Parameter(rng.normal(size=3))
-        out = F.conv_transpose2d(x, w, b, stride=stride, padding=padding)
-        (out * out).sum().backward()
-
-        def f():
-            o = F.conv_transpose2d(
-                Tensor(x.data), Tensor(w.data), Tensor(b.data),
-                stride=stride, padding=padding,
-            )
-            return float((o.data**2).sum())
-
-        for tensor in (x, w, b):
-            np.testing.assert_allclose(
-                numerical_gradient(f, tensor.data), tensor.grad, atol=1e-5
-            )
-
-    def test_channel_mismatch(self, rng):
-        with pytest.raises(ValueError, match="channels"):
-            F.conv_transpose2d(
-                Tensor(rng.normal(size=(1, 2, 4, 4))),
-                Tensor(rng.normal(size=(3, 4, 2, 2))),
-            )
-
-    def test_layer_wrapper(self, rng):
-        layer = nn.ConvTranspose2d(3, 6, 2, stride=2)
-        out = layer(Tensor(rng.normal(size=(2, 3, 5, 5))))
-        assert out.shape == (2, 6, 10, 10)

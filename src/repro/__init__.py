@@ -4,6 +4,9 @@ Based Congestion Prediction for Routability-Driven FPGA Macro Placement"
 
 Subpackages
 -----------
+Each loads on first use (``from repro import nn``, ``import repro.nn``);
+``import repro`` alone imports none of them.
+
 ``repro.nn``
     Pure-numpy deep-learning substrate (autograd, conv/attention layers,
     Adam) — the PyTorch substitute.
@@ -48,31 +51,4 @@ Quickstart
 
 __version__ = "1.0.0"
 
-from . import (
-    analysis,
-    arch,
-    contest,
-    features,
-    models,
-    netlist,
-    nn,
-    placement,
-    resilience,
-    routing,
-    train,
-)
-
-__all__ = [
-    "analysis",
-    "arch",
-    "contest",
-    "features",
-    "models",
-    "netlist",
-    "nn",
-    "placement",
-    "resilience",
-    "routing",
-    "train",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -9,12 +9,10 @@ Subcommands mirror the library's main workflows:
 * ``train``  — train a congestion model and save a checkpoint.
 * ``table2`` — run the four teams on selected designs (mini Table II).
 
-The analyzer sections below are declared once, in ``SECTIONS``; each is
-a subcommand and a section of ``check``, the unified gate with one
-combined JSON report (``repro.check/v1``) whose ``--update-baselines``
-atomically refreshes every ``benchmarks/*_baseline.json`` instead:
+The analyzers:
 
-* ``lint``   — static autograd lint of the package (AST rules).
+* ``lint``   — static autograd lint (AST rules) of the given paths,
+  by default the package itself (see repro.lint).
 * ``analyze`` — symbolic-IR static analysis: FLOP cost, stability +
   determinism audit (see repro.ir).
 * ``gradcheck`` — gradient audit: vjp contract capture and randomized
@@ -33,9 +31,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -49,8 +45,8 @@ __all__ = [
     "EXIT_INTERNAL",
 ]
 
-# The shared exit-code contract for the analysis commands (every
-# section in SECTIONS, and check).  argparse owns 2 (usage).
+# The shared exit-code contract for the analysis commands (lint,
+# analyze, gradcheck).  argparse owns 2 (usage).
 EXIT_OK = 0
 EXIT_BLOCKING = 1
 EXIT_USAGE = 2
@@ -176,22 +172,59 @@ def build_parser() -> argparse.ArgumentParser:
         "traceback tails, REPRO5xx incidents (default %(default)s)",
     )
 
-    for section in SECTIONS:
-        section.add_arguments(sub.add_parser(section.name, help=section.help))
+    lint = sub.add_parser("lint", help="static autograd lint (see repro.lint)")
+    lint.add_argument(
+        "paths", nargs="*", default=[str(Path(__file__).resolve().parent)],
+        help="python files or directories to lint, recursing into *.py "
+        "(default: the repro package)",
+    )
 
-    check = sub.add_parser(
-        "check",
-        help="unified gate: " + " + ".join(s.name for s in SECTIONS),
+    analyze = sub.add_parser(
+        "analyze",
+        help="symbolic-IR static analysis (FLOPs/stability/determinism)",
     )
-    check.add_argument("--preset", default="fast", choices=_PRESETS)
-    check.add_argument("--grid", type=_positive_int, default=64)
-    check.add_argument("--json", action="store_true",
-                       help="print one combined repro.check/v1 report")
-    check.add_argument(
-        "--update-baselines", action="store_true",
-        help="refresh every benchmarks/*_baseline.json atomically with "
-        "the CI-pinned configurations (all land, or none do), then exit",
+    analyze.add_argument(
+        "model", choices=_MODELS + ("all",),
+        help="registry model to trace, or 'all' for the whole registry",
     )
+    analyze.add_argument("--preset", default="fast", choices=_PRESETS)
+    analyze.add_argument(
+        "--grid", dest="grids", type=_positive_int, action="append",
+        metavar="N", help="input grid size; repeatable (default: 64)",
+    )
+    analyze.add_argument("--json", action="store_true",
+                         help="print the full repro.ir/v1 report bundle")
+    analyze.add_argument("--top", type=_non_negative_int, default=5,
+                         help="rows in the hottest-layer table (default 5)")
+    analyze.add_argument(
+        "--no-determinism", action="store_true",
+        help="skip the source-level RNG/iteration-order audit",
+    )
+    analyze.add_argument(
+        "--check-baseline", metavar="PATH", default=None,
+        help="diff FLOP/parameter/node counts against a baseline JSON "
+        "and fail on any drift",
+    )
+    analyze.add_argument(
+        "--update-baseline", metavar="PATH", default=None,
+        help="write the invariant slice of this run to a baseline JSON",
+    )
+
+    gradcheck = sub.add_parser(
+        "gradcheck",
+        help="gradient audit: vjp contracts + finite differences "
+        "(see repro.adjoint)",
+    )
+    gradcheck.add_argument(
+        "model", choices=_MODELS + ("all", "ops"),
+        help="registry model to audit, 'all' for the whole registry, or "
+        "'ops' for the full primitive-op case sweep without a model",
+    )
+    gradcheck.add_argument("--preset", default="fast", choices=_PRESETS)
+    gradcheck.add_argument("--grid", type=_positive_int, default=64)
+    gradcheck.add_argument("--seed", type=int, default=0)
+    gradcheck.add_argument("--json", action="store_true",
+                           help="print the full repro.adjoint/v1 report bundle")
 
     return parser
 
@@ -323,7 +356,7 @@ def _cmd_table2(args) -> int:
         args.parallel is not None or args.journal is not None or args.resume
     )
     if args.resume and args.journal is None:
-        print("table2: --resume requires --journal PATH", file=sys.stderr)
+        print("error: --resume requires --journal PATH", file=sys.stderr)
         return EXIT_USAGE
     if orchestrated:
         result = run_table2(
@@ -346,120 +379,52 @@ def _cmd_table2(args) -> int:
     return EXIT_OK if result.complete else EXIT_BLOCKING
 
 
-def _write_baselines(docs: dict[str, dict]) -> None:
-    """Atomically refresh a set of baselines: all serialize, then all land.
+def _write_baseline(path: str, doc: dict) -> None:
+    """Land ``doc`` at ``path`` by temp file, fsync, then rename.
 
-    Every document is written to a temp file and fsynced before the
-    first rename, so a crash mid-update can only leave temp files
-    behind, never a mix of old and new baselines.  ``json.dumps(doc,
-    indent=2) + "\n"`` keeps refreshing an unchanged baseline a
-    byte-level no-op.
+    A crash mid-write can only leave the temp file behind (and a failure
+    removes it), never a torn baseline.  ``json.dumps(doc, indent=2) +
+    "\n"`` keeps refreshing an unchanged baseline a byte-level no-op.
     """
-    tmps = {}
+    tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        for path, doc in docs.items():
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "w") as fh:
-                fh.write(json.dumps(doc, indent=2) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            tmps[path] = tmp
-    except BaseException:
-        for tmp in tmps.values():
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        raise
-    for path, tmp in tmps.items():
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps(doc, indent=2) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
-def _finish(args, failures: list, reduced: dict | None = None, differ=None,
-            *, ok: str | None = None) -> int:
-    """The analyzer subcommands' shared exit-code tail: blocking
-    ``failures`` exit 1 (else ``ok`` prints outside ``--json``), then
-    ``--update-baseline`` writes the ``reduced`` slice and
-    ``--check-baseline`` diffs it with ``differ``; drift alone exits 3."""
-    status = EXIT_OK
+def _blocking(failures: list[str]) -> int:
     if failures:
         print(f"error: {len(failures)} blocking finding(s)", file=sys.stderr)
-        status = EXIT_BLOCKING
-    elif ok and not args.json:
-        print(ok)
-    if getattr(args, "update_baseline", None):
-        _write_baselines({args.update_baseline: reduced})
-        print(f"baseline written: {args.update_baseline}")
-    problems = []
-    if getattr(args, "check_baseline", None):
-        with open(args.check_baseline) as fh:
-            problems = differ(json.load(fh))
-        for problem in problems:
-            print(f"baseline drift: {problem}", file=sys.stderr)
-        if not problems:
-            print(f"baseline OK ({args.check_baseline})")
-    return EXIT_DRIFT if problems and status == EXIT_OK else status
+        return EXIT_BLOCKING
+    return EXIT_OK
 
 
 def _report_failures(bundle: dict) -> list[str]:
     return [f for report in bundle["reports"] for f in report["failures"]]
 
 
-def _lint_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "lint_args", nargs=argparse.REMAINDER,
-        help="arguments forwarded to python -m repro.lint "
-        "(default: lint the repro package)",
-    )
-
-
 def _cmd_lint(args) -> int:
-    from .lint.cli import main as lint_main
-
-    argv = list(args.lint_args)
-    if argv and argv[0] == "--":
-        argv = argv[1:]
-    if not argv:
-        argv = [str(Path(__file__).resolve().parent)]  # the repro package
-    return lint_main(argv)
-
-
-def _lint_gate(args) -> tuple[dict, list[str]]:
-    from .ir.report import serialize_finding
     from .lint.rules import lint_paths
 
-    findings = lint_paths([Path(__file__).resolve().parent])
-    return ({"findings": [serialize_finding(f) for f in findings]},
-            [str(f) for f in findings])
-
-
-def _analyze_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "model", choices=_MODELS + ("all",),
-        help="registry model to trace, or 'all' for the whole registry",
-    )
-    p.add_argument("--preset", default="fast", choices=_PRESETS)
-    p.add_argument(
-        "--grid", dest="grids", type=_positive_int, action="append",
-        metavar="N", help="input grid size; repeatable (default: 64)",
-    )
-    p.add_argument("--json", action="store_true",
-                   help="print the full repro.ir/v1 report bundle")
-    p.add_argument("--top", type=_non_negative_int, default=5,
-                   help="rows in the hottest-layer table (default 5)")
-    p.add_argument(
-        "--no-determinism", action="store_true",
-        help="skip the source-level RNG/iteration-order audit",
-    )
-    p.add_argument(
-        "--check-baseline", metavar="PATH", default=None,
-        help="diff FLOP/parameter/node counts against a baseline JSON "
-        "and fail on any drift",
-    )
-    p.add_argument(
-        "--update-baseline", metavar="PATH", default=None,
-        help="write the invariant slice of this run to a baseline JSON",
-    )
+    try:
+        diagnostics = lint_paths(args.paths)
+    except OSError as exc:  # no such path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    for diagnostic in diagnostics:
+        print(diagnostic)
+    noun = "finding" if len(diagnostics) == 1 else "findings"
+    print(f"lint: {len(diagnostics)} {noun}")
+    return EXIT_BLOCKING if diagnostics else EXIT_OK
 
 
 def _mb(nbytes: int) -> str:
@@ -483,9 +448,22 @@ def _print_report(report: dict, top: int) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    """Exit 1 on blocking findings; then ``--update-baseline`` writes the
+    invariant slice and ``--check-baseline`` diffs it: drift alone
+    exits 3.  The baseline is read first, so a missing or unparsable
+    file is a usage error found before the analysis runs."""
     from .ir import analyze_registry, baseline_from_reports, check_baseline
     from .models.registry import MODEL_NAMES
 
+    baseline = None
+    if args.check_baseline:
+        try:
+            with open(args.check_baseline) as fh:
+                baseline = json.load(fh)
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            print(f"error: cannot read baseline {args.check_baseline}: {exc}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     models = MODEL_NAMES if args.model == "all" else (args.model,)
     grids = tuple(args.grids or [64])
     try:
@@ -506,37 +484,18 @@ def _cmd_analyze(args) -> int:
         for report in bundle["reports"]:
             _print_report(report, args.top)
             print()
-    return _finish(
-        args, failures, baseline_from_reports(bundle),
-        lambda doc: check_baseline(bundle, doc),
-    )
-
-
-def _analyze_gate(args) -> tuple[dict, list[str]]:
-    from .ir import analyze_registry
-
-    bundle = analyze_registry(preset=args.preset, grids=(args.grid,))
-    return bundle, _report_failures(bundle)
-
-
-def _analyze_baselines(bench: Path) -> dict[str, dict]:
-    from .ir import analyze_registry, baseline_from_reports
-
-    bundle = analyze_registry(preset="fast", grids=(64, 256))
-    return {str(bench / "ir_baseline.json"): baseline_from_reports(bundle)}
-
-
-def _gradcheck_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "model", choices=_MODELS + ("all", "ops"),
-        help="registry model to audit, 'all' for the whole registry, or "
-        "'ops' for the full primitive-op case sweep without a model",
-    )
-    p.add_argument("--preset", default="fast", choices=_PRESETS)
-    p.add_argument("--grid", type=_positive_int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true",
-                   help="print the full repro.adjoint/v1 report bundle")
+    status = _blocking(failures)
+    if args.update_baseline:
+        _write_baseline(args.update_baseline, baseline_from_reports(bundle))
+        print(f"baseline written: {args.update_baseline}")
+    if baseline is None:
+        return status
+    problems = check_baseline(bundle, baseline)
+    for problem in problems:
+        print(f"baseline drift: {problem}", file=sys.stderr)
+    if not problems:
+        print(f"baseline OK ({args.check_baseline})")
+    return EXIT_DRIFT if problems and status == EXIT_OK else status
 
 
 def _print_gradcheck_report(report: dict) -> None:
@@ -583,105 +542,10 @@ def _cmd_gradcheck(args) -> int:
     else:
         for report in bundle["reports"]:
             _print_gradcheck_report(report)
-    return _finish(args, _report_failures(bundle), ok="gradcheck OK")
-
-
-def _gradcheck_gate(args) -> tuple[dict, list[str]]:
-    from .adjoint import audit_registry
-
-    bundle = audit_registry(preset=args.preset, grid=args.grid)
-    return bundle, _report_failures(bundle)
-
-
-@dataclass(frozen=True)
-class Section:
-    """One analyzer section: ``add_arguments`` + ``run`` make its
-    subcommand, ``gate`` runs it in ``check`` as ``(bundle, failures)``,
-    and ``baselines(bench)`` computes the ``benchmarks/``
-    documents it pins in their CI configuration."""
-
-    name: str
-    help: str
-    add_arguments: Callable[[argparse.ArgumentParser], None]
-    run: Callable[[argparse.Namespace], int]
-    gate: Callable[[argparse.Namespace], tuple[dict, list[str]]]
-    baselines: Callable[[Path], dict[str, dict]] = lambda bench: {}
-
-
-#: Every analyzer section, in ``repro check`` order.  The parser, the
-#: command table, ``check`` and ``check --update-baselines`` all iterate
-#: this tuple; a new section is one entry here.
-SECTIONS = (
-    Section(
-        "lint", "static autograd lint (see repro.lint)",
-        _lint_args, _cmd_lint, _lint_gate,
-    ),
-    Section(
-        "analyze",
-        "symbolic-IR static analysis (FLOPs/stability/determinism)",
-        _analyze_args, _cmd_analyze, _analyze_gate, _analyze_baselines,
-    ),
-    Section(
-        "gradcheck",
-        "gradient audit: vjp contracts + finite differences "
-        "(see repro.adjoint)",
-        _gradcheck_args, _cmd_gradcheck, _gradcheck_gate,
-    ),
-)
-
-
-def _update_all_baselines() -> int:
-    """``repro check --update-baselines``: refresh every benchmark pin.
-
-    Each section computes its documents in its CI-pinned configuration
-    (the grids and flags the workflow jobs use), every document is
-    serialized first, and only then do they all rename into place — a
-    failure anywhere leaves the benchmarks directory untouched.
-    """
-    bench = Path(__file__).resolve().parents[2] / "benchmarks"
-    docs: dict[str, dict] = {}
-    for section in SECTIONS:
-        docs.update(section.baselines(bench))
-
-    _write_baselines(docs)
-    for path in sorted(docs):
-        print(f"baseline written: {path}")
-    return EXIT_OK
-
-
-def _cmd_check(args) -> int:
-    """The unified gate: every section in ``SECTIONS``, one report."""
-    if args.update_baselines:
-        return _update_all_baselines()
-
-    combined: dict = {
-        "schema": "repro.check/v1",
-        "preset": args.preset,
-        "grid": args.grid,
-    }
-    failures: list[str] = []
-    counts: dict[str, int] = {}
-    for section in SECTIONS:
-        bundle, found = section.gate(args)
-        combined[section.name] = bundle
-        counts[section.name] = len(found)
-        failures.extend(found)
-    combined["failures"] = failures
-
-    if args.json:
-        print(json.dumps(combined, indent=2))
-    else:
-        for name, count in counts.items():
-            print(f"{name}: {'OK' if not count else f'{count} failure(s)'}")
-        for failure in failures:
-            print(f"  FAIL: {failure}")
-    if failures:
-        print(f"error: {len(failures)} blocking finding(s) across the gate",
-              file=sys.stderr)
-        return EXIT_BLOCKING
-    if not args.json:
-        print("check OK")
-    return EXIT_OK
+    status = _blocking(_report_failures(bundle))
+    if status == EXIT_OK and not args.json:
+        print("gradcheck OK")
+    return status
 
 
 _COMMANDS = {
@@ -691,8 +555,9 @@ _COMMANDS = {
     "score": _cmd_score,
     "train": _cmd_train,
     "table2": _cmd_table2,
-    **{section.name: section.run for section in SECTIONS},
-    "check": _cmd_check,
+    "lint": _cmd_lint,
+    "analyze": _cmd_analyze,
+    "gradcheck": _cmd_gradcheck,
 }
 
 

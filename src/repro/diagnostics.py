@@ -5,8 +5,8 @@ per band: the AST lint rules (:mod:`repro.lint`, ``REPRO0xx``), the
 forward-IR passes (:mod:`repro.ir`, ``REPRO1xx``) and the
 adjoint/backward passes (:mod:`repro.adjoint`, ``REPRO2xx``).  The
 ``REPRO3xx``, ``REPRO4xx``, ``REPRO6xx``, ``REPRO7xx`` and ``REPRO8xx``
-bands are retired and stay unassigned, as do the retired codes 106, 107
-and 205–207.
+bands are retired and stay unassigned, as do the retired codes 006,
+106, 107 and 205–207.
 Before this registry each component kept its own table, which is
 exactly how two PRs end up assigning the same code to different rules.
 Now every code is declared here,
@@ -16,11 +16,10 @@ component tables (``repro.lint.rules.RULES``,
 are views produced by :func:`codes_for`.
 
 Severity: ``blocking`` findings fail gates (``repro lint`` /
-``repro analyze`` / ``repro gradcheck`` exit non-zero,
-``build_model(analyze=True)`` raises).  Every static code is blocking;
-only runtime incidents (below) can be non-blocking.  Every finding,
-whatever its component, honours ``# noqa: REPROxxx`` suppression on its
-source line.
+``repro analyze`` / ``repro gradcheck`` exit non-zero).  Every static
+code is blocking; only runtime incidents (below) can be non-blocking.
+Every finding, whatever its component, honours ``# noqa: REPROxxx``
+suppression on its source line.
 
 The orchestration runtime (:mod:`repro.orchestrate`, ``REPRO5xx``) is
 the one component whose codes label *runtime incidents* rather than
@@ -113,11 +112,6 @@ register_code("REPRO004", "mutable default argument", component="lint")
 register_code(
     "REPRO005",
     "in-place mutation of Tensor data in forward/backward",
-    component="lint",
-)
-register_code(
-    "REPRO006",
-    "channel mismatch between consecutive Sequential layers",
     component="lint",
 )
 register_code("REPRO007", "unused module-level import", component="lint")

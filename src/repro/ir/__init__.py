@@ -14,8 +14,8 @@ validate it.  The graph is then analyzed statically —
   the training+placement call-graph (REPRO104–105).
 
 Entry points: ``repro analyze <model|all> --grid N --json`` on the
-command line, ``build_model(name, analyze=True)`` in code, and
-:func:`analyze_model` / :func:`analyze_registry` for programmatic use.
+command line, and :func:`analyze_model` / :func:`analyze_registry` in
+code.
 Findings share the diagnostic format, rule-code namespace and ``# noqa``
 suppression of :mod:`repro.lint`.
 """
@@ -26,7 +26,6 @@ from .cost import cost_model
 from .passes import IR_RULES
 from .report import (
     SCHEMA,
-    AnalysisError,
     analyze_graph,
     analyze_model,
     analyze_registry,
@@ -51,7 +50,6 @@ __all__ = [
     "check_stability",
     "audit_determinism",
     "SCHEMA",
-    "AnalysisError",
     "analyze_graph",
     "analyze_model",
     "analyze_registry",

@@ -8,9 +8,8 @@ the invariant slice of a report set (FLOPs, parameter and node counts)
 against a checked-in baseline so CI catches silent cost regressions.
 
 Severity model: every stability (``REPRO101``–``103``) and determinism
-(``REPRO104``/``105``) finding is a *failure* — ``repro analyze`` exits
-non-zero and ``build_model(analyze=True)`` raises
-:class:`AnalysisError`.
+(``REPRO104``/``105``) finding is a *failure*: ``repro analyze`` exits
+non-zero.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .trace import trace_model
 
 __all__ = [
     "SCHEMA",
-    "AnalysisError",
     "analyze_graph",
     "analyze_model",
     "analyze_registry",
@@ -41,17 +39,6 @@ __all__ = [
 SCHEMA = "repro.ir/v1"
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
-
-
-class AnalysisError(RuntimeError):
-    """Raised when static analysis finds stability/determinism hazards."""
-
-    def __init__(self, findings: list[LintDiagnostic]):
-        self.findings = findings
-        lines = "\n".join(f"  {f}" for f in findings)
-        super().__init__(
-            f"static analysis found {len(findings)} blocking finding(s):\n{lines}"
-        )
 
 
 def _rel(path: str) -> str:

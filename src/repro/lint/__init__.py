@@ -6,7 +6,7 @@ Two independent layers of correctness tooling for :mod:`repro.nn`
 * :mod:`repro.lint.rules` — project-specific AST lint rules that walk
   backward closures and ``Module.forward`` bodies for autograd hazards
   (missing ``_unbroadcast``, tape detaches, unguarded graph wiring,
-  in-place mutation, literal ``Sequential`` channel mismatches).
+  in-place mutation, stale closures, unused imports).
 * :mod:`repro.lint.sanitize` — opt-in runtime anomaly mode
   (``with detect_anomaly():``) that records op provenance, pinpoints the
   first backward closure producing NaN/Inf gradients, detects in-place
@@ -16,7 +16,7 @@ Two independent layers of correctness tooling for :mod:`repro.nn`
 Model shapes are validated by tracing each model's own ``forward``
 with :func:`repro.ir.trace` (``build_model`` does it on every build).
 
-CLI: ``python -m repro.lint src/repro`` (also exposed as ``repro lint``).
+CLI: ``repro lint [paths...]`` (default: the repro package).
 """
 
 from .rules import RULES, LintDiagnostic, lint_file, lint_paths, lint_source

@@ -20,9 +20,6 @@ correct:
 * ``REPRO005`` — in-place mutation of ``.data`` inside ``forward``
   methods or backward closures invalidates values captured by backward
   closures between the forward and backward passes.
-* ``REPRO006`` — statically evident channel mismatches between
-  consecutive layers constructed inside an ``nn.Sequential(...)`` call
-  with literal channel counts.
 * ``REPRO007`` — module-level imports that are never used.
 * ``REPRO008`` — a backward closure reads a loop variable of its
   enclosing function (stale-closure: every recorded op sees the loop's
@@ -45,10 +42,6 @@ from pathlib import Path
 from repro.diagnostics import codes_for
 
 __all__ = ["LintDiagnostic", "RULES", "lint_source", "lint_file", "lint_paths"]
-
-# Layer constructors whose first two positional arguments are
-# (in_channels/features, out_channels/features); used by REPRO006.
-_CHANNEL_LAYERS = {"Conv2d", "Linear", "ConvBNReLU"}
 
 RULES = codes_for("lint")
 
@@ -331,52 +324,6 @@ def _check_inplace_data(tree: ast.AST, ctx: _Context) -> None:
             scan(func)
 
 
-# -- REPRO006: literal Sequential channel mismatch -----------------------------
-
-
-def _literal_channels(call: ast.Call) -> tuple[int, int] | None:
-    if _call_name(call) not in _CHANNEL_LAYERS or len(call.args) < 2:
-        return None
-    a, b = call.args[0], call.args[1]
-    if isinstance(a, ast.Constant) and isinstance(a.value, int) and (
-        isinstance(b, ast.Constant) and isinstance(b.value, int)
-    ):
-        return a.value, b.value
-    return None
-
-
-def _check_sequential_channels(tree: ast.AST, ctx: _Context) -> None:
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and _call_name(node) == "Sequential"):
-            continue
-        prev_out: int | None = None
-        prev_name = ""
-        for arg in node.args:
-            if not isinstance(arg, ast.Call):
-                prev_out = None
-                continue
-            channels = _literal_channels(arg)
-            name = _call_name(arg)
-            if channels is None:
-                # Shape-preserving layers pass the count through; anything
-                # unknown resets the chain.
-                if name not in (
-                    "ReLU", "GELU", "Sigmoid", "Identity", "Dropout",
-                    "BatchNorm2d", "LayerNorm", "Softmax",
-                ):
-                    prev_out = None
-                continue
-            c_in, c_out = channels
-            if prev_out is not None and c_in != prev_out:
-                ctx.report(
-                    arg,
-                    "REPRO006",
-                    f"{name} expects {c_in} input channels but previous "
-                    f"{prev_name} produces {prev_out}",
-                )
-            prev_out, prev_name = c_out, name
-
-
 # -- REPRO007: unused module-level imports -------------------------------------
 
 
@@ -536,7 +483,6 @@ _CHECKS = (
     _check_grad_guard,
     _check_mutable_defaults,
     _check_inplace_data,
-    _check_sequential_channels,
     _check_backward_closure_hazards,
 )
 

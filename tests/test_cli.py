@@ -216,26 +216,6 @@ class TestAnalysisJSONSchemas:
         }
         assert report["contracts"]["records"] > 0
 
-    def test_check_update_baselines_flag_registered(self):
-        args = build_parser().parse_args(["check", "--update-baselines"])
-        assert args.update_baselines is True
-        assert build_parser().parse_args(["check"]).update_baselines is False
-
-    def test_check_combined_json(self, capsys):
-        combined = self._json(
-            capsys,
-            ["check", "--preset", "tiny", "--grid", "32", "--json"],
-        )
-        assert combined["schema"] == "repro.check/v1"
-        assert set(combined) >= {
-            "schema", "preset", "grid", "lint", "analyze", "gradcheck",
-            "failures",
-        }
-        # Each section carries its own full bundle under its own schema.
-        assert combined["analyze"]["schema"] == "repro.ir/v1"
-        assert combined["gradcheck"]["schema"] == "repro.adjoint/v1"
-        assert combined["failures"] == []
-
 
 class TestExitCodeContract:
     """The unified exit-code table from docs/API.md.
@@ -326,10 +306,17 @@ class TestExitCodeContract:
         capsys.readouterr()
         assert main(argv + ["--check-baseline", str(baseline)]) == 3
         assert "baseline drift" in capsys.readouterr().err
-        # 4: a missing baseline file is an internal error, not drift.
-        rc = main(argv + ["--check-baseline", str(tmp_path / "nope.json")])
-        assert rc == 4
-        assert "internal error" in capsys.readouterr().err
+        # 2: a missing or unparsable baseline is a usage error, found
+        # before the analysis runs: one error line, no traceback.
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("{not json")
+        for bad in (tmp_path / "nope.json", garbled):
+            capsys.readouterr()
+            assert main(argv + ["--check-baseline", str(bad)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
 
     def test_table2_repeated_design_is_usage_error(self, capsys,
                                                    monkeypatch):
@@ -346,6 +333,18 @@ class TestExitCodeContract:
                   "--scale", "256", "--parallel", "2"])
         assert exc.value.code == 2
         assert "Design_120 given more than once" in capsys.readouterr().err
+
+    def test_table2_resume_without_journal_is_usage_error(self, capsys,
+                                                          monkeypatch):
+        import repro.contest
+
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(repro.contest, "run_table2", no_jobs)
+        assert main(["table2", "--designs", "Design_120", "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --resume requires --journal PATH\n"
 
 
 class TestMoreCommands:

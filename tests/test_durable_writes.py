@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.cli import _write_baselines
+from repro.cli import _write_baseline
 from repro.contest import ContestScore, Table2Result, write_table2_artifact
 from repro.netlist import save_design
 from repro.nn import save_state
@@ -57,7 +57,7 @@ def writers(tiny_design):
         ),
         "write_baselines": (
             "ir_baseline.json",
-            lambda path, n: _write_baselines({str(path): {"entries": [n]}}),
+            lambda path, n: _write_baseline(str(path), {"entries": [n]}),
         ),
     }
 

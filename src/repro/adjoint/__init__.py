@@ -1,9 +1,8 @@
 """Gradient verification for :mod:`repro.nn`.
 
-The fourth leg of the correctness tooling (after :mod:`repro.lint`,
-the runtime sanitizers and the forward symbolic IR of :mod:`repro.ir`):
-observe the *backward* pass itself and verify it two independent
-ways —
+The fourth leg of the correctness tooling (after the AST lint rules,
+the runtime sanitizers and the forward symbolic IR): observe the
+*backward* pass itself and verify it two independent ways —
 
 * :mod:`repro.adjoint.capture` / :mod:`repro.adjoint.contracts` —
   observe a real forward+backward and audit every accumulation against
@@ -17,7 +16,7 @@ ways —
 Entry points: ``repro gradcheck <model|all|ops>`` on the command line,
 :func:`audit_model` / :func:`audit_registry` in code.  Findings share
 the diagnostic format, rule-code namespace (:mod:`repro.diagnostics`)
-and ``# noqa`` suppression of :mod:`repro.lint` and :mod:`repro.ir`.
+and ``# noqa`` suppression of :mod:`repro.lint`.
 """
 
 from repro.diagnostics import codes_for

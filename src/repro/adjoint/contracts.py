@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ir.passes import filter_noqa
-from repro.lint.rules import LintDiagnostic
+from repro.lint.rules import LintDiagnostic, filter_noqa
 
 from .capture import OpRecord
 

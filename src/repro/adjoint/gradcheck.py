@@ -31,8 +31,7 @@ import zlib
 
 import numpy as np
 
-from repro.ir.passes import filter_noqa
-from repro.lint.rules import LintDiagnostic
+from repro.lint.rules import LintDiagnostic, filter_noqa
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, no_grad
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.diagnostics import is_blocking
-from repro.ir.report import serialize_finding
 from repro.nn.tensor import Tensor
 
 from .capture import capture_tape
@@ -60,14 +59,14 @@ def audit_model(
             "records": len(cap.records),
             "ran": sum(1 for r in cap.records if r.ran),
             "ops": list(cap.ops_used()),
-            "findings": [serialize_finding(f) for f in contract_findings],
+            "findings": [f.to_dict() for f in contract_findings],
         },
         "gradcheck": {
             "cases": len(gradcheck["cases"]),
             "failed": sum(1 for c in gradcheck["cases"] if not c["passed"]),
             "checked_ops": gradcheck["checked_ops"],
             "case_results": gradcheck["cases"],
-            "findings": [serialize_finding(f) for f in gradcheck["findings"]],
+            "findings": [f.to_dict() for f in gradcheck["findings"]],
         },
         "failures": failures,
     }

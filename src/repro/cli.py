@@ -11,10 +11,11 @@ Subcommands mirror the library's main workflows:
 
 The analyzers:
 
-* ``lint``   — static autograd lint (AST rules) of the given paths,
-  by default the package itself (see repro.lint).
-* ``analyze`` — symbolic-IR static analysis: FLOP cost, stability +
-  determinism audit (see repro.ir).
+* ``lint``   — static AST rules (autograd hazards, unseeded RNG,
+  unordered iteration) over the given paths, by default the package
+  itself (see repro.lint).
+* ``analyze`` — symbolic-IR static analysis of the traced models: FLOP
+  cost and numerical stability (see repro.ir).
 * ``gradcheck`` — gradient audit: vjp contract capture and randomized
   central-difference derivative checks (see repro.adjoint).
 
@@ -29,11 +30,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
+
+from ._durable import write_durably
 
 __all__ = [
     "main",
@@ -172,7 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
         "traceback tails, REPRO5xx incidents (default %(default)s)",
     )
 
-    lint = sub.add_parser("lint", help="static autograd lint (see repro.lint)")
+    lint = sub.add_parser(
+        "lint", help="static AST lint: autograd and determinism rules "
+        "(see repro.lint)",
+    )
     lint.add_argument(
         "paths", nargs="*", default=[str(Path(__file__).resolve().parent)],
         help="python files or directories to lint, recursing into *.py "
@@ -181,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="symbolic-IR static analysis (FLOPs/stability/determinism)",
+        help="symbolic-IR static analysis (FLOPs/stability)",
     )
     analyze.add_argument(
         "model", choices=_MODELS + ("all",),
@@ -196,10 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the full repro.ir/v1 report bundle")
     analyze.add_argument("--top", type=_non_negative_int, default=5,
                          help="rows in the hottest-layer table (default 5)")
-    analyze.add_argument(
-        "--no-determinism", action="store_true",
-        help="skip the source-level RNG/iteration-order audit",
-    )
     analyze.add_argument(
         "--check-baseline", metavar="PATH", default=None,
         help="diff FLOP/parameter/node counts against a baseline JSON "
@@ -380,25 +381,13 @@ def _cmd_table2(args) -> int:
 
 
 def _write_baseline(path: str, doc: dict) -> None:
-    """Land ``doc`` at ``path`` by temp file, fsync, then rename.
+    """Land ``doc`` at ``path`` durably, never as a torn baseline.
 
-    A crash mid-write can only leave the temp file behind (and a failure
-    removes it), never a torn baseline.  ``json.dumps(doc, indent=2) +
-    "\n"`` keeps refreshing an unchanged baseline a byte-level no-op.
+    ``json.dumps(doc, indent=2) + "\n"`` keeps refreshing an unchanged
+    baseline a byte-level no-op.
     """
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    data = (json.dumps(doc, indent=2) + "\n").encode()
+    write_durably(path, lambda fh: fh.write(data))
 
 
 def _blocking(failures: list[str]) -> int:
@@ -467,10 +456,7 @@ def _cmd_analyze(args) -> int:
     models = MODEL_NAMES if args.model == "all" else (args.model,)
     grids = tuple(args.grids or [64])
     try:
-        bundle = analyze_registry(
-            models, preset=args.preset, grids=grids,
-            determinism=not args.no_determinism,
-        )
+        bundle = analyze_registry(models, preset=args.preset, grids=grids)
     except ValueError as exc:  # build_model rejected a grid
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

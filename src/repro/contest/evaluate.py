@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .._durable import write_durably
 from ..netlist import MLCAD2023_SPECS, TABLE2_DESIGNS, generate_design
 from ..placement import place_design
 from ..routing import DetailedRoutingModel, congestion_report, route_design
@@ -454,11 +455,5 @@ def write_table2_artifact(
     """Atomically persist :func:`table2_artifact` to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    blob = json.dumps(table2_artifact(result), indent=2, sort_keys=True) + "\n"
-    tmp = path.parent / (path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
+    blob = (json.dumps(table2_artifact(result), indent=2, sort_keys=True) + "\n").encode()
+    return write_durably(path, lambda fh: fh.write(blob))

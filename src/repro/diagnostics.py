@@ -6,14 +6,15 @@ forward-IR passes (:mod:`repro.ir`, ``REPRO1xx``) and the
 adjoint/backward passes (:mod:`repro.adjoint`, ``REPRO2xx``).  The
 ``REPRO3xx``, ``REPRO4xx``, ``REPRO6xx``, ``REPRO7xx`` and ``REPRO8xx``
 bands are retired and stay unassigned, as do the retired codes 006,
-106, 107 and 205–207.
+104–107 and 205–207 (the determinism rules once numbered 104/105 are
+the lint rules 009/010).
 Before this registry each component kept its own table, which is
 exactly how two PRs end up assigning the same code to different rules.
 Now every code is declared here,
 :func:`register_code` raises on a duplicate assignment, and the
 component tables (``repro.lint.rules.RULES``,
-``repro.ir.passes.IR_RULES``, ``repro.adjoint.ADJOINT_RULES``, ...)
-are views produced by :func:`codes_for`.
+``repro.adjoint.ADJOINT_RULES``, ...) are views produced by
+:func:`codes_for`.
 
 Severity: ``blocking`` findings fail gates (``repro lint`` /
 ``repro analyze`` / ``repro gradcheck`` exit non-zero).  Every static
@@ -120,6 +121,14 @@ register_code(
     "backward closure captures a loop variable or mutates out.grad in place",
     component="lint",
 )
+register_code(
+    "REPRO009", "random numbers drawn without an explicit seed", component="lint"
+)
+register_code(
+    "REPRO010",
+    "unordered iteration can leak into numeric results",
+    component="lint",
+)
 
 # Forward-IR passes (repro.ir) — 1xx.
 register_code(
@@ -135,14 +144,6 @@ register_code(
 register_code(
     "REPRO103",
     "implicit mixed-float promotion widens an array operand",
-    component="ir",
-)
-register_code(
-    "REPRO104", "random numbers drawn without an explicit seed", component="ir"
-)
-register_code(
-    "REPRO105",
-    "unordered iteration can leak into numeric results",
     component="ir",
 )
 

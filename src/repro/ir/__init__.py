@@ -9,9 +9,10 @@ validate it.  The graph is then analyzed statically —
 
 * :mod:`repro.ir.cost` — FLOP/byte cost model with stage/layer rollups;
 * :mod:`repro.ir.stability` — interval-domain numerical-stability
-  checks (REPRO101–103);
-* :mod:`repro.ir.determinism` — unseeded-RNG / iteration-order audit of
-  the training+placement call-graph (REPRO104–105).
+  checks (REPRO101–103).
+
+Source-level determinism (unseeded RNG, unordered iteration) is not a
+graph property; the AST rules REPRO009/010 of :mod:`repro.lint` check it.
 
 Entry points: ``repro analyze <model|all> --grid N --json`` on the
 command line, and :func:`analyze_model` / :func:`analyze_registry` in
@@ -20,10 +21,8 @@ Findings share the diagnostic format, rule-code namespace and ``# noqa``
 suppression of :mod:`repro.lint`.
 """
 
-from .determinism import audit_determinism
 from .graph import Graph, Node
 from .cost import cost_model
-from .passes import IR_RULES
 from .report import (
     SCHEMA,
     analyze_graph,
@@ -45,10 +44,8 @@ __all__ = [
     "TraceSession",
     "trace",
     "trace_model",
-    "IR_RULES",
     "cost_model",
     "check_stability",
-    "audit_determinism",
     "SCHEMA",
     "analyze_graph",
     "analyze_model",

@@ -1,11 +1,10 @@
 """FLOP / byte cost model with per-layer and per-stage rollups.
 
 FLOP counts are attached to nodes at trace time by the symbolic rules
-(2·m·k·n for matmul, 2·∏extents for einsum contractions, output size
-for elementwise ops, input size for reductions); this pass aggregates
-them into a machine-readable summary:
+(2·m·k·n for matmul, output size for elementwise ops, input size for
+reductions); this pass aggregates them into a machine-readable summary:
 
-* ``by_op`` — totals per primitive (einsum, matmul, exp, ...).
+* ``by_op`` — totals per primitive (matmul, exp, ...).
 * ``by_stage`` — totals per top-level submodule (``down1``, ``pam``,
   ``transformer``, ...), the granularity Fig. 5 of the paper reports.
 * ``by_layer`` — totals per innermost module scope, heaviest first.

@@ -1,28 +1,22 @@
 """Analysis driver and machine-readable report (schema ``repro.ir/v1``).
 
 ``analyze_model`` traces one registry model at one grid, runs the
-stability check and the cost model over the graph plus the source-level
-determinism audit, and assembles a single JSON-serializable report.
-``analyze_registry`` sweeps models × grids.  ``check_baseline`` diffs
-the invariant slice of a report set (FLOPs, parameter and node counts)
-against a checked-in baseline so CI catches silent cost regressions.
+stability check and the cost model over the graph, and assembles a
+single JSON-serializable report.  ``analyze_registry`` sweeps models ×
+grids.  ``check_baseline`` diffs the invariant slice of a report set
+(FLOPs, parameter and node counts) against a checked-in baseline so CI
+catches silent cost regressions.
 
-Severity model: every stability (``REPRO101``–``103``) and determinism
-(``REPRO104``/``105``) finding is a *failure*: ``repro analyze`` exits
-non-zero.
+Severity model: every stability (``REPRO101``–``103``) finding is a
+*failure*: ``repro analyze`` exits non-zero.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
+from repro.lint.rules import filter_noqa
 
-from repro.lint.rules import LintDiagnostic
-
-from .determinism import audit_determinism
 from .graph import Graph
 from .cost import cost_model
-from .passes import filter_noqa
 from .stability import check_stability
 from .trace import trace_model
 
@@ -33,38 +27,15 @@ __all__ = [
     "analyze_registry",
     "baseline_from_reports",
     "check_baseline",
-    "serialize_finding",
 ]
 
 SCHEMA = "repro.ir/v1"
 
-_REPO_ROOT = Path(__file__).resolve().parents[3]
 
-
-def _rel(path: str) -> str:
-    try:
-        return os.path.relpath(path, _REPO_ROOT)
-    except ValueError:  # different drive (windows); keep as-is
-        return path
-
-
-def serialize_finding(finding: LintDiagnostic) -> dict:
-    return {
-        "path": _rel(finding.path),
-        "line": finding.line,
-        "col": finding.col,
-        "code": finding.code,
-        "message": finding.message,
-    }
-
-
-def analyze_graph(graph: Graph, *, determinism: bool = True) -> dict:
-    """Run the graph analyses (and optionally the source audit) on ``graph``."""
+def analyze_graph(graph: Graph) -> dict:
+    """Run the graph analyses on ``graph``."""
     stability = filter_noqa(check_stability(graph)["findings"])
-    audit = audit_determinism() if determinism else {"audited_files": 0, "findings": []}
-    audit["findings"] = filter_noqa(audit["findings"])
     failures = sorted(stability, key=lambda f: (f.code, f.path, f.line))
-    failures += audit["findings"]
 
     return {
         "schema": SCHEMA,
@@ -79,11 +50,7 @@ def analyze_graph(graph: Graph, *, determinism: bool = True) -> dict:
             "output_shapes": [list(graph[i].shape) for i in graph.outputs],
         },
         "cost": cost_model(graph),
-        "stability": {"findings": [serialize_finding(f) for f in stability]},
-        "determinism": {
-            "audited_files": audit["audited_files"],
-            "findings": [serialize_finding(f) for f in audit["findings"]],
-        },
+        "stability": {"findings": [f.to_dict() for f in stability]},
         "failures": [str(f) for f in failures],
     }
 
@@ -94,11 +61,10 @@ def analyze_model(
     preset: str = "fast",
     grid: int = 64,
     batch: int = 1,
-    determinism: bool = True,
 ) -> dict:
     """Trace + analyze one registry model; returns a ``repro.ir/v1`` report."""
     graph = trace_model(model_name, preset=preset, grid=grid, batch=batch)
-    return analyze_graph(graph, determinism=determinism)
+    return analyze_graph(graph)
 
 
 def analyze_registry(
@@ -106,23 +72,15 @@ def analyze_registry(
     *,
     preset: str = "fast",
     grids: tuple[int, ...] = (64,),
-    determinism: bool = True,
 ) -> dict:
-    """Sweep models × grids.  The source audit runs once (it is per-repo)."""
+    """Sweep models × grids."""
     from repro.models.registry import MODEL_NAMES
 
-    models = models or MODEL_NAMES
-    reports = []
-    for i, name in enumerate(models):
-        for j, grid in enumerate(grids):
-            reports.append(
-                analyze_model(
-                    name,
-                    preset=preset,
-                    grid=grid,
-                    determinism=determinism and i == 0 and j == 0,
-                )
-            )
+    reports = [
+        analyze_model(name, preset=preset, grid=grid)
+        for name in (models or MODEL_NAMES)
+        for grid in grids
+    ]
     return {"schema": SCHEMA, "reports": reports}
 
 

@@ -18,6 +18,10 @@ provably bounds the operand:
 * ``REPRO103`` — implicit float-widening promotion: a float array
   operand combined into a wider float result dtype.  Exact python
   scalars (weak promotion) and bool/int masks are not flagged.
+
+Findings are :class:`repro.lint.rules.LintDiagnostic` values anchored
+at the traced call site, so ``# noqa: REPRO101`` there drops them
+(:func:`repro.lint.rules.filter_noqa`).
 """
 
 from __future__ import annotations
@@ -26,13 +30,27 @@ import math
 
 import numpy as np
 
-from .graph import Graph, Node
-from .passes import node_finding
+from repro.lint.rules import LintDiagnostic
 
-__all__ = ["check_stability"]
+from .graph import Graph, Node
+
+__all__ = ["check_stability", "node_finding"]
 
 _DIV_OPS = ("divide",)
 _LOG_OPS = ("log",)
+
+
+def node_finding(node: Node, code: str, message: str) -> LintDiagnostic:
+    """Build a lint-format diagnostic anchored at a graph node's call site."""
+    path, line = "<traced>", 0
+    if node.src:
+        path, _, lineno = node.src.rpartition(":")
+        if lineno.isdigit():
+            line = int(lineno)
+        else:
+            path = node.src
+    where = f" [%{node.id} {node.op} in {node.scope or '<toplevel>'}]"
+    return LintDiagnostic(path, line, 0, code, message + where)
 
 
 def _exp_limit(dtype: np.dtype) -> float:

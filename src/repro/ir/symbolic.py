@@ -4,7 +4,7 @@ A :class:`SymbolicArray` stands in for ``numpy.ndarray`` inside a
 :class:`~repro.nn.tensor.Tensor` during tracing: it carries a shape, a
 dtype and a conservative value interval, but **no data**.  Every
 operation applied to one — ufuncs via ``__array_ufunc__``, functions
-like ``np.pad``/``np.einsum``/``np.concatenate`` via
+like ``np.pad``/``np.concatenate`` via
 ``__array_function__``, and ndarray methods (``reshape``, ``sum``,
 ``max``, slicing) implemented directly — appends a typed
 :class:`~repro.ir.graph.Node` to the active trace and returns a new
@@ -33,7 +33,7 @@ Attempting to *read* data (``float()``, ``bool()``, ``np.asarray``)
 raises :class:`TraceError`: symbolic tracing cannot follow
 data-dependent control flow, by construction.  Where numpy would reject
 the shapes of an operation with a ``ValueError`` (reshape, matmul,
-einsum, concatenate, stack, squeeze, in-place ``out=``), the symbolic
+concatenate, stack, squeeze, in-place ``out=``), the symbolic
 rule raises :class:`ShapeError`, so a trace fails wherever the real
 forward would.
 """
@@ -141,7 +141,7 @@ def _rng_union(a, b):
 
 
 def _rng_contract(a, b):
-    """Range for matmul/einsum-style contractions: only sign survives."""
+    """Range for matmul-style contractions: only sign survives."""
     if a[0] >= 0 and b[0] >= 0:
         return (0.0, INF)
     return UNBOUNDED
@@ -668,54 +668,6 @@ def _f_pad(array, pad_width, mode="constant", **kwargs):
     )
 
 
-def _parse_einsum(subscripts: str, operands) -> tuple[tuple[int, ...], int, dict]:
-    subscripts = subscripts.replace(" ", "")
-    if "..." in subscripts:
-        raise TraceError("einsum ellipsis is not supported in tracing")
-    if "->" not in subscripts:
-        raise TraceError("einsum without explicit '->' is not supported in tracing")
-    lhs, rhs = subscripts.split("->")
-    terms = lhs.split(",")
-    if len(terms) != len(operands):
-        raise TraceError(
-            f"einsum {subscripts!r} expects {len(terms)} operands, "
-            f"got {len(operands)}"
-        )
-    extents: dict[str, int] = {}
-    for term, op in zip(terms, operands):
-        shape = _shape_of(op)
-        if len(term) != len(shape):
-            raise ShapeError(
-                f"einsum term {term!r} does not match operand of rank {len(shape)}"
-            )
-        for label, dim in zip(term, shape):
-            if extents.setdefault(label, dim) != dim:
-                raise ShapeError(
-                    f"einsum label {label!r} bound to both "
-                    f"{extents[label]} and {dim}"
-                )
-    out_shape = tuple(extents[label] for label in rhs)
-    volume = int(np.prod(list(extents.values()), dtype=object)) if extents else 1
-    flops = (2 if len(terms) >= 2 else 1) * volume
-    return out_shape, flops, extents
-
-
-def _f_einsum(subscripts, *operands, **kwargs):
-    if not isinstance(subscripts, str):
-        raise TraceError("einsum interleaved-operand form is not supported")
-    sess = _session_of(operands)
-    shape, flops, _ = _parse_einsum(subscripts, operands)
-    _, dtype_args, vranges = _operands(sess, operands)
-    vrange = UNBOUNDED
-    if all(r[0] >= 0 for r in vranges):
-        vrange = (0.0, INF)
-    sym = next(o for o in operands if isinstance(o, SymbolicArray))
-    return sym._emit(
-        "einsum", operands, shape, np.result_type(*dtype_args),
-        flops=flops, attrs=(("subscripts", subscripts),), vrange=vrange,
-    )
-
-
 def _f_concatenate(arrays, axis=0, **kwargs):
     sess = _session_of(arrays)
     first = next(a for a in arrays if isinstance(a, SymbolicArray))
@@ -859,7 +811,6 @@ def _f_amin(a, axis=None, keepdims=False, **kwargs):
 
 _FUNCS: dict[Any, Callable] = {
     np.pad: _f_pad,
-    np.einsum: _f_einsum,
     np.concatenate: _f_concatenate,
     np.stack: _f_stack,
     np.repeat: _f_repeat,

@@ -6,7 +6,8 @@ Two independent layers of correctness tooling for :mod:`repro.nn`
 * :mod:`repro.lint.rules` — project-specific AST lint rules that walk
   backward closures and ``Module.forward`` bodies for autograd hazards
   (missing ``_unbroadcast``, tape detaches, unguarded graph wiring,
-  in-place mutation, stale closures, unused imports).
+  in-place mutation, stale closures, unused imports), and every module
+  for determinism hazards (unseeded or global RNG, unordered iteration).
 * :mod:`repro.lint.sanitize` — opt-in runtime anomaly mode
   (``with detect_anomaly():``) that records op provenance, pinpoints the
   first backward closure producing NaN/Inf gradients, detects in-place
@@ -19,7 +20,14 @@ with :func:`repro.ir.trace` (``build_model`` does it on every build).
 CLI: ``repro lint [paths...]`` (default: the repro package).
 """
 
-from .rules import RULES, LintDiagnostic, lint_file, lint_paths, lint_source
+from .rules import (
+    RULES,
+    LintDiagnostic,
+    filter_noqa,
+    lint_file,
+    lint_paths,
+    lint_source,
+)
 from .sanitize import (
     AnomalyDetector,
     AnomalyError,
@@ -33,6 +41,7 @@ from .sanitize import (
 __all__ = [
     "RULES",
     "LintDiagnostic",
+    "filter_noqa",
     "lint_source",
     "lint_file",
     "lint_paths",

@@ -26,8 +26,23 @@ correct:
   final value) or mutates its own output gradient (``out.grad``) in
   place, corrupting accumulation for sibling consumers.
 
+Two more rules guard bit-for-bit repeatability, which never crashes
+when it breaks:
+
+* ``REPRO009`` — randomness without an explicit seed: calling
+  ``np.random.default_rng()`` with no seed, any use of the legacy
+  global ``np.random.*`` API (its state is process-global and shared),
+  or the stdlib ``random`` module's global functions.  The convention
+  here is ``np.random.default_rng(seed)`` threaded explicitly.
+* ``REPRO010`` — iterating an unordered collection where the order can
+  reach results: ``for … in <set>``, iterating
+  ``set(...)``/``frozenset(...)``/set unions, or ``os.listdir`` not
+  wrapped in ``sorted()`` (directory order is filesystem-dependent).
+
 Diagnostics on a line containing ``# noqa: REPROxxx`` (or a bare
-``# noqa``) are suppressed.
+``# noqa``) are suppressed.  The IR and adjoint analyses report in the
+same :class:`LintDiagnostic` format and drop suppressed findings with
+:func:`filter_noqa`.
 
 Rule codes and messages are allocated centrally in
 :mod:`repro.diagnostics`; ``RULES`` here is the lint-component view.
@@ -36,14 +51,20 @@ Rule codes and messages are allocated centrally in
 from __future__ import annotations
 
 import ast
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.diagnostics import codes_for
 
-__all__ = ["LintDiagnostic", "RULES", "lint_source", "lint_file", "lint_paths"]
+__all__ = [
+    "LintDiagnostic", "RULES", "filter_noqa", "lint_source", "lint_file",
+    "lint_paths",
+]
 
 RULES = codes_for("lint")
+
+_REPO_ROOT = Path(__file__).resolve().parents[3]
 
 
 @dataclass(frozen=True)
@@ -59,6 +80,20 @@ class LintDiagnostic:
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
+    def to_dict(self) -> dict:
+        """JSON form used by the analysis reports (path repo-relative)."""
+        try:
+            path = os.path.relpath(self.path, _REPO_ROOT)
+        except ValueError:  # different drive (windows); keep as-is
+            path = self.path
+        return {
+            "path": path,
+            "line": self.line,
+            "col": self.col,
+            "code": self.code,
+            "message": self.message,
+        }
+
 
 @dataclass
 class _Context:
@@ -68,10 +103,8 @@ class _Context:
 
     def report(self, node: ast.AST, code: str, message: str) -> None:
         line = getattr(node, "lineno", 0)
-        if line in self.suppressed:
-            codes = self.suppressed[line]
-            if codes is None or code in codes:
-                return
+        if _is_suppressed(self.suppressed, line, code):
+            return
         self.diagnostics.append(
             LintDiagnostic(self.path, line, getattr(node, "col_offset", 0), code, message)
         )
@@ -93,7 +126,48 @@ def _noqa_lines(source: str) -> dict[int, set[str] | None]:
     return suppressed
 
 
+def _is_suppressed(
+    suppressed: dict[int, set[str] | None], line: int, code: str
+) -> bool:
+    codes = suppressed.get(line, ())
+    return codes is None or code in codes
+
+
+_NOQA_CACHE: dict[str, dict[int, set[str] | None]] = {}
+
+
+def filter_noqa(findings: list[LintDiagnostic]) -> list[LintDiagnostic]:
+    """Drop findings whose source line suppresses their code via ``# noqa``.
+
+    For findings made outside :func:`lint_source` (traced graph nodes,
+    backward closures), whose source is read back from ``path``.
+    """
+    kept = []
+    for f in findings:
+        if f.path not in _NOQA_CACHE:
+            try:
+                source = Path(f.path).read_text(encoding="utf-8")
+            except OSError:
+                source = ""
+            _NOQA_CACHE[f.path] = _noqa_lines(source)
+        if not _is_suppressed(_NOQA_CACHE[f.path], f.line, f.code):
+            kept.append(f)
+    return kept
+
+
 # -- small AST helpers ---------------------------------------------------------
+
+
+def _dotted(node: ast.AST) -> str:
+    """``np.random.default_rng`` -> "np.random.default_rng" (best effort)."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return ""
 
 
 def _call_name(node: ast.Call) -> str:
@@ -477,6 +551,97 @@ def _check_backward_closure_hazards(tree: ast.AST, ctx: _Context) -> None:
                         )
 
 
+# -- REPRO009: unseeded or global RNG -----------------------------------------
+
+_LEGACY_NP_RANDOM = {
+    "rand", "randn", "randint", "random", "random_sample", "ranf",
+    "sample", "choice", "shuffle", "permutation", "uniform", "normal",
+    "standard_normal", "seed", "get_state", "set_state",
+}
+_STDLIB_RANDOM = {
+    "random", "randint", "randrange", "uniform", "gauss", "choice",
+    "choices", "shuffle", "sample", "seed",
+}
+
+
+def _check_unseeded_rng(tree: ast.AST, ctx: _Context) -> None:
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _dotted(node.func)
+        if name.endswith("default_rng") and not node.args and not node.keywords:
+            ctx.report(
+                node,
+                "REPRO009",
+                "default_rng() without a seed draws from OS entropy; pass an "
+                "explicit seed so runs are repeatable",
+            )
+        elif name.startswith(("np.random.", "numpy.random.")):
+            tail = name.rsplit(".", 1)[-1]
+            if tail in _LEGACY_NP_RANDOM:
+                ctx.report(
+                    node,
+                    "REPRO009",
+                    f"legacy global np.random.{tail}() shares process-wide "
+                    "state; use an explicitly seeded np.random.default_rng "
+                    "Generator",
+                )
+        elif name.startswith("random.") and name.split(".")[1] in _STDLIB_RANDOM:
+            ctx.report(
+                node,
+                "REPRO009",
+                f"stdlib {name}() uses the global random state; use a seeded "
+                "np.random.default_rng Generator",
+            )
+
+
+# -- REPRO010: unordered iteration ---------------------------------------------
+
+
+def _order_hazard(iter_node: ast.AST) -> str | None:
+    """What makes iterating ``iter_node`` order-undefined, if anything."""
+    if isinstance(iter_node, (ast.Set, ast.SetComp)):
+        return "a set literal"
+    if isinstance(iter_node, ast.Call):
+        name = _dotted(iter_node.func)
+        if name in ("set", "frozenset"):
+            return f"{name}(...)"
+        if name.endswith(("os.listdir", "listdir")) and name.count(".") <= 1:
+            return "os.listdir(...) (filesystem order)"
+        if name.endswith((".union", ".intersection", ".difference",
+                          ".symmetric_difference")):
+            return f"{name.rsplit('.', 1)[-1]}(...) of sets"
+    if isinstance(iter_node, ast.BinOp) and isinstance(
+        iter_node.op, (ast.BitOr, ast.BitAnd, ast.Sub)
+    ):
+        if _order_hazard(iter_node.left) or _order_hazard(iter_node.right):
+            return "a set expression"
+    return None
+
+
+def _check_unordered_iteration(tree: ast.AST, ctx: _Context) -> None:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For):
+            hazard = _order_hazard(node.iter)
+            if hazard:
+                ctx.report(
+                    node,
+                    "REPRO010",
+                    f"iteration over {hazard} has no defined order; wrap in "
+                    "sorted(...) before results depend on it",
+                )
+        elif isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+            for comp in node.generators:
+                hazard = _order_hazard(comp.iter)
+                if hazard:
+                    ctx.report(
+                        comp.iter,
+                        "REPRO010",
+                        f"comprehension over {hazard} has no defined order; "
+                        "wrap in sorted(...)",
+                    )
+
+
 _CHECKS = (
     _check_unbroadcast,
     _check_forward_detach,
@@ -484,6 +649,8 @@ _CHECKS = (
     _check_mutable_defaults,
     _check_inplace_data,
     _check_backward_closure_hazards,
+    _check_unseeded_rng,
+    _check_unordered_iteration,
 )
 
 

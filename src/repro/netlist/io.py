@@ -23,8 +23,8 @@ files classic placers consume, but self-contained in one file:
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
+from .._durable import write_durably
 from ..arch import CascadeShape, FPGADevice, RegionConstraint, ResourceType, SiteType
 from .design import Design, Instance, Net
 
@@ -68,17 +68,10 @@ def save_design(design: Design, path: str | os.PathLike) -> str:
     for idx in range(design.num_instances):
         lines.append(f"PLACE {idx} {design.x[idx]:.17g} {design.y[idx]:.17g}")
     lines.append("END")
-    # Frozen benchmark files are durable artifacts: write to a temp
-    # sibling, fsync, rename, so a crash never leaves a torn netlist at
-    # the final name.
-    path = Path(path)
-    tmp = path.parent / (path.name + ".tmp")
-    with open(tmp, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return str(path)
+    # Frozen benchmark files are durable artifacts: a crash never
+    # leaves a torn netlist at the final name.
+    data = ("\n".join(lines) + "\n").encode()
+    return str(write_durably(path, lambda fh: fh.write(data)))
 
 
 def load_design(path: str | os.PathLike) -> Design:

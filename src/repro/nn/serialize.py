@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .._durable import write_durably
 from .module import Module
 
 __all__ = ["save_state", "load_state", "save_module", "load_module"]
@@ -33,22 +34,14 @@ def _npz_path(path: str | os.PathLike) -> Path:
 def save_state(state: dict[str, np.ndarray], path: str | os.PathLike) -> Path:
     """Write a state dict to a compressed ``.npz`` archive.
 
-    The archive is written to a temporary sibling, fsync'd, and renamed
-    into place, so a crash mid-save leaves either the previous complete
-    checkpoint or the new one — never a torn archive at the final name
-    (the same discipline as :mod:`repro.resilience.checkpoint`).
+    The archive lands through :func:`repro._durable.write_durably`, so
+    a crash mid-save leaves either the previous complete checkpoint or
+    the new one — never a torn archive at the final name.
 
     Returns the path actually written (with the ``.npz`` suffix that
     numpy appends when it is missing).
     """
-    path = _npz_path(path)
-    tmp = path.parent / (path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez_compressed(fh, **state)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
+    return write_durably(_npz_path(path), lambda fh: np.savez_compressed(fh, **state))
 
 
 def load_state(path: str | os.PathLike) -> dict[str, np.ndarray]:

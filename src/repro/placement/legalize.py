@@ -88,7 +88,7 @@ def legalize_macros(design: Design, x: np.ndarray, y: np.ndarray) -> Legalizatio
 
     # Column occupancy per macro site type.
     # Sorted so the occupancy dict has a run-independent key order
-    # (REPRO105: set iteration order is not deterministic).
+    # (REPRO010: set iteration order is not deterministic).
     occupancy: dict[SiteType, dict[int, np.ndarray]] = {}
     for site_type in sorted(set(_MACRO_SITES.values()), key=lambda s: s.value):
         occupancy[site_type] = {

@@ -10,8 +10,9 @@ refused instead of silently producing a chimera run.
 
 Bundles are single ``.npz`` files written *atomically* — serialized to
 a temp file in the same directory, fsync'd, then ``os.replace``d over
-the destination — so a kill mid-write can never leave a truncated
-checkpoint where a good one used to be.  Every bundle embeds a SHA-256
+the destination (:func:`repro._durable.write_durably`) — so a kill
+mid-write can never leave a truncated checkpoint where a good one used
+to be.  Every bundle embeds a SHA-256
 checksum over its arrays and metadata; :func:`load_checkpoint` verifies
 it and raises :class:`CheckpointCorrupt` on mismatch.
 
@@ -29,6 +30,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .._durable import write_durably
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -176,8 +179,9 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | os.PathLike) -> Path:
     """Atomically write ``checkpoint`` to ``path`` and return the path.
 
     The bundle lands via temp-file + fsync + rename in the destination
-    directory, so concurrent readers only ever observe either the old
-    complete bundle or the new complete bundle.
+    directory (:func:`repro._durable.write_durably`), so concurrent
+    readers only ever observe either the old complete bundle or the new
+    complete bundle.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -199,18 +203,7 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | os.PathLike) -> Path:
     payload = dict(arrays)
     payload[_META_KEY] = np.array(json.dumps(meta))
 
-    tmp = path.parent / (path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez_compressed(fh, **payload)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    dir_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-    return path
+    return write_durably(path, lambda fh: np.savez_compressed(fh, **payload))
 
 
 def load_checkpoint(

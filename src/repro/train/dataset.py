@@ -88,7 +88,6 @@ def _varied_placer_config(
 def generate_samples(
     design_or_spec: Design | DesignSpec,
     config: DatasetConfig,
-    rng: np.random.Generator | None = None,
     seed_seq: np.random.SeedSequence | None = None,
 ) -> list[Sample]:
     """Run the placement sweep for one design and label every placement.
@@ -101,11 +100,11 @@ def generate_samples(
     stream — independent of how many placements ran before it — which
     is what lets :meth:`CongestionDataset.build` generate designs in
     parallel workers and still reproduce the serial dataset bitwise.
-    The legacy ``rng`` path threads one generator through the whole
-    sweep and is kept for direct callers.
+    Without it, one ``default_rng(config.seed)`` generator is threaded
+    through the whole sweep.
     """
     if seed_seq is None:
-        rng = rng or np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
         draws = [(rng, None) for _ in range(config.placements_per_design)]
     else:
         draws = []

@@ -1,22 +1,20 @@
-"""IR rule table and the shared # noqa suppression of graph findings."""
+"""IR rule codes and the shared # noqa suppression of graph findings."""
 
 import numpy as np
 
-from repro.ir import IR_RULES
+from repro.diagnostics import codes_for
 from repro.ir.graph import Graph
-from repro.ir.passes import filter_noqa, node_finding
-from repro.lint.rules import RULES as LINT_RULES
+from repro.ir.stability import node_finding
+from repro.lint.rules import RULES as LINT_RULES, filter_noqa
 
 
 class TestRuleTable:
     def test_ir_codes_complete(self):
-        assert set(IR_RULES) == {
-            "REPRO101", "REPRO102", "REPRO103", "REPRO104", "REPRO105",
-        }
+        assert set(codes_for("ir")) == {"REPRO101", "REPRO102", "REPRO103"}
 
     def test_namespace_disjoint_from_lint(self):
         # 0xx belongs to the AST lint rules, 1xx to the IR analyses.
-        assert not set(IR_RULES) & set(LINT_RULES)
+        assert not set(codes_for("ir")) & set(LINT_RULES)
 
 
 class TestNoqa:

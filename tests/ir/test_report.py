@@ -24,7 +24,7 @@ class TestReport:
     def test_schema_and_shape(self, bundle):
         assert bundle["schema"] == SCHEMA
         report = bundle["reports"][0]
-        for key in ("graph", "cost", "stability", "determinism", "failures"):
+        for key in ("graph", "cost", "stability", "failures"):
             assert key in report
         assert report["model"] == "unet"
         assert report["grid"] == 64
@@ -36,14 +36,8 @@ class TestReport:
         for report in bundle["reports"]:
             assert report["failures"] == [], report["failures"]
 
-    def test_determinism_audit_runs_once(self, bundle):
-        audited = [r["determinism"]["audited_files"] for r in bundle["reports"]]
-        assert audited[0] > 0
-        assert all(a == 0 for a in audited[1:])
-
     def test_analyze_model_single(self):
-        report = analyze_model("unet", preset="tiny", grid=64,
-                               determinism=False)
+        report = analyze_model("unet", preset="tiny", grid=64)
         assert report["cost"]["total_flops"] > 0
         assert report["graph"]["nodes"] > 0
 
@@ -74,8 +68,7 @@ class TestBaseline:
         baseline = json.loads(path.read_text())
         grids = sorted({e["grid"] for e in baseline["entries"]})
         models = tuple(dict.fromkeys(e["model"] for e in baseline["entries"]))
-        current = analyze_registry(models, preset="fast", grids=tuple(grids),
-                                   determinism=False)
+        current = analyze_registry(models, preset="fast", grids=tuple(grids))
         assert check_baseline(current, baseline) == []
 
 
@@ -88,7 +81,7 @@ class TestIntegration:
 
     def test_cli_analyze_json(self, capsys):
         rc = cli_main(["analyze", "unet", "--preset", "tiny", "--grid", "64",
-                       "--json", "--no-determinism"])
+                       "--json"])
         assert rc == 0
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["schema"] == SCHEMA
@@ -96,12 +89,12 @@ class TestIntegration:
     def test_cli_baseline_cycle(self, tmp_path, capsys):
         path = tmp_path / "base.json"
         assert cli_main(["analyze", "unet", "--preset", "tiny", "--grid", "64",
-                         "--no-determinism", "--update-baseline", str(path)]) == 0
+                         "--update-baseline", str(path)]) == 0
         capsys.readouterr()
         assert cli_main(["analyze", "unet", "--preset", "tiny", "--grid", "64",
-                         "--no-determinism", "--check-baseline", str(path)]) == 0
+                         "--check-baseline", str(path)]) == 0
         # A different grid must be reported as drift (EXIT_DRIFT, not
         # the blocking-findings code — see the table in docs/API.md).
         assert cli_main(["analyze", "unet", "--preset", "tiny", "--grid", "128",
-                         "--no-determinism", "--check-baseline", str(path)]) == 3
+                         "--check-baseline", str(path)]) == 3
         assert "baseline drift" in capsys.readouterr().err

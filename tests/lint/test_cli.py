@@ -53,6 +53,24 @@ class Clamp(Module):
         return x
 """,
     ),
+    "unseeded_rng.py": (
+        "REPRO009",
+        """
+import numpy as np
+
+rng = np.random.default_rng()
+""",
+    ),
+    "unordered_iteration.py": (
+        "REPRO010",
+        """
+def total(items):
+    out = 0.0
+    for x in set(items):
+        out = out * 0.5 + x
+    return out
+""",
+    ),
 }
 
 

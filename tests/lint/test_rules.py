@@ -25,7 +25,7 @@ class TestRepoClean:
     def test_rule_table_complete(self):
         assert set(RULES) == {
             "REPRO001", "REPRO002", "REPRO003", "REPRO004",
-            "REPRO005", "REPRO007", "REPRO008",
+            "REPRO005", "REPRO007", "REPRO008", "REPRO009", "REPRO010",
         }
 
     def test_rule_table_sourced_from_central_registry(self):

@@ -120,7 +120,7 @@ class TestClusterCells:
         np.testing.assert_array_equal(map_a, map_b)
 
     def test_pin_order_does_not_change_clustering(self):
-        """Regression for the REPRO105 finding in _affinities.
+        """Regression for the REPRO010 finding in _affinities.
 
         Affinity accumulation iterated a bare ``set(net.pins)``, so the
         visit order (and with it float accumulation and tie-breaks)

@@ -165,8 +165,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("model,grid", [("ours", "24"), ("pros2", "20")])
     def test_analyze_rejected_grid_is_usage_error(self, model, grid, capsys):
-        rc = main(["analyze", model, "--preset", "tiny", "--grid", grid,
-                   "--no-determinism"])
+        rc = main(["analyze", model, "--preset", "tiny", "--grid", grid])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -191,13 +190,13 @@ class TestAnalysisJSONSchemas:
         bundle = self._json(
             capsys,
             ["analyze", "unet", "--preset", "tiny", "--grid", "32",
-             "--json", "--no-determinism"],
+             "--json"],
         )
         assert bundle["schema"] == "repro.ir/v1"
         (report,) = bundle["reports"]
         assert set(report) >= {
             "schema", "model", "preset", "grid", "graph", "cost",
-            "stability", "determinism", "failures",
+            "stability", "failures",
         }
         assert report["model"] == "unet"
         assert report["graph"]["nodes"] > 0
@@ -242,9 +241,9 @@ class TestExitCodeContract:
     # baseline filename, and a mutation that drifts one pinned value.
     SUBCOMMANDS = {
         "analyze": {
-            "argv": ["analyze", "unet", "--preset", "tiny", "--grid", "32",
-                     "--no-determinism"],
-            "usage": [["--grid", "0"], ["--grid", "-4"], ["--top", "-1"]],
+            "argv": ["analyze", "unet", "--preset", "tiny", "--grid", "32"],
+            "usage": [["--grid", "0"], ["--grid", "-4"], ["--top", "-1"],
+                      ["--no-determinism"]],
             "baseline": "ir.json",
             "drift": lambda doc: doc["entries"][0].update(
                 total_flops=doc["entries"][0]["total_flops"] + 1),

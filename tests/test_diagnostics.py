@@ -28,12 +28,10 @@ class TestRegistry:
 
     def test_component_views_match_consumers(self):
         from repro.adjoint import ADJOINT_RULES
-        from repro.ir.passes import IR_RULES
         from repro.lint.rules import RULES
         from repro.orchestrate import ORCHESTRATE_RULES
 
         assert RULES == codes_for("lint")
-        assert IR_RULES == codes_for("ir")
         assert ADJOINT_RULES == codes_for("adjoint")
         assert ORCHESTRATE_RULES == codes_for("orchestrate")
 

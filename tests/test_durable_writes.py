@@ -121,3 +121,23 @@ def test_crash_at_replace_keeps_previous_file(name, writers, tmp_path,
     assert path.read_bytes() == before
     write(path, 2)  # the writer still works, and the content does differ
     assert path.read_bytes() != before
+
+
+@pytest.mark.parametrize("name", [
+    "save_state", "save_design", "save_checkpoint",
+    "write_table2_artifact", "write_baselines",
+])
+def test_failed_write_leaves_no_temp_file(name, writers, tmp_path,
+                                          monkeypatch):
+    # The data is written but the fsync fails: the writer must raise
+    # and remove its temp file, not leave debris next to the target.
+    filename, write = writers[name]
+
+    def failing_fsync(fd):
+        raise OSError("fsync failed")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="fsync failed"):
+        write(tmp_path / filename, 1)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.glob("*.tmp*")) == []

@@ -151,9 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
     table2 = sub.add_parser("table2", help="mini Table II (4 teams)")
     add_common(table2, multi_design=True)
     table2.add_argument(
-        "--parallel", type=_non_negative_int, default=None, metavar="N",
+        "--parallel", type=_non_negative_int, default=0, metavar="N",
         help="fan (team, design) evaluations across N supervised worker "
-        "processes (repro.orchestrate); 0 = supervised serial",
+        "processes (repro.orchestrate); 0 = in-process serial "
+        "(default %(default)s)",
     )
     table2.add_argument(
         "--seed", type=int, default=None,
@@ -351,25 +352,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_table2(args) -> int:
-    from .contest import contest_teams, format_table2, run_table2, write_table2_artifact
+    from .contest import format_table2, run_table2, write_table2_artifact
 
-    orchestrated = (
-        args.parallel is not None or args.journal is not None or args.resume
-    )
     if args.resume and args.journal is None:
         print("error: --resume requires --journal PATH", file=sys.stderr)
         return EXIT_USAGE
-    if orchestrated:
-        result = run_table2(
-            design_names=tuple(args.designs), scale=1.0 / args.scale,
-            verbose=True, parallel=args.parallel, seed=args.seed,
-            journal_path=args.journal, resume=args.resume,
-        )
-    else:
-        result = run_table2(
-            contest_teams(), design_names=tuple(args.designs),
-            scale=1.0 / args.scale, verbose=True,
-        )
+    result = run_table2(
+        design_names=tuple(args.designs), scale=1.0 / args.scale,
+        verbose=True, parallel=args.parallel, seed=args.seed,
+        journal_path=args.journal, resume=args.resume,
+    )
     print()
     print(format_table2(result))
     if args.artifact:

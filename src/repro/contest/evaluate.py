@@ -13,15 +13,15 @@ the formatted table are computed over the designs that survived, and
 the manifest is appended so partial results are never mistaken for
 complete ones.
 
-The sweep is embarrassingly parallel, so ``run_table2`` can fan the
-(team, design) grid across the :mod:`repro.orchestrate` worker pool:
-``run_table2(parallel=N, seed=..., journal_path=...)`` supervises N
-worker processes with deadlines, retries and quarantine, journals every
-transition for ``resume=True``, and — because each job's RNG stream is
-spawned from the root seed by grid position — produces scores bitwise
-identical to the serial ``parallel=0`` run.  Teams are rebuilt inside
-each worker from a dotted factory reference (``team_source``), since
-:class:`TeamConfig` closures do not pickle.
+Every (team, design) pair is one :mod:`repro.orchestrate` job that
+carries its pickled :class:`TeamConfig` (a model-backed "Ours"
+included), so serial and parallel sweeps share one path:
+``run_table2(parallel=N, seed=..., journal_path=...)`` runs the jobs
+in-process (``parallel=0``, the default) or across N supervised worker
+processes, with deadlines, one retry, quarantine and a journal for
+``resume=True``.  Each job's placer seed is spawned from the root seed
+by grid position, so a parallel sweep scores bitwise identical to the
+serial one.
 """
 
 from __future__ import annotations
@@ -29,16 +29,17 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .._durable import write_durably
 from ..netlist import MLCAD2023_SPECS, TABLE2_DESIGNS, generate_design
-from ..placement import place_design
+from ..placement import PlacerConfig, place_design
 from ..routing import DetailedRoutingModel, congestion_report, route_design
 from .scoring import ContestScore, initial_routing_score
-from .teams import TEAM_NAMES, TeamConfig
+from .teams import TeamConfig, contest_teams
 
 __all__ = [
     "Table2Result",
@@ -48,9 +49,6 @@ __all__ = [
     "table2_artifact",
     "write_table2_artifact",
 ]
-
-#: Default dotted factory workers use to rebuild the Table-II teams.
-DEFAULT_TEAM_SOURCE = "repro.contest.teams:contest_teams"
 
 _COLUMNS = ("S_score", "S_R", "T_P&R", "S_IR", "S_DR")
 
@@ -101,11 +99,12 @@ def _structured_error(error) -> dict:
 class Table2Result:
     """All scores of a Table-II run, indexed [team][design].
 
-    ``errors`` is the failure manifest of a resilient run: one
-    structured entry (exception type, message, traceback tail) per
-    (team, design) pair whose flow raised, in place of a score.
+    ``errors`` is the failure manifest: one structured entry
+    (exception type, message, traceback tail) per (team, design) pair
+    whose flow still raised after its retry, in place of a score.
     ``incidents`` is the orchestration incident log (REPRO5xx events)
-    of a parallel run — empty for serial in-process sweeps.
+    of the sweep, serial or parallel: a failing job logs its retry
+    exhaustion and quarantine either way.
     ``complete`` is False whenever the error manifest is non-empty.
     """
 
@@ -192,32 +191,28 @@ class Table2Result:
         }
 
 
+def _reseeded(factory, seed: int) -> PlacerConfig:
+    config = factory()
+    config.gp = replace(config.gp, seed=seed)
+    return config
+
+
 def _table2_job(
-    team_name: str,
-    design_name: str,
-    scale: float,
-    team_source: str = DEFAULT_TEAM_SOURCE,
-    team_kwargs: dict | None = None,
-    seed_seq=None,
+    team: TeamConfig, design_name: str, scale: float, seed_seq=None
 ) -> dict:
-    """One orchestrated (team, design) evaluation, run inside a worker.
+    """One orchestrated (team, design) evaluation.
 
-    Rebuilds the team from its dotted factory reference (closures in
-    :class:`TeamConfig` do not pickle), derives the placer seed from
-    the job's private ``seed_seq`` when the run is seeded, and returns
-    the score as a JSON-safe payload for the journal.
+    A seeded run replaces only the team's placer seed (``gp.seed``)
+    with one drawn from the job's private ``seed_seq``.  Returns the
+    score as a JSON-safe payload for the journal.
     """
-    from ..orchestrate.worker import resolve_callable
-
-    kwargs = dict(team_kwargs or {})
     if seed_seq is not None:
-        kwargs["seed"] = int(seed_seq.generate_state(1)[0] % np.iinfo(np.int32).max)
-    factory = resolve_callable(team_source)
-    teams = factory(**kwargs)
-    by_name = {team.name: team for team in teams}
-    if team_name not in by_name:
-        raise KeyError(f"team source {team_source!r} knows no team {team_name!r}")
-    score = evaluate_team_on_design(by_name[team_name], design_name, scale=scale)
+        seed = int(seed_seq.generate_state(1)[0] % np.iinfo(np.int32).max)
+        team = replace(
+            team,
+            placer_config_factory=partial(_reseeded, team.placer_config_factory, seed),
+        )
+    score = evaluate_team_on_design(team, design_name, scale=scale)
     return {
         "design": score.design,
         "team": score.team,
@@ -242,29 +237,54 @@ def _validate_score_payload(payload) -> None:
             raise ValueError(f"score payload field {key!r} is not finite: {value!r}")
 
 
-def _run_table2_orchestrated(
-    design_names: tuple[str, ...],
-    scale: float,
-    verbose: bool,
-    parallel: int,
-    seed: int | None,
-    journal_path,
-    resume: bool,
-    chaos,
-    team_source: str,
-    team_kwargs: dict | None,
-    team_names: tuple[str, ...],
-    runtime_config,
+def run_table2(
+    teams: list[TeamConfig] | None = None,
+    design_names: tuple[str, ...] = TABLE2_DESIGNS,
+    scale: float = 1.0 / 64.0,
+    verbose: bool = False,
+    *,
+    parallel: int = 0,
+    seed: int | None = None,
+    journal_path=None,
+    resume: bool = False,
+    team_names: tuple[str, ...] | None = None,
+    runtime_config=None,
 ) -> Table2Result:
+    """Evaluate every team on every design.
+
+    ``teams`` defaults to :func:`contest_teams` (pass
+    ``contest_teams(model=...)`` for a trained "Ours"); ``team_names``
+    selects and orders them, and an unknown name raises ``ValueError``
+    before any job runs.  Each (team, design) pair is one job under the
+    :mod:`repro.orchestrate` supervisor: ``parallel`` worker processes
+    (0 = in-process serial), a per-job deadline, one retry, quarantine,
+    a durable journal (``journal_path``, ``resume``) and REPRO5xx
+    incidents on the returned result.  A pair that still fails lands in
+    the error manifest and the sweep goes on.  ``seed`` makes every
+    job's placer seed a function of its (team, design) grid position,
+    so a parallel sweep is bitwise-identical to ``parallel=0``.
+    ``runtime_config`` replaces the default supervision policy (its
+    ``workers`` by ``parallel``, its ``seed`` by ``seed`` when given).
+    Per-pair rows print (``verbose``) when the sweep ends.
+    """
     from ..orchestrate import JobSpec, RuntimeConfig, run_jobs
 
+    teams = contest_teams() if teams is None else list(teams)
+    if team_names is not None:
+        by_name = {team.name: team for team in teams}
+        unknown = [name for name in team_names if name not in by_name]
+        if unknown:
+            raise ValueError(
+                f"run_table2: unknown team(s) {unknown}; known: {list(by_name)}"
+            )
+        teams = [by_name[name] for name in team_names]
     jobs = [
         JobSpec(
-            key=f"{team}:{design}",
+            key=f"{team.name}:{design}",
             fn="repro.contest.evaluate:_table2_job",
-            args=(team, design, scale, team_source, team_kwargs),
+            args=(team, design, scale),
         )
-        for team in team_names
+        for team in teams
         for design in design_names
     ]
     if runtime_config is None:
@@ -273,7 +293,6 @@ def _run_table2_orchestrated(
             deadline=3600.0,
             max_attempts=2,
             seed=seed,
-            chaos=chaos,
             validate=_validate_score_payload,
             verbose=verbose,
         )
@@ -282,7 +301,6 @@ def _run_table2_orchestrated(
             runtime_config,
             workers=parallel,
             seed=seed if seed is not None else runtime_config.seed,
-            chaos=chaos if chaos is not None else runtime_config.chaos,
             validate=runtime_config.validate or _validate_score_payload,
         )
     report = run_jobs(jobs, config, journal_path=journal_path, resume=resume)
@@ -303,80 +321,6 @@ def _run_table2_orchestrated(
             result.add_error(team, design, error)
             if verbose:
                 print(f"{team:<14} {design:<12} FAILED: {error['message']}")
-    return result
-
-
-def run_table2(
-    teams: list[TeamConfig] | None = None,
-    design_names: tuple[str, ...] = TABLE2_DESIGNS,
-    scale: float = 1.0 / 64.0,
-    verbose: bool = False,
-    resilient: bool = True,
-    *,
-    parallel: int | None = None,
-    seed: int | None = None,
-    journal_path=None,
-    resume: bool = False,
-    chaos=None,
-    team_source: str = DEFAULT_TEAM_SOURCE,
-    team_kwargs: dict | None = None,
-    team_names: tuple[str, ...] = TEAM_NAMES,
-    runtime_config=None,
-) -> Table2Result:
-    """Evaluate every team on every design.
-
-    With ``resilient`` (the default) a failing (team, design) pair is
-    recorded in the result's error manifest and the sweep continues,
-    yielding partial scores; ``resilient=False`` restores fail-fast
-    behaviour for debugging.
-
-    Passing ``parallel`` (or ``journal_path``/``resume``) routes the
-    sweep through the :mod:`repro.orchestrate` supervisor: ``parallel``
-    worker processes (0 = supervised serial), per-job deadlines and
-    retries, quarantine, a durable journal and REPRO5xx incidents on
-    the returned result.  ``seed`` makes every evaluation's placer seed
-    a deterministic function of its (team, design) grid position, so a
-    parallel sweep is bitwise-identical to ``parallel=0``.  Teams are
-    then rebuilt in each worker from ``team_source`` — a dotted
-    ``contest_teams``-style factory — which is incompatible with
-    passing prebuilt ``teams`` (their closures don't pickle).
-    """
-    orchestrated = parallel is not None or journal_path is not None or resume
-    if orchestrated:
-        if teams is not None:
-            raise ValueError(
-                "run_table2: pass either prebuilt teams (serial in-process) or "
-                "parallel/journal options with team_source (orchestrated), not both"
-            )
-        return _run_table2_orchestrated(
-            design_names, scale, verbose,
-            parallel=0 if parallel is None else int(parallel),
-            seed=seed, journal_path=journal_path, resume=resume, chaos=chaos,
-            team_source=team_source, team_kwargs=team_kwargs,
-            team_names=tuple(team_names), runtime_config=runtime_config,
-        )
-
-    from .teams import contest_teams
-
-    if teams is None:
-        teams = contest_teams(**(team_kwargs or {}))
-    result = Table2Result()
-    for team in teams:
-        for name in design_names:
-            try:
-                score = evaluate_team_on_design(team, name, scale=scale)
-            except Exception as exc:
-                if not resilient:
-                    raise
-                from ..orchestrate.worker import error_info
-
-                result.add_error(team.name, name, error_info(exc))
-                if verbose:
-                    print(f"{team.name:<14} {name:<12} FAILED: {exc}")
-                continue
-            result.add(score)
-            if verbose:
-                print(f"{team.name:<14} {name:<12} {score.row()}")
     return result
 
 

@@ -20,6 +20,7 @@ makes is precisely between congestion-estimation/inflation strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ..models import CongestionModel, ModelEstimator
@@ -39,7 +40,13 @@ TEAM_NAMES = ("UTDA", "SEU", "MPKU-Improve", "Ours")
 
 @dataclass
 class TeamConfig:
-    """One Table-II contender: estimator + flow configuration."""
+    """One Table-II contender: estimator + flow configuration.
+
+    The four teams :func:`contest_teams` builds hold ``functools.partial``
+    objects over module-level functions (and, for a model-backed "Ours",
+    the model itself), so a team pickles and travels to a worker process
+    as plain data.
+    """
 
     name: str
     description: str
@@ -47,8 +54,25 @@ class TeamConfig:
     placer_config_factory: Callable[[], PlacerConfig]
 
 
-def _gp(seed: int = 0, max_iters: int = 400, lr: float = 0.45) -> GPConfig:
-    return GPConfig(bins=32, max_iters=max_iters, lr=lr, seed=seed)
+def _rudy(design: Design, gain: float) -> RudyEstimator:
+    return RudyEstimator(grid=design.device.tile_cols, gain=gain)
+
+
+def _pin_density(design: Design, **kwargs) -> PinDensityAwareEstimator:
+    return PinDensityAwareEstimator(grid=design.device.tile_cols, **kwargs)
+
+
+def _model(design: Design, model: CongestionModel, model_grid: int) -> ModelEstimator:
+    return ModelEstimator(
+        model=model, model_grid=model_grid, out_grid=design.device.tile_cols
+    )
+
+
+def _placer(
+    seed: int, max_iters: int = 400, lr: float = 0.45, **kwargs
+) -> PlacerConfig:
+    gp = GPConfig(bins=32, max_iters=max_iters, lr=lr, seed=seed)
+    return PlacerConfig(gp=gp, **kwargs)
 
 
 def contest_teams(
@@ -63,61 +87,36 @@ def contest_teams(
     estimate so the harness still runs (clearly weaker — train a model
     for the real comparison).
     """
-    teams = [
+    if model is not None:
+        ours_estimator = partial(_model, model=model, model_grid=model_grid)
+    else:
+        ours_estimator = partial(_pin_density, gain=0.9, pin_weight=0.35)
+    return [
         TeamConfig(
             name="UTDA",
             description="RUDY-driven inflation, single pass [11]",
-            estimator_factory=lambda design: RudyEstimator(
-                grid=design.device.tile_cols, gain=0.85
-            ),
-            placer_config_factory=lambda: PlacerConfig(
-                gp=_gp(seed=seed), inflation_rounds=1
-            ),
+            estimator_factory=partial(_rudy, gain=0.85),
+            placer_config_factory=partial(_placer, seed, inflation_rounds=1),
         ),
         TeamConfig(
             name="SEU",
             description="RUDY-driven inflation, two passes (contest co-winner)",
-            estimator_factory=lambda design: RudyEstimator(
-                grid=design.device.tile_cols, gain=1.05
-            ),
-            placer_config_factory=lambda: PlacerConfig(
-                gp=_gp(seed=seed), inflation_rounds=2
-            ),
+            estimator_factory=partial(_rudy, gain=1.05),
+            placer_config_factory=partial(_placer, seed, inflation_rounds=2),
         ),
         TeamConfig(
             name="MPKU-Improve",
             description="multi-electrostatics + pin-density-aware estimate [16]",
-            estimator_factory=lambda design: PinDensityAwareEstimator(
-                grid=design.device.tile_cols
-            ),
-            placer_config_factory=lambda: PlacerConfig(
-                gp=_gp(seed=seed, max_iters=500, lr=0.40),
-                inflation_rounds=2,
-                stage2_iters=180,
+            estimator_factory=_pin_density,
+            placer_config_factory=partial(
+                _placer, seed, max_iters=500, lr=0.40,
+                inflation_rounds=2, stage2_iters=180,
             ),
         ),
-    ]
-
-    if model is not None:
-        ours_estimator: Callable[[Design], CongestionEstimator] = (
-            lambda design: ModelEstimator(
-                model=model,
-                model_grid=model_grid,
-                out_grid=design.device.tile_cols,
-            )
-        )
-    else:
-        ours_estimator = lambda design: PinDensityAwareEstimator(
-            grid=design.device.tile_cols, gain=0.9, pin_weight=0.35
-        )
-    teams.append(
         TeamConfig(
             name="Ours",
             description="MFA+transformer model-driven inflation (Section IV)",
             estimator_factory=ours_estimator,
-            placer_config_factory=lambda: PlacerConfig(
-                gp=_gp(seed=seed), inflation_rounds=2
-            ),
-        )
-    )
-    return teams
+            placer_config_factory=partial(_placer, seed, inflation_rounds=2),
+        ),
+    ]

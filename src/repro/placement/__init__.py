@@ -16,7 +16,6 @@ from .inflation import (
 )
 from .legalize import LegalizationResult, legalize, legalize_cells, legalize_macros
 from .nesterov import GlobalPlacer, GPConfig, GPState
-from .netweight import apply_congestion_net_weights, reset_net_weights
 from .placer import MacroPlacer, PlacementOutcome, PlacerConfig, place_design
 from .refine import RefineResult, refine_cells, refine_macros
 from .regions import RegionTension
@@ -42,8 +41,6 @@ __all__ = [
     "RefineResult",
     "refine_macros",
     "refine_cells",
-    "apply_congestion_net_weights",
-    "reset_net_weights",
     "sample_placer_config",
     "sweep_configs",
     "ElectrostaticSystem",

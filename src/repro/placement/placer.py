@@ -43,9 +43,6 @@ class PlacerConfig:
     inflation_rounds: int = 2
     stage1_iters: int = 400
     stage2_iters: int = 150
-    # Extension (off by default — the paper inflates only): also upweight
-    # nets overlapping predicted-hot grids (repro.placement.netweight).
-    net_weighting: bool = False
     # Graceful degradation: when the configured estimator raises or
     # returns an invalid level map (wrong rank, NaN, out of the 0-7
     # range), fall back to the analytical RUDY estimate for that round
@@ -147,16 +144,6 @@ class MacroPlacer:
             stats = inflate_all_fields(
                 self.placer.system, level_map, x, y, cfg.inflation
             )
-            if cfg.net_weighting:
-                from .netweight import apply_congestion_net_weights
-
-                stats["nets_reweighted"] = {
-                    "count": float(
-                        apply_congestion_net_weights(
-                            self.design, level_map, x, y
-                        )
-                    )
-                }
             inflation_stats.append(stats)
             self.placer.run(max_iters=cfg.stage2_iters)
 

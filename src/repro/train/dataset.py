@@ -139,13 +139,6 @@ def generate_samples(
     return samples
 
 
-def _design_samples_job(
-    spec: DesignSpec, config: DatasetConfig, seed_seq=None
-) -> list[Sample]:
-    """Orchestrated per-design sweep (runs inside a worker process)."""
-    return generate_samples(spec, config, seed_seq=seed_seq)
-
-
 def _spec_of(design: Design) -> DesignSpec:
     from ..netlist.generator import MLCAD2023_SPECS
 
@@ -172,45 +165,40 @@ class CongestionDataset:
     ) -> "CongestionDataset":
         """Generate the full multi-design dataset (paper Section V-A).
 
-        Each design draws from its own ``SeedSequence`` child (spawned
-        from ``config.seed`` by position), so the dataset is a pure
-        function of the config — independent of generation order.
+        Each design is one :mod:`repro.orchestrate` job drawing from its
+        own ``SeedSequence`` child, which the runtime spawns from
+        ``config.seed`` by position, so the dataset is a pure function
+        of the config — independent of generation order.
         ``parallel=N`` fans the per-design sweeps across N supervised
-        worker processes (:mod:`repro.orchestrate`); because the
-        runtime spawns the identical child per job index, the parallel
-        dataset is bitwise-identical to the serial one.
+        worker processes (0 runs them in-process); the dataset is
+        bitwise-identical either way.  A design that fails twice raises
+        ``RuntimeError`` naming each failure's type and message.
         """
-        if parallel and parallel > 0:
-            from ..orchestrate import JobSpec, RuntimeConfig, run_jobs
+        from ..orchestrate import JobSpec, RuntimeConfig, run_jobs
 
-            jobs = [
-                JobSpec(
-                    key=spec.name,
-                    fn="repro.train.dataset:_design_samples_job",
-                    args=(spec, config),
-                )
-                for spec in specs
-            ]
-            report = run_jobs(
-                jobs,
-                RuntimeConfig(
-                    workers=int(parallel), seed=config.seed,
-                    deadline=3600.0, max_attempts=2,
-                ),
+        jobs = [
+            JobSpec(
+                key=f"{index}:{spec.name}",
+                fn="repro.train.dataset:generate_samples",
+                args=(spec, config),
             )
-            if not report.complete:
-                failed = [o.key for o in report.outcomes if o.status != "done"]
-                raise RuntimeError(
-                    f"dataset generation failed for design(s) {failed}; "
-                    "see the run's orchestration incidents"
-                )
-            per_design = [outcome.result for outcome in report.outcomes]
-        else:
-            children = np.random.SeedSequence(config.seed).spawn(len(specs))
-            per_design = [
-                generate_samples(spec, config, seed_seq=child)
-                for spec, child in zip(specs, children)
-            ]
+            for index, spec in enumerate(specs)
+        ]
+        report = run_jobs(
+            jobs,
+            RuntimeConfig(
+                workers=int(parallel), seed=config.seed,
+                deadline=3600.0, max_attempts=2,
+            ),
+        )
+        failed = [
+            f"{spec.name} ({o.error['type']}: {o.error['message']})"
+            for spec, o in zip(specs, report.outcomes)
+            if o.status != "done"
+        ]
+        if failed:
+            raise RuntimeError(f"dataset generation failed for design(s): {'; '.join(failed)}")
+        per_design = [outcome.result for outcome in report.outcomes]
 
         dataset = cls()
         for samples in per_design:

@@ -99,6 +99,20 @@ class TestEvaluation:
         assert score.design == "Design_120"
 
 
+class TestTeamSelection:
+    def test_unknown_team_raises_before_any_job(self, monkeypatch):
+        import repro.orchestrate
+
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(repro.orchestrate, "run_jobs", no_jobs)
+        with pytest.raises(ValueError, match="Nope"):
+            run_table2(
+                team_names=("Nope",), design_names=("Design_120",), scale=1 / 256
+            )
+
+
 class TestFormatting:
     def test_missing_design_renders_dashes(self):
         result = Table2Result()

@@ -75,8 +75,9 @@ def total(items):
 
 
 class TestExitCodes:
-    def test_repo_is_clean(self, capsys):
+    def test_repo_is_clean(self, capsys, cli_lint_paths):
         assert main(["lint", str(_SRC)]) == 0
+        assert cli_lint_paths == [_SRC]
         assert "0 findings" in capsys.readouterr().out
 
     @pytest.mark.parametrize("filename", sorted(_HAZARDS))
@@ -104,6 +105,7 @@ class TestExitCodes:
 
 
 class TestReproCliSubcommand:
-    def test_repro_lint_defaults_to_the_package(self, capsys):
+    def test_repro_lint_defaults_to_the_package(self, capsys, cli_lint_paths):
         assert main(["lint"]) == 0
+        assert cli_lint_paths == [_SRC]
         assert "lint: 0 findings" in capsys.readouterr().out

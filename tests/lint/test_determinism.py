@@ -1,11 +1,9 @@
 """Determinism rules: REPRO009/010 true and false positives."""
 
-from pathlib import Path
 from textwrap import dedent
 
-from repro.lint import lint_paths, lint_source
+from repro.lint import lint_source
 
-_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 _DETERMINISM = {"REPRO009", "REPRO010"}
 
 
@@ -105,7 +103,7 @@ class TestSuppression:
 
 
 class TestRepoAudit:
-    def test_training_placement_callgraph_is_clean(self):
+    def test_training_placement_callgraph_is_clean(self, package_lint):
         """The shipped package must be free of determinism findings."""
-        findings = lint_paths([_SRC], rules=_DETERMINISM)
+        findings = [d for d in package_lint if d.code in _DETERMINISM]
         assert findings == [], "\n".join(str(f) for f in findings)

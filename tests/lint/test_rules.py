@@ -5,12 +5,9 @@ line) and a negative fixture (idiomatic code must stay clean), plus a
 whole-repo check: the shipped ``src/repro`` package must lint clean.
 """
 
-from pathlib import Path
 from textwrap import dedent
 
-from repro.lint import RULES, lint_paths, lint_source
-
-_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+from repro.lint import RULES, lint_source
 
 
 def _codes(source: str, rules=None) -> list[str]:
@@ -18,9 +15,8 @@ def _codes(source: str, rules=None) -> list[str]:
 
 
 class TestRepoClean:
-    def test_src_repro_lints_clean(self):
-        diagnostics = lint_paths([str(_SRC)])
-        assert diagnostics == [], "\n".join(str(d) for d in diagnostics)
+    def test_src_repro_lints_clean(self, package_lint):
+        assert package_lint == [], "\n".join(str(d) for d in package_lint)
 
     def test_rule_table_complete(self):
         assert set(RULES) == {

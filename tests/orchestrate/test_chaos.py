@@ -77,9 +77,9 @@ class TestChaosInvariant:
         # definitely runs clean — so the run completes by itself.
         chaos = ChaosConfig(seed=1, hang_seconds=30.0, **{mode: 1.0})
         result = _table2(
-            parallel=2, chaos=chaos,
+            parallel=2,
             journal_path=tmp_path / "run.jsonl",
-            runtime_config=_runtime(),
+            runtime_config=_runtime(chaos=chaos),
         )
         assert result.complete
         assert _scores(result) == _scores(reference)
@@ -93,8 +93,8 @@ class TestChaosInvariant:
         path = tmp_path / "run.jsonl"
         chaos = ChaosConfig(seed=1, kill=1.0)
         partial = _table2(
-            parallel=2, chaos=chaos, journal_path=path,
-            runtime_config=_runtime(max_attempts=1),
+            parallel=2, journal_path=path,
+            runtime_config=_runtime(chaos=chaos, max_attempts=1),
         )
         assert not partial.complete
         manifest = partial.error_manifest()

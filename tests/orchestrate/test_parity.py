@@ -7,10 +7,14 @@ real pipelines: the Table-II contest sweep and the training-dataset
 builder.
 """
 
-import numpy as np
+import pickle
 
-from repro.contest import TEAM_NAMES, run_table2
-from repro.netlist import MLCAD2023_SPECS
+import numpy as np
+import pytest
+
+from repro.contest import TEAM_NAMES, contest_teams, run_table2
+from repro.models import ModelEstimator, build_model
+from repro.netlist import MLCAD2023_SPECS, generate_design
 from repro.train import CongestionDataset, DatasetConfig
 
 TINY = dict(
@@ -20,8 +24,9 @@ TINY = dict(
     seed=17,
 )
 
-# Every team, so each estimator (the model-backed one of "Ours"
-# included) is compared between serial and parallel runs.
+# Every team, so each analytical estimator (including the fallback
+# "Ours" runs without a model) is compared between serial and parallel
+# runs; the model-backed "Ours" has its own case below.
 ALL_TEAMS = dict(
     design_names=("Design_120",),
     scale=1.0 / 256.0,
@@ -30,21 +35,58 @@ ALL_TEAMS = dict(
 )
 
 
+@pytest.fixture(scope="module")
+def tiny_model():
+    return build_model("ours", "tiny", grid=32)
+
+
+def _assert_bitwise_parity(serial, parallel, teams):
+    assert serial.complete and parallel.complete
+    assert set(serial.scores) == set(teams)
+    assert serial.rows() == parallel.rows()
+    # Not merely equal-after-rounding: the raw score fields match
+    # (except t_macro_minutes, which is measured wall-clock time).
+    for team, by_design in serial.scores.items():
+        for design, score in by_design.items():
+            other = parallel.scores[team][design]
+            assert (other.s_ir, other.s_dr, other.t_pr_hours) == (
+                score.s_ir, score.s_dr, score.t_pr_hours,
+            )
+
+
 class TestTable2Parity:
     def test_parallel_scores_match_serial_bitwise(self):
         serial = run_table2(parallel=0, **ALL_TEAMS)
         parallel = run_table2(parallel=2, **ALL_TEAMS)
-        assert serial.complete and parallel.complete
-        assert set(serial.scores) == set(TEAM_NAMES)
-        assert serial.rows() == parallel.rows()
-        # Not merely equal-after-rounding: the raw score fields match
-        # (except t_macro_minutes, which is measured wall-clock time).
-        for team, by_design in serial.scores.items():
-            for design, score in by_design.items():
-                other = parallel.scores[team][design]
-                assert (other.s_ir, other.s_dr, other.t_pr_hours) == (
-                    score.s_ir, score.s_dr, score.t_pr_hours,
-                )
+        _assert_bitwise_parity(serial, parallel, TEAM_NAMES)
+
+    def test_model_backed_ours_matches_serial_bitwise(self, tiny_model):
+        # The trained model travels to the workers inside the pickled
+        # team, so the parallel sweep runs the same predictor.
+        teams = contest_teams(model=tiny_model, model_grid=32)
+        kwargs = dict(ALL_TEAMS, team_names=("Ours",))
+        serial = run_table2(teams, parallel=0, **kwargs)
+        parallel = run_table2(teams, parallel=2, **kwargs)
+        _assert_bitwise_parity(serial, parallel, ("Ours",))
+
+    def test_every_team_survives_pickle(self, tiny_model):
+        design = generate_design(MLCAD2023_SPECS["Design_120"], scale=1.0 / 256.0)
+        teams = contest_teams() + contest_teams(model=tiny_model, model_grid=32)[-1:]
+        for team in teams:
+            clone = pickle.loads(pickle.dumps(team))
+            assert clone.name == team.name
+            assert clone.placer_config_factory() == team.placer_config_factory()
+            estimator = team.estimator_factory(design)
+            cloned = clone.estimator_factory(design)
+            assert type(cloned) is type(estimator)
+            if isinstance(estimator, ModelEstimator):
+                weights = estimator.model.state_dict()
+                cloned_weights = cloned.model.state_dict()
+                assert list(cloned_weights) == list(weights)
+                for name, value in weights.items():
+                    assert np.array_equal(cloned_weights[name], value)
+            else:
+                assert cloned == estimator
 
     def test_seed_actually_varies_the_flow(self):
         a = run_table2(parallel=0, **{**TINY, "seed": 17})

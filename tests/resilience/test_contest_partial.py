@@ -1,7 +1,5 @@
 """Contest evaluation survives per-design failures with a manifest."""
 
-import pytest
-
 from repro.contest import (
     Table2Result,
     contest_teams,
@@ -9,7 +7,8 @@ from repro.contest import (
     run_table2,
 )
 from repro.contest.scoring import ContestScore
-from repro.resilience import FaultInjected, inject_fault
+from repro.orchestrate import RuntimeConfig
+from repro.resilience import inject_fault
 
 _DESIGNS = ("Design_116", "Design_120")
 
@@ -23,7 +22,10 @@ class TestPartialTable2:
         with inject_fault(
             "repro.contest.evaluate:evaluate_team_on_design", nth=2
         ) as fault:
-            result = run_table2(_one_team(), _DESIGNS, scale=1.0 / 256.0)
+            result = run_table2(
+                _one_team(), _DESIGNS, scale=1.0 / 256.0,
+                runtime_config=RuntimeConfig(max_attempts=1),
+            )
         assert fault.fired
         assert not result.complete
         # The surviving design is scored, the failing one is manifested.
@@ -39,16 +41,6 @@ class TestPartialTable2:
         assert any("FaultInjected" in line for line in manifest[0]["traceback"])
         # Averages are computed over what survived.
         assert "UTDA" in result.averages()
-
-    def test_fail_fast_mode_still_available(self):
-        with inject_fault(
-            "repro.contest.evaluate:evaluate_team_on_design", nth=1
-        ):
-            with pytest.raises(FaultInjected):
-                run_table2(
-                    _one_team(), _DESIGNS[:1], scale=1.0 / 256.0,
-                    resilient=False,
-                )
 
     def test_format_appends_error_manifest(self):
         result = Table2Result()

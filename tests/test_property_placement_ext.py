@@ -1,7 +1,7 @@
 """Property-based tests for the placement/netlist extensions.
 
-Invariants over randomized inputs for clustering, net weighting and
-swap refinement — the extension modules the ablation benches exercise.
+Invariants over randomized inputs for clustering and swap refinement —
+the extension modules the ablation benches exercise.
 """
 
 import numpy as np
@@ -16,13 +16,7 @@ from repro.netlist import (
     expand_placement,
     generate_design,
 )
-from repro.placement import (
-    apply_congestion_net_weights,
-    legalize,
-    refine_cells,
-    refine_macros,
-    reset_net_weights,
-)
+from repro.placement import legalize, refine_cells, refine_macros
 
 
 @settings(max_examples=10, deadline=None)
@@ -56,29 +50,6 @@ def test_expand_placement_is_total(seed):
     assert x.shape == (design.num_instances,)
     assert np.isfinite(x).all() and np.isfinite(y).all()
     assert x.min() >= 0 and x.max() <= design.device.width
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    st.floats(1.0, 3.0),
-    st.floats(2.0, 8.0),
-    st.integers(0, 7),
-)
-def test_net_weights_bounded_and_monotone(factor, cap, hot_cells):
-    design = generate_design(MLCAD2023_SPECS["Design_120"], scale=1 / 256)
-    reset_net_weights(design)
-    before = design.net_weights.copy()
-    levels = np.zeros((16, 16))
-    rng = np.random.default_rng(int(hot_cells))
-    for _ in range(hot_cells):
-        levels[rng.integers(16), rng.integers(16)] = 7.0
-    apply_congestion_net_weights(
-        design, levels, design.x, design.y, factor=factor, cap=cap
-    )
-    after = design.net_weights
-    assert (after >= before - 1e-12).all()  # never decreases
-    assert after.max() <= max(cap, before.max()) + 1e-9
-    reset_net_weights(design)
 
 
 @settings(max_examples=6, deadline=None)

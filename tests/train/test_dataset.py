@@ -5,6 +5,7 @@ import pytest
 
 from repro.features import FEATURE_NAMES
 from repro.netlist import MLCAD2023_SPECS
+from repro.resilience import inject_fault
 from repro.train import (
     CongestionDataset,
     DatasetConfig,
@@ -103,6 +104,16 @@ class TestCongestionDataset:
         # Per design: 3 placements -> 1 eval + 2 train x 4 rotations.
         assert len(dataset.eval) == 2
         assert len(dataset.train) == 2 * 2 * 4
+
+    def test_failed_design_reports_error_type_and_message(self):
+        config = DatasetConfig(grid=16, placements_per_design=1, design_scale=1 / 256)
+        specs = [MLCAD2023_SPECS["Design_120"]]
+        with inject_fault(
+            "repro.train.dataset:generate_samples", repeat=True, message="boom"
+        ) as fault:
+            with pytest.raises(RuntimeError, match=r"Design_120 \(FaultInjected: boom\)"):
+                CongestionDataset.build(specs, config)
+        assert fault.calls == 2  # the job is retried once
 
     def test_augmentation_present(self, dataset):
         rotations = {s.rotation for s in dataset.train}

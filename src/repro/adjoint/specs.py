@@ -453,7 +453,7 @@ def _(rng):
 
 @_case("position_attention/d1-c1", "position_attention", "position_attention")
 def _(rng):
-    # d = 1: the rank-1 (broadcast outer product) energy path.
+    # d = 1 on a small map: the broadcast outer-product energy path.
     return F.position_attention, (_n(rng, 2, 1, 7), _n(rng, 2, 1, 7), _n(rng, 2, 1, 7))
 
 
@@ -464,11 +464,12 @@ def _(rng):
 
 @_case("position_attention/tiled", "position_attention", "position_attention")
 def _(rng):
-    # Several row blocks with a ragged tail (218 + 82 rows at 1 MiB), so
-    # the vjp under check is the recompute-per-block backward.
-    q, k, v = (_n(rng, 2, 1, 300) for _ in range(3))
-    rows = F._attention_block_rows(q, 300)
-    assert rows < 300 and 300 % rows, f"one block of {rows} rows covers L = 300"
+    # The rank-1 path in two row blocks with a ragged tail (327 + 73 rows
+    # at 1 MiB), so the vjp under check is the recompute-per-block
+    # backward over sign-sorted rows.
+    q, k, v = (_n(rng, 1, 1, 400) for _ in range(3))
+    blocks = F._rank1_blocks(1, 400, 8)
+    assert len(blocks) == 2, f"{blocks} do not tile L = 400"
     return F.position_attention, (q, k, v)
 
 

@@ -208,3 +208,8 @@ register_code(
     component="orchestrate",
     blocking=False,
 )
+register_code(
+    "REPRO507",
+    "job arguments do not pickle; job failed without retry",
+    component="orchestrate",
+)

@@ -19,7 +19,11 @@ PAM's attention product is one autograd primitive,
 the formulation (``S = softmax(BᵀC)``, output ``D·Sᵀ``) is DANet's,
 unchanged, but the ``L × L`` attention (``L = H·W``) is computed in
 cache-sized blocks of query rows and recomputed in backward, so memory
-is O(rows·L) and no ``L × L`` map or gradient is ever held.
+is O(rows·L) and no ``L × L`` map or gradient is ever held.  Every PAM
+the registry builds has one query/key channel (``max(1, channels // 8)``
+after the 1/16 reduction), so its energy is rank-1: from ``L = 256`` up
+a block costs one multiply and one ``exp`` per element (smaller maps
+also pay a max, a subtract and a sum).
 
 Compute stays quadratic in ``L``; PAM therefore optionally pools its
 key/query/value maps so ``L`` stays below ``max_tokens``, matching how
@@ -41,7 +45,7 @@ __all__ = ["PositionAttention", "ChannelAttention", "MFABlock"]
 class PositionAttention(nn.Module):
     """PAM: spatial self-attention with a learnable residual gain α.
 
-    Attention memory is O(rows·L) for ``L`` tokens (row blocks of about
+    Attention memory is O(rows·L) for ``L`` tokens (blocks of about
     1 MiB, recomputed in backward); ``max_tokens`` pools the maps to
     bound the O(L²) compute, not memory.
     """

@@ -38,18 +38,33 @@ __all__ = [
 ]
 
 
+def _pad_spatial(data: np.ndarray, p: int) -> np.ndarray:
+    """Zero-pad the two trailing axes of ``data`` by ``p`` on each side.
+
+    Bitwise ``np.pad``, without its 30-40 µs fixed cost per call:
+    zeros with the interior assigned.  Symbolic arrays
+    (:mod:`repro.ir.symbolic`) go through ``np.pad``, so the trace
+    records a ``pad`` node.
+    """
+    if not isinstance(data, np.ndarray):
+        return np.pad(data, ((0, 0),) * (data.ndim - 2) + ((p, p), (p, p)))
+    *lead, h, w = data.shape
+    out = np.zeros((*lead, h + 2 * p, w + 2 * p), dtype=data.dtype)
+    out[..., p : p + h, p : p + w] = data
+    return out
+
+
 def pad2d(x: Tensor, padding: int) -> Tensor:
     """Zero-pad the two trailing (spatial) axes of an NCHW tensor."""
     if padding == 0:
         return x
     p = int(padding)
-    pads = ((0, 0),) * (x.ndim - 2) + ((p, p), (p, p))
 
     def backward(out: Tensor) -> None:
         index = (slice(None),) * (x.ndim - 2) + (slice(p, -p), slice(p, -p))
         x._accumulate(out.grad[index])
 
-    return Tensor._make(np.pad(x.data, pads), (x,), backward)
+    return Tensor._make(_pad_spatial(x.data, p), (x,), backward)
 
 
 def im2col(
@@ -145,9 +160,7 @@ def conv2d(
             f"input has {x.shape[1]} channels but weight expects {c_in}"
         )
 
-    padded = np.pad(
-        x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    ) if padding else x.data
+    padded = _pad_spatial(x.data, padding) if padding else x.data
     cols, out_h, out_w = im2col(padded, kernel, stride)
     w2d = weight.data.reshape(c_out, -1)
     out_data = (w2d @ cols).reshape(n, c_out, out_h, out_w)
@@ -171,7 +184,7 @@ def conv2d(
             edge = kernel - 1 - padding
             g = out.grad
             if edge > 0:
-                g = np.pad(g, ((0, 0), (0, 0), (edge, edge), (edge, edge)))
+                g = _pad_spatial(g, edge)
             elif edge < 0:
                 g = g[:, :, -edge:edge, -edge:edge]
             grad_cols, _, _ = im2col(g, kernel, 1)
@@ -262,17 +275,17 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-#: Bytes of one row block of the position attention: ``rows · N · L``
-#: elements of the unnormalized attention, sized to stay in cache.
+#: Bytes of one block of the position attention's unnormalized map,
+#: sized to stay in cache.
 _ATTENTION_BLOCK_BYTES = 1 << 20
 
 
 def _attention_block_rows(qd: np.ndarray, tokens: int) -> int:
-    """Query rows per block of :func:`position_attention`.
+    """Query rows per block of the general (``d > 1``) position attention.
 
-    Symbolic arrays (:mod:`repro.ir.symbolic`) record the whole
-    attention as one block, so the traced graph does not depend on the
-    block size.
+    A block holds ``rows · N · L`` elements.  Symbolic arrays
+    (:mod:`repro.ir.symbolic`) record the whole attention as one block,
+    so the traced graph does not depend on the block size.
     """
     if not isinstance(qd, np.ndarray):
         return tokens
@@ -289,8 +302,9 @@ def _attention_exp(qb: np.ndarray, kd: np.ndarray, row_max=None):
     """
     n, d, rows = qb.shape
     if d == 1:
-        # Rank-1 energy: an outer product, which broadcasting builds
-        # without a matmul of inner dimension 1.
+        # Rank-1 energy (small maps and symbolic traces; see
+        # _rank1_attention): an outer product, which broadcasting
+        # builds without a matmul of inner dimension 1.
         energy = qb.reshape(n, rows, 1) * kd
     else:
         energy = np.swapaxes(qb, 1, 2) @ kd
@@ -308,6 +322,141 @@ def _attention_forward(qb: np.ndarray, kd: np.ndarray, vd: np.ndarray):
     return out, inv, row_max
 
 
+def _blocked_attention(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray):
+    """``(out, 1/ΣX, sweep)`` over blocks of query rows of the whole batch.
+
+    ``sweep(rhs, lhs)`` recomputes each block of ``X`` from ``q``, ``k``
+    and the stored row max and returns ``(X @ rhs, Σ_blocks lhs @ X)``.
+    """
+    n, d, tokens = qd.shape
+    c = vd.shape[1]
+    rows = _attention_block_rows(qd, tokens)
+    blocks = [slice(start, start + rows) for start in range(0, tokens, rows)]
+    if len(blocks) == 1:
+        out, inv, row_max = _attention_forward(qd, kd, vd)
+    else:
+        out = np.empty((n, c, tokens), dtype=np.result_type(qd, kd, vd))
+        inv = np.empty((n, tokens), dtype=out.dtype)
+        row_max = np.empty((n, tokens, 1), dtype=out.dtype)
+        for b in blocks:
+            out[:, :, b], inv[:, b], row_max[:, b] = _attention_forward(
+                qd[:, :, b], kd, vd
+            )
+
+    def sweep(rhs: np.ndarray, lhs: np.ndarray):
+        m = np.empty((n, tokens, rhs.shape[2]), dtype=rhs.dtype)
+        left = np.zeros_like(lhs)
+        for b in blocks:
+            x, _ = _attention_exp(qd[:, :, b], kd, row_max[:, b])
+            m[:, b] = x @ rhs
+            left += lhs[:, :, b] @ x
+        return m, left
+
+    return out, inv, sweep
+
+
+#: Smallest per-sample ``L × L`` map that :func:`_rank1_attention` runs.
+_RANK1_MIN_MAP = 256 * 256
+
+
+def _rank1_blocks(n: int, tokens: int, itemsize: int) -> list[tuple[slice, slice]]:
+    """``(samples, rows)`` blocks of about ``_ATTENTION_BLOCK_BYTES``.
+
+    Whole samples when one sample's ``L × L`` map fits in a block, so
+    small maps still run batched; otherwise row ranges of one sample.
+    """
+    sample_bytes = tokens * tokens * itemsize
+    if sample_bytes <= _ATTENTION_BLOCK_BYTES:
+        step = _ATTENTION_BLOCK_BYTES // sample_bytes
+        return [(slice(s, min(s + step, n)), slice(0, tokens)) for s in range(0, n, step)]
+    rows = max(1, _ATTENTION_BLOCK_BYTES // (tokens * itemsize))
+    return [
+        (slice(s, s + 1), slice(r, min(r + rows, tokens)))
+        for s in range(n)
+        for r in range(0, tokens, rows)
+    ]
+
+
+def _rank1_attention(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray):
+    """:func:`_blocked_attention` for ``d == 1``, with rows sorted by sign.
+
+    ``max_j q_i k_j`` is ``q_i · max k`` for ``q_i ≥ 0`` and ``q_i ·
+    min k`` for ``q_i < 0`` (rounding is monotone), so ``X_ij = exp(q_i
+    (k_j − k_ref))`` with the shifted keys ``k − max k`` or ``k − min k``
+    computed once per call: an element costs one multiply and one
+    ``exp``, and its largest exponent is exactly 0.  The query rows of
+    each sample are sorted so that the ``q ≥ 0`` rows come first, which
+    makes a block at most two runs per sample, one per shifted key.
+    ``v`` gets a row of ones, so one GEMM per block yields the output
+    and ``ΣX``.  The results are scattered back to the input order.
+    """
+    n, _, tokens = qd.shape
+    if tokens * tokens < _RANK1_MIN_MAP or not isinstance(qd, np.ndarray):
+        # Below one 256 × 256 map per sample, the sort and the per-sample
+        # calls cost more than the passes they save (at 128 × 128 and
+        # batch 1 the forward is ~45% slower).  Symbolic traces keep
+        # the one-block graph.
+        return _blocked_attention(qd, kd, vd)
+    c = vd.shape[1]
+    q, k = qd[:, 0], kd[:, 0]
+    negative = q < 0
+    order = np.argsort(negative, axis=1, kind="stable")
+    # Row i of sample s sits at flat row s·L + i of an (N·L, ·) array.
+    flat = (order + tokens * np.arange(n)[:, None]).ravel()
+    qs = q.reshape(-1)[flat].reshape(n, tokens)
+    split = tokens - negative.sum(axis=1)
+    shifted = (k - k.max(axis=1, keepdims=True), k - k.min(axis=1, keepdims=True))
+    dtype = np.result_type(qd, kd)
+    blocks = _rank1_blocks(n, tokens, dtype.itemsize)
+    block_size = max((s.stop - s.start) * (r.stop - r.start) for s, r in blocks) * tokens
+
+    def exp_block(samples: slice, rows: slice, buffer: np.ndarray) -> np.ndarray:
+        # One buffer per pass: a fresh 1 MiB array per block page-faults.
+        shape = (samples.stop - samples.start, rows.stop - rows.start, tokens)
+        x = buffer[: shape[0] * shape[1] * tokens].reshape(shape)
+        for t, i in enumerate(range(samples.start, samples.stop)):
+            p = min(max(split[i], rows.start), rows.stop) - rows.start
+            # einsum writes an outer product twice as fast as a
+            # broadcast multiply, with the same one rounding per element.
+            qi = qs[i, rows]
+            np.einsum("i,j->ij", qi[:p], shifted[0][i], out=x[t, :p])
+            np.einsum("i,j->ij", qi[p:], shifted[1][i], out=x[t, p:])
+        return np.exp(x, out=x)
+
+    def unsort(a: np.ndarray) -> np.ndarray:
+        """``(N, L, ·)`` rows in sorted order -> input order."""
+        out = np.empty_like(a)
+        out.reshape(n * tokens, -1)[flat] = a.reshape(n * tokens, -1)
+        return out
+
+    # Row-major (N, L, c + 1) sums: [out · ΣX, ΣX] per query row.
+    v1 = np.concatenate([vd, np.ones((n, 1, tokens), dtype=vd.dtype)], axis=1)
+    sums = np.empty((n, tokens, c + 1), dtype=np.result_type(dtype, vd))
+    buffer = np.empty(block_size, dtype)
+    for samples, rows in blocks:
+        x = exp_block(samples, rows, buffer)
+        sums[samples, rows] = x @ np.swapaxes(v1[samples], 1, 2)
+    sums = unsort(sums)
+    inv = 1 / sums[:, :, c]
+    out = np.empty((n, c, tokens), dtype=sums.dtype)
+    np.multiply(np.swapaxes(sums[:, :, :c], 1, 2), inv[:, None, :], out=out)
+
+    def sweep(rhs: np.ndarray, lhs: np.ndarray):
+        width = lhs.shape[1]
+        lhs_rows = np.swapaxes(lhs, 1, 2).reshape(n * tokens, width)[flat]
+        lhs_rows = lhs_rows.reshape(n, tokens, width)
+        m = np.empty((n, tokens, rhs.shape[2]), dtype=rhs.dtype)
+        left = np.zeros_like(lhs)
+        buffer = np.empty(block_size, dtype)
+        for samples, rows in blocks:
+            x = exp_block(samples, rows, buffer)
+            m[samples, rows] = x @ rhs[samples]
+            left[samples] += np.swapaxes(lhs_rows[samples, rows], 1, 2) @ x
+        return unsort(m), left
+
+    return out, inv, sweep
+
+
 def position_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """DANet position attention (Eqs. 4–5): ``v · softmax(qᵀk)ᵀ``.
 
@@ -318,18 +467,22 @@ def position_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     One primitive instead of matmul → softmax → transpose → matmul, run
     over blocks of whole query rows (FlashAttention-style row tiling and
     recompute).  A block of the unnormalized attention ``X = exp(E -
-    max E)`` holds ``rows · N · L`` elements, about 1 MiB, so it stays
-    in cache and no ``L × L`` map is ever held.  The forward stores only
-    the output, per-row ``1/ΣX`` and per-row ``max E``; each block holds
-    whole rows, so the max is exact and nothing is rescaled.  Only the
-    BLAS products (the ``d > 1`` energy and ``v @ Xᵀ``) may round
-    differently from a one-block computation, since BLAS picks its gemm
-    kernel by matrix size.  Backward recomputes each block of ``X`` from
-    ``q``, ``k`` and the stored max (bitwise the forward's ``X``) and
-    uses it only inside matmuls, so no ``L × L`` gradient is formed
-    either.  With ``G`` the output gradient and ``r_i = Σ_c G_ci out_ci``
-    the softmax row dot, ``dE_ij = P_ij (Σ_c G_ci v_cj − r_i)``, which
-    contracts as
+    max E)`` holds about 1 MiB, so it stays in cache and no ``L × L``
+    map is ever held.  Each block holds whole rows, so the max is exact
+    and nothing is rescaled.  For ``d > 1`` (also for rank-1 maps below
+    ``L = 256`` and for symbolic traces) a block costs the energy
+    product, a max, a subtract, an ``exp`` and a sum per element, and
+    the forward stores per-row ``1/ΣX`` and ``max E``.  For ``d == 1``,
+    the rank-1 attention of every MFA block, :func:`_rank1_attention`
+    shifts the keys instead: one multiply and one ``exp`` per element,
+    ``ΣX`` from the output GEMM, and per-row state of O(N·L).  Only
+    BLAS products may round differently from a one-block computation,
+    since BLAS picks its gemm kernel by matrix size.  Backward
+    recomputes each block of ``X`` through the same function (bitwise
+    the forward's ``X``) and uses it only inside matmuls, so no
+    ``L × L`` gradient is formed either.  With ``G`` the
+    output gradient and ``r_i = Σ_c G_ci out_ci`` the softmax row dot,
+    ``dE_ij = P_ij (Σ_c G_ci v_cj − r_i)``, which contracts as
 
     * ``dv = (G / ΣX) @ X``;
     * ``dq = ((Σ_c G_c · X @ (v_c ⊙ k)ᵀ) − r · X @ kᵀ) / ΣX``;
@@ -339,18 +492,8 @@ def position_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     c = v.shape[1]
     cd = c * d
     qd, kd, vd = q.data, k.data, v.data
-    rows = _attention_block_rows(qd, tokens)
-    blocks = [slice(start, start + rows) for start in range(0, tokens, rows)]
-    if len(blocks) == 1:
-        out_data, inv, row_max = _attention_forward(qd, kd, vd)
-    else:
-        out_data = np.empty((n, c, tokens), dtype=np.result_type(qd, kd, vd))
-        inv = np.empty((n, tokens), dtype=out_data.dtype)
-        row_max = np.empty((n, tokens, 1), dtype=out_data.dtype)
-        for b in blocks:
-            out_data[:, :, b], inv[:, b], row_max[:, b] = _attention_forward(
-                qd[:, :, b], kd, vd
-            )
+    attention = _rank1_attention if d == 1 else _blocked_attention
+    out_data, inv, sweep = attention(qd, kd, vd)
 
     def backward(out: Tensor) -> None:
         g = out.grad
@@ -363,12 +506,7 @@ def position_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         # [G / ΣX ; q_a ⊙ G_c / ΣX ; q_a ⊙ r / ΣX].
         qg = (qd[:, None, :, :] * g_inv[:, :, None, :]).reshape(n, cd, tokens)
         lhs = np.concatenate([g_inv, qg, qd * r_inv[:, None, :]], axis=1)
-        m = np.empty((n, tokens, cd + d), dtype=rhs.dtype)
-        left = np.zeros_like(lhs)
-        for b in blocks:
-            x, _ = _attention_exp(qd[:, :, b], kd, row_max[:, b])
-            m[:, b] = x @ rhs
-            left += lhs[:, :, b] @ x
+        m, left = sweep(rhs, lhs)
         dq = np.einsum("nci,nica->nai", g_inv, m[:, :, :cd].reshape(n, tokens, c, d))
         dq -= r_inv[:, None, :] * np.swapaxes(m[:, :, cd:], 1, 2)
         dk = np.einsum("ncj,ncaj->naj", vd, left[:, c : c + cd].reshape(n, c, d, tokens))

@@ -529,7 +529,8 @@ class Tensor:
         # activation (and its backward) to float64.
         c = math.sqrt(2.0 / math.pi)
         x = self.data
-        inner = c * (x + 0.044715 * x**3)
+        # x * x * x, not x**3: float32 ``power`` is ~80x slower.
+        inner = c * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
         out_data = 0.5 * x * (1.0 + t)
 

@@ -9,7 +9,7 @@ one root :class:`numpy.random.SeedSequence` by submission index, so a
 parallel run is bitwise-identical to the serial reference.  Every job
 transition lands in a durable fsync'd JSONL journal
 (:mod:`repro.orchestrate.journal`) from which an interrupted run
-resumes exactly; supervision events surface as ``REPRO501``–``506``
+resumes exactly; supervision events surface as ``REPRO501``–``507``
 incidents registered with :mod:`repro.diagnostics`.
 
 The matching failure-injection side lives in
@@ -26,6 +26,7 @@ from .runtime import (
     CODE_PAYLOAD_INVALID,
     CODE_QUARANTINE,
     CODE_RETRY_EXHAUSTED,
+    CODE_UNPICKLABLE,
     CODE_WORKER_CRASH,
     JobOutcome,
     JobSpec,
@@ -45,6 +46,7 @@ __all__ = [
     "CODE_JOURNAL_RECOVERY",
     "CODE_RETRY_EXHAUSTED",
     "CODE_PAYLOAD_INVALID",
+    "CODE_UNPICKLABLE",
     "ORCHESTRATE_RULES",
     "Journal",
     "JournalError",

@@ -22,8 +22,10 @@ worker processes (:mod:`repro.orchestrate.worker`) and supervises them:
 With ``journal_path`` every transition is appended to a durable fsync'd
 JSONL journal (:mod:`repro.orchestrate.journal`); ``resume=True`` skips
 digest-verified completed jobs from a previous run and re-dispatches
-everything else.  Incidents carry ``REPRO501``–``506`` codes from the
-central :mod:`repro.diagnostics` registry.
+everything else.  A job whose arguments do not pickle fails at once,
+without retry (REPRO507); the other jobs run on.  Incidents carry
+``REPRO501``–``507`` codes from the central :mod:`repro.diagnostics`
+registry.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection, get_all_start_methods, get_context
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 
@@ -45,6 +48,7 @@ __all__ = [
     "CODE_JOURNAL_RECOVERY",
     "CODE_RETRY_EXHAUSTED",
     "CODE_PAYLOAD_INVALID",
+    "CODE_UNPICKLABLE",
     "JobSpec",
     "RuntimeConfig",
     "OrchestrationIncident",
@@ -59,6 +63,7 @@ CODE_QUARANTINE = "REPRO503"
 CODE_JOURNAL_RECOVERY = "REPRO504"
 CODE_RETRY_EXHAUSTED = "REPRO505"
 CODE_PAYLOAD_INVALID = "REPRO506"
+CODE_UNPICKLABLE = "REPRO507"
 
 
 def _default_start_method() -> str:
@@ -279,6 +284,19 @@ class _Supervisor:
             record["digest"] = payload_digest(payload)
         self._log(record)
 
+    def _fail_unpicklable(self, job: _Job, exc: Exception) -> None:
+        """Fail a job whose message does not pickle; a retry cannot help."""
+        job.status = "failed"
+        job.error = error_info(exc)
+        self._incident(
+            CODE_UNPICKLABLE, job=job.spec.key, attempt=job.attempts,
+            detail=f"{type(exc).__name__}: {exc}",
+        )
+        self._log({
+            "event": "failed", "job": job.spec.key, "attempt": job.attempts,
+            "reason": "unpicklable", "detail": job.error,
+        })
+
     # -- worker lifecycle -----------------------------------------------------
 
     def _spawn_worker(self, slot: _Worker) -> None:
@@ -313,6 +331,16 @@ class _Supervisor:
 
     def _dispatch(self, slot: _Worker, job: _Job) -> None:
         job.attempts += 1
+        # Pickle here, as conn.send would, so that a job which cannot be
+        # sent fails alone instead of aborting the run.
+        try:
+            message = ForkingPickler.dumps((
+                "job", job.spec.key, job.attempts, job.spec.fn,
+                job.spec.args, job.spec.kwargs, job.seed_seq,
+            ))
+        except Exception as exc:
+            self._fail_unpicklable(job, exc)
+            return
         job.status = "running"
         slot.job = job
         now = time.monotonic()
@@ -323,10 +351,7 @@ class _Supervisor:
             "attempt": job.attempts, "worker": slot.wid,
         })
         try:
-            slot.conn.send((
-                "job", job.spec.key, job.attempts, job.spec.fn,
-                job.spec.args, job.spec.kwargs, job.seed_seq,
-            ))
+            slot.conn.send_bytes(message)
         except (OSError, ValueError) as exc:
             self._worker_lost(slot, CODE_WORKER_CRASH, f"dispatch failed: {exc}")
 

@@ -13,7 +13,7 @@ import pytest
 from repro.ir import ShapeError, SymbolicArray, TraceError, trace, trace_model
 from repro.ir.trace import TraceSession
 from repro.models import build_model
-from repro.models.registry import MODEL_NAMES
+from repro.models.registry import MODEL_NAMES, PRESETS
 from repro.nn import BatchNorm2d, Conv2d, Linear, MaxPool2d, Module, ReLU, Sequential
 from repro.nn.tensor import Tensor, no_grad
 
@@ -264,3 +264,12 @@ class TestJoinShapes:
         assert graph[graph.outputs[0]].shape == (1, 6, 8, 8)
         graph = trace(self.Join(lambda a: np.stack(a, axis=-1), np.zeros((2, 3))), (2, 3))
         assert graph[graph.outputs[0]].shape == (2, 3, 2)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_no_registry_model_traces_a_power_node(name, preset):
+    """float32 ``power`` costs ~80x the multiplies it stands for (GELU's
+    ``x**3`` did): forwards spell small powers as products."""
+    graph = trace_model(name, preset=preset, grid=64)
+    assert [node.op for node in graph if node.op == "power"] == []

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.ir import trace
+from repro.ir import trace, trace_model
 from repro.nn import Tensor
 from repro.nn import functional as F
 
@@ -158,3 +158,48 @@ def test_pointwise_conv_traces_without_unfold():
     assert "im2col" not in ops
     assert ops.count("reshape") >= 1
     assert ops.count("matmul") == 1
+
+
+# -- padding without np.pad -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 3, 5, 7), (3, 9, 4), (1, 2, 3, 1, 7)])
+@pytest.mark.parametrize("p", [1, 2])
+def test_pad_spatial_is_bitwise_np_pad(dtype, shape, p):
+    rng = np.random.default_rng(p)
+    x = rng.standard_normal(shape).astype(dtype)
+    x.flat[::4] = -0.0
+    x.flat[1::5] = np.nan
+    want = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((p, p), (p, p)))
+    got = F._pad_spatial(x, p)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    bits = np.dtype(f"u{x.itemsize}")
+    assert np.array_equal(got.view(bits), want.view(bits))
+    # Views and non-contiguous inputs pad the same.
+    strided = x[..., ::-1]
+    assert np.array_equal(
+        F._pad_spatial(strided, p).view(bits),
+        np.pad(strided, ((0, 0),) * (x.ndim - 2) + ((p, p), (p, p))).view(bits),
+    )
+
+
+def test_pad2d_and_padded_convs_call_no_np_pad(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.pad called")
+
+    monkeypatch.setattr(np, "pad", refuse)
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
+    F.pad2d(x, 2).sum().backward()
+    # The stride-1 input gradient pads dy by k - 1 - padding: 1, 3 and 0.
+    for kernel, padding in ((3, 1), (5, 1), (3, 2)):
+        w = rng.normal(size=(4, 3, kernel, kernel))
+        g = np.ones(F.conv2d(Tensor(x.data), Tensor(w), padding=padding).shape)
+        _run(F.conv2d, x.data, w, None, 1, padding, g)
+
+
+def test_traced_pads_still_record_pad_nodes():
+    graph = trace_model("ours", preset="fast", grid=64)
+    assert sum(node.op == "pad" for node in graph) == 22

@@ -77,9 +77,9 @@ def test_float32_error_within_composite_error(d, c, tokens):
     two matmuls over ``P`` and subtracts them, so where a row of ``P`` is
     peaked it cancels two near-equal float32 sums that the composite
     never forms.  Measured worst-error ratios (fused / composite) at this
-    seed are 1.26, 1.38, 1.06 and 2.10 for the four shapes; over seeds
-    0-29 they reach 7.7 (at L = 1024: 57 float32 eps for the fused op
-    against 14 for the composite), so the bound is 8x rather than 1.5x.
+    seed are 0.37 (the rank-1 path), 1.38, 1.06 and 2.10 for the four
+    shapes; over seeds 0-29 they reach 3.7 at L = 1024 and 7.7 at
+    ``(d, c, L) = (4, 5, 33)``, so the bound is 8x rather than 1.5x.
     """
     arrays64, grad64 = _inputs(d, c, tokens)
     arrays = [a.astype(np.float32) for a in arrays64]
@@ -194,3 +194,108 @@ def test_one_pass_never_holds_an_attention_map():
     finally:
         tracemalloc.stop()
     assert peak < one_map / 8, (peak, one_map)
+
+
+# -- rank-1 path (d == 1) -----------------------------------------------------------
+
+
+@pytest.fixture
+def rank1_only(monkeypatch):
+    """Fail if a call leaves the rank-1 path for the general one."""
+
+    def refuse(*args):
+        raise AssertionError("the general path ran")
+
+    monkeypatch.setattr(F, "_blocked_attention", refuse)
+
+
+def _rank1_query(kind, rng, shape):
+    q = rng.standard_normal(shape)
+    if kind == "positive":
+        return np.abs(q)
+    if kind == "negative":
+        return -np.abs(q)
+    if kind == "zeros":  # exact zeros of both signs among mixed rows
+        q[..., ::3] = 0.0
+        q[..., 1::7] = -0.0
+    return q
+
+
+def _tied_keys(k):
+    """Repeat each sample's key maximum and minimum at several columns."""
+    k = k.copy()
+    k[..., ::5] = k.max(axis=-1, keepdims=True)
+    k[..., 2::9] = k.min(axis=-1, keepdims=True)
+    return k
+
+
+RANK1_LAYOUTS = {  # (L, rows per block or None, smallest rank-1 map)
+    "sample-blocks": (300, None, None),  # one whole sample per block
+    "row-blocks": (300, 64, None),  # 64-row blocks, ragged 44-row tail
+    "batched-samples": (40, None, 0),  # several whole samples per block
+}
+
+
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize("layout", list(RANK1_LAYOUTS))
+@pytest.mark.parametrize("kind", ["positive", "negative", "mixed", "zeros", "tied"])
+def test_rank1_float64_matches_composite(monkeypatch, rank1_only, batch, layout, kind):
+    tokens, rows, min_map = RANK1_LAYOUTS[layout]
+    if rows is not None:
+        monkeypatch.setattr(F, "_ATTENTION_BLOCK_BYTES", rows * tokens * 8)
+        assert tokens % rows and F._rank1_blocks(batch, tokens, 8)[0][1] == slice(0, rows)
+    if min_map is not None:
+        monkeypatch.setattr(F, "_RANK1_MIN_MAP", min_map)
+    rng = np.random.default_rng([batch, tokens, len(kind)])
+    q = _rank1_query(kind, rng, (batch, 1, tokens))
+    k = rng.standard_normal((batch, 1, tokens))
+    if kind == "tied":
+        k = _tied_keys(k)
+    v = rng.standard_normal((batch, 2, tokens))
+    grad = rng.standard_normal((batch, 2, tokens))
+    want = _run(composite_pam, (q, k, v), grad)
+    got = _run(F.position_attention, (q, k, v), grad)
+    for name, g, w in zip(("out", "dq", "dk", "dv"), got, want):
+        assert g.shape == w.shape and g.dtype == np.float64
+        assert _rel_err(g, w) <= 1e-12, name
+
+
+def test_rank1_runs_only_maps_of_256_tokens_or_more(monkeypatch):
+    """Smaller maps (and symbolic traces) take the general path."""
+    ran = []
+    original = F._blocked_attention
+    monkeypatch.setattr(F, "_blocked_attention", lambda *a: ran.append(1) or original(*a))
+    for tokens, general in ((255, True), (256, False)):
+        ran.clear()
+        q, k, v = np.random.default_rng(tokens).standard_normal((3, 1, 1, tokens))
+        F.position_attention(Tensor(q), Tensor(k), Tensor(v))
+        assert bool(ran) == general, tokens
+
+
+@pytest.mark.parametrize("rows", [None, 64])
+def test_rank1_backward_recomputes_the_forward_attention_bitwise(monkeypatch, rank1_only, rows):
+    """Backward rebuilds each block of X through the forward's function:
+    every ``exp`` the backward takes equals the forward's bitwise."""
+    tokens = 300
+    if rows is not None:
+        monkeypatch.setattr(F, "_ATTENTION_BLOCK_BYTES", rows * tokens * 8)
+    blocks = []
+    exp = np.exp
+
+    def recording_exp(x, out=None):
+        result = exp(x, out=out)
+        blocks.append(result.copy())
+        return result
+
+    rng = np.random.default_rng(5)
+    q, k, v = (Tensor(a, requires_grad=True) for a in rng.standard_normal((3, BATCH, 1, tokens)))
+    monkeypatch.setattr(np, "exp", recording_exp)
+    out = F.position_attention(q, k, v)
+    forward = len(blocks)
+    out.backward(rng.standard_normal(out.shape))
+    assert forward == len(F._rank1_blocks(BATCH, tokens, 8)) > 0
+    assert len(blocks) == 2 * forward
+    for fwd, bwd in zip(blocks[:forward], blocks[forward:]):
+        assert np.array_equal(fwd, bwd)
+        # The shift makes each row's largest exponent exactly 0.
+        assert (fwd.max(axis=-1) == 1.0).all()

@@ -14,6 +14,7 @@ from repro.orchestrate import (
     CODE_PAYLOAD_INVALID,
     CODE_QUARANTINE,
     CODE_RETRY_EXHAUSTED,
+    CODE_UNPICKLABLE,
     JobSpec,
     JournalError,
     RuntimeConfig,
@@ -127,6 +128,27 @@ class TestRetries:
         report = run_jobs(jobs, _fast(workers=0, max_attempts=2))
         assert report.complete
         assert report.outcomes[0].attempts == 2
+
+    def test_unpicklable_job_fails_alone(self, tmp_path):
+        """A job whose arguments do not pickle cannot reach a worker: it
+        fails once, without retry, and the pool finishes the rest."""
+        journal = tmp_path / "run.jsonl"
+        jobs = [
+            JobSpec(key="j0", fn=f"{JOBS}:echo", args=(0,)),
+            JobSpec(key="lambda", fn=f"{JOBS}:echo", args=(lambda: 1,)),
+            JobSpec(key="j2", fn=f"{JOBS}:echo", args=(2,)),
+            JobSpec(key="j3", fn=f"{JOBS}:echo", args=(3,)),
+        ]
+        report = run_jobs(jobs, _fast(workers=2), journal_path=journal)
+        bad = report.outcomes[1]
+        assert (bad.status, bad.attempts) == ("failed", 1)
+        assert bad.error["type"] in ("PicklingError", "AttributeError")
+        assert report.results() == {"j0": 0, "j2": 2, "j3": 3}
+        (incident,) = report.incidents
+        assert (incident.code, incident.job) == (CODE_UNPICKLABLE, "lambda")
+        assert incident.detail.startswith(bad.error["type"] + ": ")
+        assert "lambda" in incident.detail
+        assert read_journal(journal).completed.keys() == {"j0", "j2", "j3"}
 
 
 class TestWatchdogs:

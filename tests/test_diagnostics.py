@@ -42,12 +42,12 @@ class TestRegistry:
 
     def test_orchestrate_codes_present(self):
         assert set(codes_for("orchestrate")) == {
-            f"REPRO50{i}" for i in range(1, 7)
+            f"REPRO50{i}" for i in range(1, 8)
         }
         # Blocking = the run delivered a partial result; non-blocking =
         # the supervisor recovered (crash, deadline, journal, payload).
         assert {c for c in codes_for("orchestrate") if is_blocking(c)} == {
-            "REPRO503", "REPRO505",
+            "REPRO503", "REPRO505", "REPRO507",
         }
 
     def test_blocking_metadata(self):

@@ -1,9 +1,9 @@
 """The one durable file writer behind every artifact the package saves.
 
-Checkpoints, state dicts, frozen netlists, the Table II run record and
-the IR baseline all land the same way: written to a ``<name>.tmp``
-sibling, fsynced, renamed over ``path``, then the directory is fsynced
-so the rename itself survives a power cut.  A failure at any step
+Checkpoints, state dicts, the Table II run record and the IR baseline
+all land the same way: written to a ``<name>.tmp`` sibling, fsynced,
+renamed over ``path``, then the directory is fsynced so the rename
+itself survives a power cut.  A failure at any step
 removes the temp file and re-raises, so the final name only ever holds
 the previous complete file or the new one.  A process killed outright
 (SIGKILL, power loss) can still leave ``<name>.tmp`` behind;

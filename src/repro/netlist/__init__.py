@@ -9,8 +9,6 @@ from .generator import (
     generate_design,
     mlcad2023_suite,
 )
-from .clustering import cluster_cells, expand_placement
-from .io import load_design, save_design
 from .stats import design_row, format_stats_table
 
 __all__ = [
@@ -25,8 +23,4 @@ __all__ = [
     "mlcad2023_suite",
     "design_row",
     "format_stats_table",
-    "save_design",
-    "load_design",
-    "cluster_cells",
-    "expand_placement",
 ]

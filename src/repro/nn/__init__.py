@@ -9,7 +9,6 @@ behaviour.
 
 from . import functional
 from .attention import MultiHeadSelfAttention
-from .extras import FocalLoss2d, GroupNorm, label_smoothing_targets
 from .layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -76,9 +75,6 @@ __all__ = [
     "CrossEntropyLoss2d",
     "MSELoss",
     "one_hot_levels",
-    "GroupNorm",
-    "FocalLoss2d",
-    "label_smoothing_targets",
     "Optimizer",
     "SGD",
     "Adam",

@@ -31,10 +31,6 @@ def _set_call_hook(hook) -> None:
     _CALL_HOOK = hook
 
 
-def _get_call_hook():
-    return _CALL_HOOK
-
-
 class Parameter(Tensor):
     """A tensor that is always trainable and enumerated by ``parameters()``."""
 

@@ -84,10 +84,6 @@ def _set_accum_hook(hook: Callable | None) -> None:
     _ACCUM_HOOK = hook
 
 
-def _get_accum_hook() -> Callable | None:
-    return _ACCUM_HOOK
-
-
 def set_default_dtype(dtype) -> None:
     """Set the dtype new tensors are coerced to (float32 or float64).
 
@@ -455,10 +451,9 @@ class Tensor:
         # NOT its inverse, which silently corrupted gradients for square
         # dims and crashed for rectangular ones.
         axes = tuple(a % self.ndim for a in axes)
-        inverse = np.argsort(axes)
 
         def backward(out: Tensor) -> None:
-            self._accumulate(out.grad.transpose(inverse))
+            self._accumulate(out.grad.transpose(np.argsort(axes)))
 
         return Tensor._make(self.data.transpose(axes), (self,), backward)
 

@@ -17,7 +17,6 @@ from .inflation import (
 from .legalize import LegalizationResult, legalize, legalize_cells, legalize_macros
 from .nesterov import GlobalPlacer, GPConfig, GPState
 from .placer import MacroPlacer, PlacementOutcome, PlacerConfig, place_design
-from .refine import RefineResult, refine_cells, refine_macros
 from .regions import RegionTension
 from .sweep import sample_placer_config, sweep_configs
 from .wirelength import (
@@ -38,9 +37,6 @@ __all__ = [
     "PlacerConfig",
     "PlacementOutcome",
     "place_design",
-    "RefineResult",
-    "refine_macros",
-    "refine_cells",
     "sample_placer_config",
     "sweep_configs",
     "ElectrostaticSystem",

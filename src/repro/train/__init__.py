@@ -17,7 +17,6 @@ from .metrics import (
     r_squared,
 )
 from .schedule import SCHEDULES, lr_at_epoch
-from .tta import predict_expected_tta, predict_levels_tta, predict_proba_tta
 
 __all__ = [
     "Sample",
@@ -36,7 +35,4 @@ __all__ = [
     "per_level_recall",
     "lr_at_epoch",
     "SCHEDULES",
-    "predict_proba_tta",
-    "predict_levels_tta",
-    "predict_expected_tta",
 ]

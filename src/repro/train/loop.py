@@ -40,16 +40,10 @@ class TrainConfig:
     batch_size: int = 4
     lr: float = 1e-3
     lr_schedule: str = "constant"  # constant | cosine | step
-    loss: str = "ce"  # ce | focal (focal ignores class weighting)
-    focal_gamma: float = 2.0
     weight_decay: float = 0.0
     grad_clip: float = 5.0
     class_weighting: bool = True
     max_class_weight: float = 8.0
-    # Stop early when the epoch loss has not improved by at least
-    # ``patience_delta`` for ``patience`` consecutive epochs (0 disables).
-    patience: int = 0
-    patience_delta: float = 1e-3
     seed: int = 0
     log_every: int = 0  # epochs between progress prints; 0 silences
     # Run the whole loop under ``repro.lint.detect_anomaly``: op
@@ -155,21 +149,16 @@ class Trainer:
                 "empty dataset: no training samples (dataset.train is empty)"
             )
         rng = np.random.default_rng(cfg.seed)
-        if cfg.loss == "focal":
-            loss_fn = nn.FocalLoss2d(model.num_classes, gamma=cfg.focal_gamma)
-        elif cfg.loss == "ce":
-            weights = self._class_weights(dataset, model.num_classes)
-            loss_fn = nn.CrossEntropyLoss2d(model.num_classes, weight=weights)
-        else:
-            raise ValueError(f"unknown loss {cfg.loss!r}; use 'ce' or 'focal'")
+        loss_fn = nn.CrossEntropyLoss2d(
+            model.num_classes,
+            weight=self._class_weights(dataset, model.num_classes),
+        )
         optimizer = nn.Adam(
             model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay
         )
         result = TrainResult()
         start = time.perf_counter()
         model.train()
-        best_loss = np.inf
-        stall = 0
 
         # -- fault tolerance wiring (repro.resilience) --------------------
         fingerprint = self._fingerprint(model)
@@ -194,8 +183,6 @@ class Trainer:
                 result.resumed_from_epoch = start_epoch
                 for loss in result.losses:
                     guard.observe(loss)
-                if result.losses:
-                    best_loss = min(result.losses)
         if manager is not None:
             result.quarantined = [str(path) for path in manager.quarantined]
 
@@ -269,28 +256,17 @@ class Trainer:
                 if cfg.log_every and (epoch + 1) % cfg.log_every == 0:
                     print(f"epoch {epoch + 1}/{cfg.epochs} loss={mean_loss:.4f}")
                 epoch += 1
-                stop = False
-                if cfg.patience:
-                    if mean_loss < best_loss - cfg.patience_delta:
-                        best_loss = mean_loss
-                        stall = 0
-                    else:
-                        stall += 1
-                        if stall >= cfg.patience:
-                            stop = True
                 if guard_on or manager is not None:
                     rollback = self._snapshot(
                         model, optimizer, rng, epoch, result.losses,
                         fingerprint, lr_scale,
                     )
                 if manager is not None and (
-                    epoch % cfg.checkpoint_every == 0 or epoch == cfg.epochs or stop
+                    epoch % cfg.checkpoint_every == 0 or epoch == cfg.epochs
                 ):
                     manager.save(
                         rollback, is_best=mean_loss <= min(result.losses)
                     )
-                if stop:
-                    break
         if cfg.sanitize:
             result.leaked_ops = anomaly.leaked_ops()
             if result.leaked_ops:

@@ -84,6 +84,31 @@ class TestFeatureExtraction:
         # maps (float32 maps: compare at float32 precision)
         np.testing.assert_allclose(rudy, (h + v) / 2.0, rtol=1e-5, atol=1e-6)
 
+    def test_routing_maps_conserve_net_mass(self, tiny_design, rng):
+        """Each net spreads a fixed total over its bounding box: ``W``
+        horizontal, ``H`` vertical and ``degree`` pin demand, so the map
+        sums times their normalizers are exact per-net totals."""
+        g = 16
+        device = tiny_design.device
+        x = rng.uniform(0, device.width, tiny_design.num_instances)
+        y = rng.uniform(0, device.height, tiny_design.num_instances)
+        stack = FeatureExtractor(grid=g)(tiny_design, x, y)
+        h, v, rudy, pin_rudy = (m.sum(dtype=np.float64) for m in stack[1:5])
+
+        bx = np.clip((x / device.width * g).astype(int), 0, g - 1)
+        by = np.clip((y / device.height * g).astype(int), 0, g - 1)
+        widths = [np.ptp(bx[list(n.pins)]) + 1 for n in tiny_design.nets]
+        heights = [np.ptp(by[list(n.pins)]) + 1 for n in tiny_design.nets]
+        budget = device.short_capacity * (device.tile_cols / g) * (device.tile_rows / g)
+        np.testing.assert_allclose(h * budget, sum(widths), rtol=1e-6)
+        np.testing.assert_allclose(v * budget, sum(heights), rtol=1e-6)
+        np.testing.assert_allclose(
+            rudy * 2 * budget, sum(widths) + sum(heights), rtol=1e-6
+        )
+        np.testing.assert_allclose(
+            pin_rudy * 4 * budget, tiny_design.net_degrees.sum(), rtol=1e-6
+        )
+
     def test_cell_density_tracks_cells(self, tiny_design):
         stack = FeatureExtractor(grid=16)(tiny_design)
         cell = stack[5]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.placement import (
     ElectrostaticSystem,
@@ -127,3 +129,52 @@ class TestInflateAll:
         inflate_field(system, "CLB", level_map, x, y)
         assert np.all(field.areas[:half] > base[:half])
         np.testing.assert_allclose(field.areas[half:], base[half:])
+
+
+class TestInvariants:
+    """Eqs. 11-13 invariants over arbitrary level maps and areas."""
+
+    @pytest.fixture(scope="class")
+    def shared_system(self, tiny_design):
+        # Each example overwrites every field's areas before inflating,
+        # so one system serves all examples.
+        return ElectrostaticSystem(tiny_design, bins=16)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), fill=st.floats(0.1, 1.5))
+    def test_inflation_invariants(self, shared_system, seed, fill):
+        rng = np.random.default_rng(seed)
+        system = shared_system
+        design = system.design
+        grid = int(rng.integers(2, 17))
+        # Integer and fractional levels on either side of the threshold.
+        level_map = np.where(
+            rng.random((grid, grid)) < 0.5,
+            rng.integers(0, 8, (grid, grid)),
+            rng.uniform(0.0, 7.0, (grid, grid)),
+        )
+        x = rng.uniform(0, design.device.width, design.num_instances)
+        y = rng.uniform(0, design.device.height, design.num_instances)
+        config = InflationConfig()
+        before = {}
+        for name, field in system.fields.items():
+            areas = rng.uniform(0.1, 2.0, field.members.size)
+            # ``fill`` spans fields with headroom and fields already full.
+            field.areas = areas * (fill * field.total_capacity / areas.sum())
+            before[name] = field.areas.copy()
+
+        stats = inflate_all_fields(system, level_map, x, y, config)
+
+        for name, field in system.fields.items():
+            old = before[name]
+            levels = lookup_levels(level_map, design, x, y, field.members)
+            target = old * np.minimum(
+                np.maximum(1.0, levels - 2.0) ** config.exponent, config.epsilon
+            )
+            assert 0.0 <= stats[name]["tau"] <= 1.0
+            assert np.all(field.areas >= old)
+            cold = levels <= config.level_threshold
+            assert np.array_equal(field.areas[cold], old[cold])
+            assert np.all(field.areas <= target * (1 + 1e-12))
+            limit = max(field.total_capacity, float(old.sum()))
+            assert field.total_area <= limit * (1 + 1e-12)

@@ -14,7 +14,6 @@ import pytest
 
 from repro.cli import _write_baseline
 from repro.contest import ContestScore, Table2Result, write_table2_artifact
-from repro.netlist import save_design
 from repro.nn import save_state
 from repro.resilience import Checkpoint, save_checkpoint
 
@@ -36,16 +35,13 @@ def _table2(n: int) -> Table2Result:
 
 
 @pytest.fixture
-def writers(tiny_design):
+def writers():
     """name -> (final file name, ``write(path, n)``); ``n`` varies the
     content so an overwrite is distinguishable from the original."""
     return {
         "save_state": (
             "state.npz",
             lambda path, n: save_state({"w": np.full(3, float(n))}, path),
-        ),
-        "save_design": (
-            "design.netlist", lambda path, n: save_design(tiny_design, path),
         ),
         "save_checkpoint": (
             "last.ckpt.npz",
@@ -63,7 +59,7 @@ def writers(tiny_design):
 
 
 @pytest.mark.parametrize("name", [
-    "save_state", "save_design", "save_checkpoint",
+    "save_state", "save_checkpoint",
     "write_table2_artifact", "write_baselines",
 ])
 def test_temp_file_is_fsynced_before_rename(name, writers, tmp_path,
@@ -91,8 +87,7 @@ def test_temp_file_is_fsynced_before_rename(name, writers, tmp_path,
     assert inode in synced_before, f"{name} renamed before fsync"
 
 
-# save_state and save_design have these two cases in their own suites
-# (tests/nn/test_serialize.py, tests/netlist/test_io.py).
+# save_state has these two cases in its own suite (tests/nn/test_serialize.py).
 _UNCOVERED = ["write_table2_artifact", "write_baselines"]
 
 
@@ -124,7 +119,7 @@ def test_crash_at_replace_keeps_previous_file(name, writers, tmp_path,
 
 
 @pytest.mark.parametrize("name", [
-    "save_state", "save_design", "save_checkpoint",
+    "save_state", "save_checkpoint",
     "write_table2_artifact", "write_baselines",
 ])
 def test_failed_write_leaves_no_temp_file(name, writers, tmp_path,

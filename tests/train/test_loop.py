@@ -88,19 +88,3 @@ class TestTrainer:
             [per_design["Design_T"]["ACC"], per_design["Design_U"]["ACC"]]
         )
         assert per_design["Average"]["ACC"] == pytest.approx(avg)
-
-
-class TestLossOptions:
-    def test_focal_loss_trains(self, rng):
-        dataset = _synthetic_dataset(rng, n_train=4)
-        model = build_model("unet", "tiny")
-        result = Trainer(
-            TrainConfig(epochs=3, batch_size=2, loss="focal")
-        ).train(model, dataset)
-        assert result.losses[-1] <= result.losses[0] + 0.5
-
-    def test_unknown_loss_rejected(self, rng):
-        dataset = _synthetic_dataset(rng, n_train=2)
-        model = build_model("unet", "tiny")
-        with pytest.raises(ValueError, match="unknown loss"):
-            Trainer(TrainConfig(epochs=1, loss="dice")).train(model, dataset)

@@ -1,4 +1,4 @@
-"""Learning-rate schedules and early stopping."""
+"""Learning-rate schedules."""
 
 import pytest
 
@@ -51,12 +51,3 @@ class TestTrainerIntegration:
             TrainConfig(epochs=4, batch_size=2, lr_schedule="cosine")
         ).train(model, dataset)
         assert len(result.losses) == 4
-
-    def test_early_stopping_cuts_epochs(self, rng):
-        dataset = _synthetic_dataset(rng, n_train=4)
-        model = build_model("unet", "tiny")
-        # Learning rate of 0-ish: loss cannot improve -> stop after patience.
-        result = Trainer(
-            TrainConfig(epochs=30, batch_size=2, lr=1e-12, patience=3)
-        ).train(model, dataset)
-        assert result.epochs <= 5

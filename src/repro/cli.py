@@ -16,8 +16,6 @@ The analyzers:
   itself (see repro.lint).
 * ``analyze`` — symbolic-IR static analysis of the traced models: FLOP
   cost and numerical stability (see repro.ir).
-* ``gradcheck`` — gradient audit: vjp contract capture and randomized
-  central-difference derivative checks (see repro.adjoint).
 
 Every analysis command reports through one exit-code contract (the
 table lives in ``docs/API.md``): 0 = clean, 1 = blocking findings,
@@ -48,7 +46,7 @@ __all__ = [
 ]
 
 # The shared exit-code contract for the analysis commands (lint,
-# analyze, gradcheck).  argparse owns 2 (usage).
+# analyze).  argparse owns 2 (usage).
 EXIT_OK = 0
 EXIT_BLOCKING = 1
 EXIT_USAGE = 2
@@ -211,22 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-baseline", metavar="PATH", default=None,
         help="write the invariant slice of this run to a baseline JSON",
     )
-
-    gradcheck = sub.add_parser(
-        "gradcheck",
-        help="gradient audit: vjp contracts + finite differences "
-        "(see repro.adjoint)",
-    )
-    gradcheck.add_argument(
-        "model", choices=_MODELS + ("all", "ops"),
-        help="registry model to audit, 'all' for the whole registry, or "
-        "'ops' for the full primitive-op case sweep without a model",
-    )
-    gradcheck.add_argument("--preset", default="fast", choices=_PRESETS)
-    gradcheck.add_argument("--grid", type=_positive_int, default=64)
-    gradcheck.add_argument("--seed", type=int, default=0)
-    gradcheck.add_argument("--json", action="store_true",
-                           help="print the full repro.adjoint/v1 report bundle")
 
     return parser
 
@@ -476,56 +458,6 @@ def _cmd_analyze(args) -> int:
     return EXIT_DRIFT if problems and status == EXIT_OK else status
 
 
-def _print_gradcheck_report(report: dict) -> None:
-    print(f"{report['model']} (preset={report['preset']}, "
-          f"grid={report['grid']})")
-    print(f"  contracts: {report['contracts']['ran']}/"
-          f"{report['contracts']['records']} closures ran over "
-          f"{len(report['contracts']['ops'])} op kinds, "
-          f"{len(report['contracts']['findings'])} finding(s)")
-    print(f"  gradcheck: {report['gradcheck']['cases']} cases, "
-          f"{report['gradcheck']['failed']} failed")
-    for section in (report["contracts"], report["gradcheck"]):
-        for finding in section["findings"]:
-            print(f"    {finding['path']}:{finding['line']}: "
-                  f"{finding['code']} {finding['message']}")
-
-
-def _cmd_gradcheck(args) -> int:
-    from .adjoint import audit_registry, run_gradcheck
-    from .models.registry import MODEL_NAMES
-
-    if args.model == "ops":
-        # Model-free: sweep every registered primitive-op case.
-        result = run_gradcheck(seed=args.seed)
-        failed = [c for c in result["cases"] if not c["passed"]]
-        if args.json:
-            print(json.dumps(result, indent=2))
-        else:
-            print(f"gradcheck: {len(result['cases'])} cases over "
-                  f"{len(result['checked_ops'])} op kinds, "
-                  f"{len(failed)} failed")
-            for finding in result["findings"]:
-                print(f"  {finding}")
-            if not result["findings"]:
-                print("gradcheck OK")
-        return 1 if result["findings"] else 0
-
-    models = MODEL_NAMES if args.model == "all" else (args.model,)
-    bundle = audit_registry(
-        models, preset=args.preset, grid=args.grid, seed=args.seed
-    )
-    if args.json:
-        print(json.dumps(bundle, indent=2))
-    else:
-        for report in bundle["reports"]:
-            _print_gradcheck_report(report)
-    status = _blocking(_report_failures(bundle))
-    if status == EXIT_OK and not args.json:
-        print("gradcheck OK")
-    return status
-
-
 _COMMANDS = {
     "stats": _cmd_stats,
     "place": _cmd_place,
@@ -535,7 +467,6 @@ _COMMANDS = {
     "table2": _cmd_table2,
     "lint": _cmd_lint,
     "analyze": _cmd_analyze,
-    "gradcheck": _cmd_gradcheck,
 }
 
 

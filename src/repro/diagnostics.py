@@ -1,24 +1,23 @@
 """Single allocation point for every ``REPROxxx`` diagnostic code.
 
 Every analysis component shares one code namespace, one hundred codes
-per band: the AST lint rules (:mod:`repro.lint`, ``REPRO0xx``), the
-forward-IR passes (:mod:`repro.ir`, ``REPRO1xx``) and the
-adjoint/backward passes (:mod:`repro.adjoint`, ``REPRO2xx``).  The
+per band: the AST lint rules (:mod:`repro.lint`, ``REPRO0xx``) and the
+forward-IR passes (:mod:`repro.ir`, ``REPRO1xx``).  The ``REPRO2xx``,
 ``REPRO3xx``, ``REPRO4xx``, ``REPRO6xx``, ``REPRO7xx`` and ``REPRO8xx``
-bands are retired and stay unassigned, as do the retired codes 006,
-104–107 and 205–207 (the determinism rules once numbered 104/105 are
-the lint rules 009/010).
+bands are retired and stay unassigned, as do the retired codes 006 and
+104–107 (the determinism rules once numbered 104/105 are the lint
+rules 009/010).
 Before this registry each component kept its own table, which is
 exactly how two PRs end up assigning the same code to different rules.
 Now every code is declared here,
 :func:`register_code` raises on a duplicate assignment, and the
 component tables (``repro.lint.rules.RULES``,
-``repro.adjoint.ADJOINT_RULES``, ...) are views produced by
+``repro.orchestrate.ORCHESTRATE_RULES``, ...) are views produced by
 :func:`codes_for`.
 
 Severity: ``blocking`` findings fail gates (``repro lint`` /
-``repro analyze`` / ``repro gradcheck`` exit non-zero).  Every static
-code is blocking; only runtime incidents (below) can be non-blocking.
+``repro analyze`` exit non-zero).  Every static code is blocking; only
+runtime incidents (below) can be non-blocking.
 Every finding, whatever its component, honours ``# noqa: REPROxxx``
 suppression on its source line.
 
@@ -145,28 +144,6 @@ register_code(
     "REPRO103",
     "implicit mixed-float promotion widens an array operand",
     component="ir",
-)
-
-# Adjoint/backward passes (repro.adjoint) — 2xx.
-register_code(
-    "REPRO201",
-    "adjoint shape/dtype does not match the primal input",
-    component="adjoint",
-)
-register_code(
-    "REPRO202",
-    "broadcast operand gradient inconsistent with _unbroadcast rules",
-    component="adjoint",
-)
-register_code(
-    "REPRO203",
-    "requires_grad parent not accumulated exactly once per backward",
-    component="adjoint",
-)
-register_code(
-    "REPRO204",
-    "analytic vjp disagrees with central-difference derivative",
-    component="adjoint",
 )
 
 # Fault-tolerant orchestration runtime (repro.orchestrate) — 5xx.

@@ -40,8 +40,8 @@ when it breaks:
   wrapped in ``sorted()`` (directory order is filesystem-dependent).
 
 Diagnostics on a line containing ``# noqa: REPROxxx`` (or a bare
-``# noqa``) are suppressed.  The IR and adjoint analyses report in the
-same :class:`LintDiagnostic` format and drop suppressed findings with
+``# noqa``) are suppressed.  The IR analyses report in the same
+:class:`LintDiagnostic` format and drop suppressed findings with
 :func:`filter_noqa`.
 
 Rule codes and messages are allocated centrally in

@@ -14,7 +14,6 @@ from .layers import (
     BatchNorm2d,
     Conv2d,
     ConvBNReLU,
-    Dropout,
     GELU,
     Identity,
     LayerNorm,
@@ -66,7 +65,6 @@ __all__ = [
     "MaxPool2d",
     "AvgPool2d",
     "UpsampleNearest",
-    "Dropout",
     "Identity",
     "ConvBNReLU",
     "MultiHeadSelfAttention",

@@ -33,7 +33,6 @@ __all__ = [
     "position_attention",
     "batch_norm",
     "layer_norm",
-    "dropout",
     "global_avg_pool2d",
 ]
 
@@ -215,7 +214,9 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
 
     def backward(out: Tensor) -> None:
         mask = windows == out_data[:, :, :, None, :, None]
-        counts = mask.sum(axis=(3, 5), keepdims=True)
+        # Cast the tie count to the gradient dtype, as in Tensor.max:
+        # an int64 divisor would promote a float32 adjoint to float64.
+        counts = mask.sum(axis=(3, 5), keepdims=True).astype(out.grad.dtype)
         grad = mask * (out.grad[:, :, :, None, :, None] / counts)
         x._accumulate(grad.reshape(n, c, h, w))
 
@@ -620,16 +621,3 @@ def layer_norm(
         x._accumulate(inv_std / d * (d * gw - sum_gw - x_hat * sum_gw_xhat))
 
     return Tensor._make(out_data, (x, gamma, beta), backward)
-
-
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when not training or ``p == 0``."""
-    if not training or p <= 0.0:
-        return x
-    keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep) / keep
-
-    def backward(out: Tensor) -> None:
-        x._accumulate(out.grad * mask)
-
-    return Tensor._make(x.data * mask, (x,), backward)

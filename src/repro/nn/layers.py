@@ -1,9 +1,9 @@
 """Concrete layers used by the paper's models.
 
 Everything the architectures in Figs. 2–5 need: convolutions,
-normalization, activations, pooling/upsampling, linear projections and
-dropout.  Layers own their :class:`~repro.nn.module.Parameter` leaves
-and delegate the math to :mod:`repro.nn.functional`.
+normalization, activations, pooling/upsampling and linear projections.
+Layers own their :class:`~repro.nn.module.Parameter` leaves and
+delegate the math to :mod:`repro.nn.functional`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "MaxPool2d",
     "AvgPool2d",
     "UpsampleNearest",
-    "Dropout",
     "Identity",
     "Softmax",
     "ConvBNReLU",
@@ -197,16 +196,6 @@ class UpsampleNearest(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.upsample_nearest(x, self.scale)
-
-
-class Dropout(Module):
-    def __init__(self, p: float = 0.1, rng: np.random.Generator | None = None):
-        super().__init__()
-        self.p = p
-        self._rng = rng or np.random.default_rng(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, training=self.training, rng=self._rng)
 
 
 class Identity(Module):

@@ -3,9 +3,9 @@
 A :class:`Module` owns :class:`Parameter` leaves and child modules,
 exposes ``parameters()`` / ``named_parameters()`` for optimizers, a
 ``state_dict`` round-trip for checkpointing, and a ``train()`` /
-``eval()`` mode flag consumed by BatchNorm and Dropout.  Attribute
-assignment registers children automatically, so model code reads like
-the PyTorch the paper was written in.
+``eval()`` mode flag consumed by BatchNorm.  Attribute assignment
+registers children automatically, so model code reads like the PyTorch
+the paper was written in.
 """
 
 from __future__ import annotations

@@ -69,21 +69,6 @@ def _get_tape_hook() -> Callable | None:
     return _TAPE_HOOK
 
 
-# Gradient-accumulation instrumentation (see repro.adjoint.capture).  The
-# hook is ``hook(tensor, grad)`` and fires on every ``_accumulate`` into a
-# requires-grad tensor, *before* the addition — it observes the raw
-# adjoint each vjp closure hands over, which is what the REPRO201-203
-# gradient contract checks audit.  Same zero-cost ``is None`` pattern as
-# the tape hook.
-_ACCUM_HOOK: Callable | None = None
-
-
-def _set_accum_hook(hook: Callable | None) -> None:
-    """Install (or clear) the gradient-accumulation hook."""
-    global _ACCUM_HOOK
-    _ACCUM_HOOK = hook
-
-
 def set_default_dtype(dtype) -> None:
     """Set the dtype new tensors are coerced to (float32 or float64).
 
@@ -234,8 +219,6 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        if _ACCUM_HOOK is not None:
-            _ACCUM_HOOK(self, grad)
         if self.grad is None:
             # One copy in self.data's dtype and layout, never the caller's
             # array: vjps hand over views of another tensor's grad
@@ -422,7 +405,7 @@ class Tensor:
             # Split gradient evenly among ties to keep the op well-defined.
             # The tie count is cast to the gradient dtype: dividing a
             # float32 gradient by an int64 count would silently promote
-            # the adjoint to float64 (REPRO201 dtype contract).
+            # the adjoint to float64.
             counts = mask.sum(axis=axis, keepdims=True).astype(grad.dtype)
             self._accumulate(mask * grad / counts)
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.contest import (
     ContestScore,
@@ -52,6 +55,38 @@ class TestEq1:
         """Ours on Design_116 (Table II): S_IR=5 -> e.g. one dir at 5."""
         report = _report([5, 0, 0, 0], [0, 0, 0, 0])
         assert initial_routing_score(report) == 5
+
+
+class TestEq1Monotonicity:
+    """Raising one tile's level never lowers S_IR, and raises it exactly
+    when the tile becomes its direction's new maximum above level 3."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_raising_one_tile_level(self, data):
+        gw, gh = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        # Axis 0 is the wire class (short, global), axis 1 the direction.
+        levels = data.draw(
+            hnp.arrays(np.int64, (2, 4, gw, gh), elements=st.integers(0, 7))
+        )
+        tile = tuple(
+            data.draw(st.integers(0, n - 1), label=name)
+            for n, name in zip(levels.shape, ("wire", "direction", "x", "y"))
+        )
+        raised = levels.copy()
+        raised[tile] = data.draw(st.integers(int(levels[tile]), 7), label="level")
+
+        def s_ir(lv):
+            return initial_routing_score(CongestionReport(
+                short_levels=lv[0],
+                global_levels=lv[1],
+                level_map=lv.max(axis=(0, 1)),
+            ))
+
+        before, after = s_ir(levels), s_ir(raised)
+        assert after >= before
+        new_max = raised[tile] > max(3, levels[tile[:2]].max())
+        assert (after > before) == new_max
 
 
 class TestEq2Eq3:

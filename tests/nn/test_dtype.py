@@ -71,7 +71,8 @@ class TestDefaultDtype:
 
 class TestFloat32Pipeline:
     """The float32 deployment stays float32 end to end: features, every
-    registry model's forward, and every op of its traced graph."""
+    registry model's forward, every op of its traced graph, and every
+    adjoint of its backward pass."""
 
     def test_feature_stack_is_float32(self, design):
         stack = extract_features(design, grid=32)
@@ -92,6 +93,25 @@ class TestFloat32Pipeline:
             if n.kind == "op" and n.dtype == np.float64
         ]
         assert not widened, widened
+
+    @pytest.mark.parametrize("name", ("unet", "pgnn", "pros2", "ours"))
+    def test_backward_adjoints_match_operands(
+        self, name, design, float32_mode, adjoint_log
+    ):
+        # A vjp that hands a float64 adjoint to a float32 operand is
+        # silently cast back by ``_accumulate``, after paying for float64
+        # arithmetic; a wrongly shaped one may broadcast into it.
+        stack = extract_features(design, grid=32)
+        model = build_model(name, preset="tiny", grid=32, seed=0)
+        out = model(nn.Tensor(stack[None]))
+        out.backward(np.ones(out.shape, dtype=out.data.dtype))
+        mismatched = sorted({
+            f"{where}: {dtype.name}{list(shape)} into "
+            f"{target.data.dtype.name}{list(target.shape)}"
+            for target, shape, dtype, where in adjoint_log
+            if shape != target.shape or dtype != target.data.dtype
+        })
+        assert adjoint_log and not mismatched, mismatched
 
     def test_gelu_keeps_float32(self, float32_mode):
         # The NEP-50 regression: a strong np.float64 sqrt(2/pi) constant

@@ -278,21 +278,3 @@ class TestNormalization:
                 numerical_gradient(f, tensor.data), tensor.grad, atol=1e-5
             )
 
-
-class TestDropout:
-    def test_identity_in_eval(self, rng):
-        x = Tensor(rng.normal(size=(4, 4)))
-        out = F.dropout(x, 0.5, training=False, rng=rng)
-        assert out is x
-
-    def test_inverted_scaling_preserves_mean(self, rng):
-        x = Tensor(np.ones((200, 200)))
-        out = F.dropout(x, 0.5, training=True, rng=rng)
-        assert out.data.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_gradient_masked(self, rng):
-        x = Tensor(np.ones((10, 10)), requires_grad=True)
-        out = F.dropout(x, 0.5, training=True, rng=np.random.default_rng(0))
-        out.sum().backward()
-        # Gradient equals the mask: zero where dropped, 1/keep where kept.
-        assert set(np.unique(x.grad)) <= {0.0, 2.0}

@@ -11,7 +11,7 @@ class Small(nn.Module):
         super().__init__()
         self.fc1 = nn.Linear(4, 8)
         self.bn = nn.BatchNorm2d(3)
-        self.drop = nn.Dropout(0.5)
+        self.act = nn.ReLU()
         self.scale = nn.Parameter(np.ones(1))
 
     def forward(self, x):
@@ -40,7 +40,7 @@ class TestRegistration:
     def test_modules_iteration(self):
         m = Small()
         kinds = {type(x).__name__ for x in m.modules()}
-        assert {"Small", "Linear", "BatchNorm2d", "Dropout"} <= kinds
+        assert {"Small", "Linear", "BatchNorm2d", "ReLU"} <= kinds
 
 
 class TestModes:
@@ -48,9 +48,10 @@ class TestModes:
         m = Small()
         m.eval()
         assert not m.bn.training
-        assert not m.drop.training
+        assert not m.act.training
         m.train()
         assert m.bn.training
+        assert m.act.training
 
     def test_zero_grad(self):
         m = nn.Linear(3, 3)

@@ -1,9 +1,11 @@
-"""Regression tests for bugs surfaced by the repro.lint/repro.ir tooling."""
+"""Regression tests for bugs surfaced by the repro.lint/repro.ir tooling
+and the gradient checks."""
 
 import numpy as np
 import pytest
 
 from repro.lint import detect_anomaly
+from repro.nn import functional as F
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.loss import CrossEntropyLoss2d
 from repro.nn.tensor import Tensor
@@ -158,7 +160,7 @@ class TestWeightedCrossEntropyZeroNorm:
 class TestPowZeroExponent:
     """``x ** 0`` evaluated its gradient with the generic formula
     ``0 * x**-1``, which is ``0 * inf = nan`` wherever ``x == 0``
-    (REPRO204, found by the repro.adjoint gradcheck harness); the
+    (found by the central-difference cases of test_gradcheck_ops); the
     exponent-zero case now short-circuits to an exact zero gradient."""
 
     def test_zero_input_gradient_is_zero_not_nan(self):
@@ -183,20 +185,17 @@ class TestPowZeroExponent:
 
 class TestMaxGradDtypePromotion:
     """``Tensor.max`` divided the incoming gradient by an int64 tie
-    count, silently promoting a float32 adjoint to float64 (REPRO201,
-    found by the vjp dtype contract check); the count is now cast to
+    count, silently promoting a float32 adjoint to float64 (found by a
+    vjp dtype contract check); the count is now cast to
     the gradient dtype first."""
 
-    def _float32(self, data):
-        t = Tensor(np.asarray(data), requires_grad=True)
-        t.data = t.data.astype(np.float32)
-        return t
-
-    def test_float32_gradient_stays_float32(self):
-        x = self._float32([[1.0, 2.0], [2.0, 0.0]])
-        out = x.max(axis=1)
-        out.backward(np.ones(2, dtype=np.float32))
-        assert x.grad.dtype == np.float32
+    def test_float32_gradient_stays_float32(self, float32_mode, adjoint_log):
+        # ``x.grad`` is float32 either way (``_accumulate`` casts into
+        # it), so the check is on the adjoint the vjp hands over.
+        x = Tensor(np.array([[1.0, 2.0], [2.0, 0.0]]), requires_grad=True)
+        x.max(axis=1).backward(np.ones(2, dtype=np.float32))
+        dtypes = {dtype for target, _, dtype, _ in adjoint_log if target is x}
+        assert dtypes == {np.dtype(np.float32)}
 
     def test_tie_splitting_values_unchanged(self):
         x = Tensor(np.array([[1.0, 3.0, 3.0], [4.0, 2.0, 4.0]]),
@@ -205,3 +204,22 @@ class TestMaxGradDtypePromotion:
         np.testing.assert_allclose(
             x.grad, [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
         )
+
+
+class TestMaxPoolGradDtype:
+    """``max_pool2d`` divided the incoming gradient by an int64 tie count,
+    handing a float64 adjoint to a float32 input (found by
+    ``TestFloat32Pipeline::test_backward_adjoints_match_operands`` on
+    the U-Net and PGNN baselines); the count is now cast to the
+    gradient dtype first, as in ``Tensor.max``."""
+
+    def test_float32_gradient_stays_float32(self, float32_mode, adjoint_log):
+        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
+        F.max_pool2d(x, 2).backward(np.ones((1, 1, 2, 2), dtype=np.float32))
+        dtypes = {dtype for target, _, dtype, _ in adjoint_log if target is x}
+        assert dtypes == {np.dtype(np.float32)}
+
+    def test_tie_splitting_values_unchanged(self):
+        x = Tensor(np.array([[[[1.0, 1.0], [0.0, 1.0]]]]), requires_grad=True)
+        F.max_pool2d(x, 2).backward(np.full((1, 1, 1, 1), 3.0))
+        np.testing.assert_array_equal(x.grad, [[[[1.0, 1.0], [0.0, 1.0]]]])

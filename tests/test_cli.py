@@ -17,6 +17,18 @@ class TestParser:
             args = parser.parse_args([command])
             assert args.command == command
 
+    def test_subcommand_set(self, capsys):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        assert sorted(sub.choices) == [
+            "analyze", "lint", "place", "route", "score", "stats", "table2",
+            "train",
+        ]
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["gradcheck", "all"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_design_choices_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["place", "--design", "NotADesign"])
@@ -201,20 +213,6 @@ class TestAnalysisJSONSchemas:
         assert report["model"] == "unet"
         assert report["graph"]["nodes"] > 0
 
-    def test_gradcheck_json_schema(self, capsys):
-        bundle = self._json(
-            capsys,
-            ["gradcheck", "unet", "--preset", "tiny", "--grid", "32",
-             "--json"],
-        )
-        assert bundle["schema"] == "repro.adjoint/v1"
-        (report,) = bundle["reports"]
-        assert set(report) >= {
-            "schema", "model", "preset", "grid", "contracts",
-            "gradcheck", "failures",
-        }
-        assert report["contracts"]["records"] > 0
-
 
 class TestExitCodeContract:
     """The unified exit-code table from docs/API.md.
@@ -247,11 +245,6 @@ class TestExitCodeContract:
             "baseline": "ir.json",
             "drift": lambda doc: doc["entries"][0].update(
                 total_flops=doc["entries"][0]["total_flops"] + 1),
-        },
-        "gradcheck": {
-            "argv": ["gradcheck", "unet", "--preset", "tiny",
-                     "--grid", "32"],
-            "usage": [["--grid", "0"]],
         },
         # The flow commands share the usage half of the contract: sizes,
         # counts and the downscale factor must be positive.
@@ -291,7 +284,7 @@ class TestExitCodeContract:
         # 0: the tree is clean at tiny scale.
         assert main(argv) == 0
         if "baseline" not in spec:
-            return  # gradcheck and the flow commands carry no baselines
+            return  # the flow commands carry no baselines
         baseline = tmp_path / spec["baseline"]
         # 0: update then re-check round-trips.
         assert main(argv + ["--update-baseline", str(baseline)]) == 0

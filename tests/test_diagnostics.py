@@ -16,29 +16,22 @@ class TestRegistry:
         # REPRO101 already belongs to the ir component; claiming it for
         # any component (even the same one) must raise loudly.
         with pytest.raises(ValueError, match="REPRO101 already assigned"):
-            register_code("REPRO101", "something else", component="adjoint")
+            register_code("REPRO101", "something else", component="lint")
 
     def test_namespace_bands(self):
         for code, spec in all_codes().items():
             band = int(code.removeprefix("REPRO")) // 100
             expected = {
-                0: "lint", 1: "ir", 2: "adjoint", 5: "orchestrate",
+                0: "lint", 1: "ir", 5: "orchestrate",
             }[band]
             assert spec.component == expected, code
 
     def test_component_views_match_consumers(self):
-        from repro.adjoint import ADJOINT_RULES
         from repro.lint.rules import RULES
         from repro.orchestrate import ORCHESTRATE_RULES
 
         assert RULES == codes_for("lint")
-        assert ADJOINT_RULES == codes_for("adjoint")
         assert ORCHESTRATE_RULES == codes_for("orchestrate")
-
-    def test_adjoint_codes_present(self):
-        assert set(codes_for("adjoint")) == {
-            f"REPRO20{i}" for i in range(1, 5)
-        }
 
     def test_orchestrate_codes_present(self):
         assert set(codes_for("orchestrate")) == {
@@ -57,7 +50,7 @@ class TestRegistry:
             if s.component != "orchestrate"
         )
         assert not is_blocking("REPRO501")
-        assert is_blocking("REPRO204")
+        assert is_blocking("REPRO101")
         # Unknown codes fail closed.
         assert is_blocking("REPRO999")
         assert spec_of("REPRO008").component == "lint"

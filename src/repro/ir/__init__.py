@@ -1,11 +1,11 @@
 """Symbolic tensor IR and static analysis passes for :mod:`repro.nn`.
 
-The third leg of the correctness tooling (after :mod:`repro.lint`'s AST
-rules and runtime sanitizers): run any model's *own* ``forward`` over
-data-free symbolic tensors to obtain a typed SSA graph
-(:mod:`repro.ir.graph`).  A forward that rejects its shapes raises
-:class:`ShapeError`; ``build_model`` traces every model this way to
-validate it.  The graph is then analyzed statically —
+The second leg of the correctness tooling (after :mod:`repro.lint`'s AST
+rules): run any model's *own* ``forward`` over data-free symbolic
+tensors to obtain a typed SSA graph (:mod:`repro.ir.graph`).  A
+forward that rejects its shapes raises :class:`ShapeError`;
+``build_model`` traces every model this way to validate it.  The graph
+is then analyzed statically —
 
 * :mod:`repro.ir.cost` — FLOP/byte cost model with stage/layer rollups;
 * :mod:`repro.ir.stability` — interval-domain numerical-stability

@@ -10,7 +10,6 @@ behaviour.
 from . import functional
 from .attention import MultiHeadSelfAttention
 from .layers import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     ConvBNReLU,
@@ -24,7 +23,7 @@ from .layers import (
     Softmax,
     UpsampleNearest,
 )
-from .loss import CrossEntropyLoss2d, MSELoss, one_hot_levels
+from .loss import CrossEntropyLoss2d, one_hot_levels
 from .module import Module, ModuleList, Parameter, Sequential
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
 from .serialize import load_module, load_state, save_module, save_state
@@ -63,7 +62,6 @@ __all__ = [
     "Sigmoid",
     "Softmax",
     "MaxPool2d",
-    "AvgPool2d",
     "UpsampleNearest",
     "Identity",
     "ConvBNReLU",
@@ -71,7 +69,6 @@ __all__ = [
     "TransformerLayer",
     "TransformerStack",
     "CrossEntropyLoss2d",
-    "MSELoss",
     "one_hot_levels",
     "Optimizer",
     "SGD",

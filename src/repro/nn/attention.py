@@ -14,7 +14,7 @@ import numpy as np
 from . import functional as F
 from .layers import Linear
 from .module import Module
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 __all__ = ["MultiHeadSelfAttention"]
 
@@ -67,18 +67,3 @@ class MultiHeadSelfAttention(Module):
         context = weights @ v  # (B, heads, T, head_dim)
         merged = context.transpose((0, 2, 1, 3)).reshape(batch, tokens, dim)
         return self.out_proj(merged)
-
-    def attention_map(self, x: Tensor) -> np.ndarray:
-        """Return the averaged (over heads) attention matrix for analysis.
-
-        Runs under ``no_grad``: this is a read-only diagnostic, and
-        recording its ops would leak a graph that no backward pass ever
-        frees (caught by ``repro.lint.detect_anomaly``).
-        """
-        with no_grad():
-            batch, tokens, _ = x.shape
-            q = self._split_heads(self.q_proj(x), batch, tokens)
-            k = self._split_heads(self.k_proj(x), batch, tokens)
-            scale = 1.0 / np.sqrt(self.head_dim)
-            scores = (q @ k.transpose((0, 1, 3, 2))) * scale
-            return F.softmax(scores, axis=-1).data.mean(axis=1)

@@ -33,7 +33,6 @@ __all__ = [
     "position_attention",
     "batch_norm",
     "layer_norm",
-    "global_avg_pool2d",
 ]
 
 
@@ -243,11 +242,6 @@ def avg_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
         )
 
     return Tensor._make(out_data, (x,), backward)
-
-
-def global_avg_pool2d(x: Tensor) -> Tensor:
-    """Average over the spatial axes, returning ``(N, C)``."""
-    return x.mean(axis=(2, 3))
 
 
 def upsample_nearest(x: Tensor, scale: int = 2) -> Tensor:

@@ -24,7 +24,6 @@ __all__ = [
     "GELU",
     "Sigmoid",
     "MaxPool2d",
-    "AvgPool2d",
     "UpsampleNearest",
     "Identity",
     "Softmax",
@@ -178,15 +177,6 @@ class MaxPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.max_pool2d(x, self.kernel_size)
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int = 2) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size)
 
 
 class UpsampleNearest(Module):

@@ -1,9 +1,9 @@
 """Training objectives.
 
 The paper's model classifies each grid cell into one of 8 congestion
-levels via a softmax head, which corresponds to per-pixel cross-entropy;
-the regression baselines (PROS 2.0 style) use mean squared error.  Both
-losses operate on NCHW logit/target maps and reduce to a scalar.
+levels via a softmax head, which corresponds to per-pixel cross-entropy
+over NCHW logit maps, reduced to a scalar.  Every registry model,
+baselines included, trains with it.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ import numpy as np
 
 from . import functional as F
 from .module import Module
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor
 
-__all__ = ["CrossEntropyLoss2d", "MSELoss", "one_hot_levels"]
+__all__ = ["CrossEntropyLoss2d", "one_hot_levels"]
 
 
 def one_hot_levels(levels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -72,12 +72,3 @@ class CrossEntropyLoss2d(Module):
             norm = n * h * w
         picked = log_probs * Tensor(target_onehot)
         return -picked.sum() * (1.0 / norm)
-
-
-class MSELoss(Module):
-    """Mean squared error between prediction and target maps."""
-
-    def forward(self, pred: Tensor, target) -> Tensor:
-        target = as_tensor(target)
-        diff = pred - target
-        return (diff * diff).mean()

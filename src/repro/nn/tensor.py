@@ -51,23 +51,6 @@ def _register_abstract_array_type(cls: type) -> None:
     if cls not in _ABSTRACT_ARRAY_TYPES:
         _ABSTRACT_ARRAY_TYPES = _ABSTRACT_ARRAY_TYPES + (cls,)
 
-# Optional tape instrumentation (see repro.lint.sanitize).  The hook is a
-# callable ``hook(event, tensor, parents, backward)`` receiving "record"
-# when an op wires the graph and "pre"/"post" around each backward
-# closure.  When no sanitizer is active this is a single ``is None``
-# check per op — zero cost for production training.
-_TAPE_HOOK: Callable | None = None
-
-
-def _set_tape_hook(hook: Callable | None) -> None:
-    """Install (or clear) the tape instrumentation hook."""
-    global _TAPE_HOOK
-    _TAPE_HOOK = hook
-
-
-def _get_tape_hook() -> Callable | None:
-    return _TAPE_HOOK
-
 
 def set_default_dtype(dtype) -> None:
     """Set the dtype new tensors are coerced to (float32 or float64).
@@ -178,8 +161,6 @@ class Tensor:
         if needs and backward is not None:
             out._parents = tuple(parents)
             out._backward = lambda: backward(out)
-            if _TAPE_HOOK is not None:
-                _TAPE_HOOK("record", out, out._parents, backward)
         return out
 
     # -- basic introspection ---------------------------------------------------
@@ -253,14 +234,9 @@ class Tensor:
 
         order = self._topological_order()
         self._accumulate(grad)
-        hook = _TAPE_HOOK
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                if hook is not None:
-                    hook("pre", node, node._parents, None)
                 node._backward()
-                if hook is not None:
-                    hook("post", node, node._parents, None)
             # Free the tape reference so repeated backward calls fail loudly
             # and intermediate buffers become collectable.
             node._backward = None

@@ -74,7 +74,6 @@ def fingerprint_of(config: dict) -> dict:
     volatile = {
         "epochs",
         "log_every",
-        "sanitize",
         "checkpoint_dir",
         "checkpoint_every",
         "resume",

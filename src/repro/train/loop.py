@@ -17,7 +17,6 @@ the learning rate backed off, bounded by ``divergence_retries`` before
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -46,11 +45,6 @@ class TrainConfig:
     max_class_weight: float = 8.0
     seed: int = 0
     log_every: int = 0  # epochs between progress prints; 0 silences
-    # Run the whole loop under ``repro.lint.detect_anomaly``: op
-    # provenance, NaN/Inf gradient origin, in-place mutation and leaked
-    # graph detection, plus an unused-parameter check after the first
-    # backward pass.  Debugging aid; off by default (zero overhead).
-    sanitize: bool = False
     # Fault tolerance (repro.resilience).  ``checkpoint_dir`` enables
     # atomic last/best bundles every ``checkpoint_every`` epochs;
     # ``resume`` restores the last bundle (refusing a mismatched
@@ -74,9 +68,6 @@ class TrainResult:
     losses: list[float] = field(default_factory=list)
     epochs: int = 0
     seconds: float = 0.0
-    # Filled only when ``TrainConfig.sanitize`` is on.
-    unused_parameters: list[str] = field(default_factory=list)
-    leaked_ops: list[str] = field(default_factory=list)
     # Fault-tolerance bookkeeping: the epoch a resume restarted from
     # (0 for fresh runs), one dict per divergence rollback, and the
     # corrupt checkpoint files moved to ``quarantine/`` before training.
@@ -186,91 +177,71 @@ class Trainer:
         if manager is not None:
             result.quarantined = [str(path) for path in manager.quarantined]
 
-        if cfg.sanitize:
-            from ..lint.sanitize import detect_anomaly, unused_parameter_report
-
-            anomaly = detect_anomaly()
-        else:
-            anomaly = nullcontext()
-        with anomaly:
-            checked_unused = False
-            # Rollback point = complete state at the top of the epoch.
-            rollback = (
-                self._snapshot(
-                    model, optimizer, rng, start_epoch, result.losses,
+        # Rollback point = complete state at the top of the epoch.
+        rollback = (
+            self._snapshot(
+                model, optimizer, rng, start_epoch, result.losses,
+                fingerprint, lr_scale,
+            )
+            if (guard_on or manager is not None)
+            else None
+        )
+        epoch = start_epoch
+        while epoch < cfg.epochs:
+            optimizer.lr = lr_at_epoch(
+                cfg.lr, epoch, cfg.epochs, schedule=cfg.lr_schedule
+            ) * lr_scale
+            epoch_loss = 0.0
+            batches = 0
+            batch_blew_up = False
+            for feats, labels in dataset.batches(cfg.batch_size, rng):
+                optimizer.zero_grad()
+                logits = model(nn.Tensor(feats))
+                loss = loss_fn(logits, labels)
+                batch_loss = loss.item()
+                if guard_on and not np.isfinite(batch_loss):
+                    # Don't even backprop a NaN/Inf loss — its
+                    # gradients are poison; bail out to the guard.
+                    epoch_loss = batch_loss
+                    batch_blew_up = True
+                    break
+                loss.backward()
+                nn.clip_grad_norm(model.parameters(), cfg.grad_clip)
+                optimizer.step()
+                epoch_loss += batch_loss
+                batches += 1
+            mean_loss = (
+                epoch_loss if batch_blew_up else epoch_loss / max(batches, 1)
+            )
+            if guard_on and (batch_blew_up or guard.is_divergent(mean_loss)):
+                # Roll back to the last good snapshot, back the lr off,
+                # and retry the epoch; raises TrainingDiverged once the
+                # retry budget is spent.
+                lr_scale *= guard.request_rollback(
+                    epoch, mean_loss, optimizer.lr
+                )
+                self._restore(rollback, model, optimizer, rng)
+                result.losses = list(rollback.losses)
+                epoch = rollback.epoch
+                result.recoveries = list(guard.events)
+                rollback.extra["lr_scale"] = lr_scale
+                continue
+            guard.observe(mean_loss)
+            result.losses.append(mean_loss)
+            if cfg.log_every and (epoch + 1) % cfg.log_every == 0:
+                print(f"epoch {epoch + 1}/{cfg.epochs} loss={mean_loss:.4f}")
+            epoch += 1
+            if guard_on or manager is not None:
+                rollback = self._snapshot(
+                    model, optimizer, rng, epoch, result.losses,
                     fingerprint, lr_scale,
                 )
-                if (guard_on or manager is not None)
-                else None
-            )
-            epoch = start_epoch
-            while epoch < cfg.epochs:
-                optimizer.lr = lr_at_epoch(
-                    cfg.lr, epoch, cfg.epochs, schedule=cfg.lr_schedule
-                ) * lr_scale
-                epoch_loss = 0.0
-                batches = 0
-                batch_blew_up = False
-                for feats, labels in dataset.batches(cfg.batch_size, rng):
-                    optimizer.zero_grad()
-                    logits = model(nn.Tensor(feats))
-                    loss = loss_fn(logits, labels)
-                    batch_loss = loss.item()
-                    if guard_on and not np.isfinite(batch_loss):
-                        # Don't even backprop a NaN/Inf loss — its
-                        # gradients are poison; bail out to the guard.
-                        epoch_loss = batch_loss
-                        batch_blew_up = True
-                        break
-                    loss.backward()
-                    if cfg.sanitize and not checked_unused:
-                        checked_unused = True
-                        result.unused_parameters = unused_parameter_report(model)
-                        if result.unused_parameters:
-                            print(
-                                "sanitize: parameters with no gradient after "
-                                f"backward: {result.unused_parameters}"
-                            )
-                    nn.clip_grad_norm(model.parameters(), cfg.grad_clip)
-                    optimizer.step()
-                    epoch_loss += batch_loss
-                    batches += 1
-                mean_loss = (
-                    epoch_loss if batch_blew_up else epoch_loss / max(batches, 1)
+            if manager is not None and (
+                epoch % cfg.checkpoint_every == 0 or epoch == cfg.epochs
+            ):
+                manager.save(
+                    rollback, is_best=mean_loss <= min(result.losses)
                 )
-                if guard_on and (batch_blew_up or guard.is_divergent(mean_loss)):
-                    # Roll back to the last good snapshot, back the lr off,
-                    # and retry the epoch; raises TrainingDiverged once the
-                    # retry budget is spent.
-                    lr_scale *= guard.request_rollback(
-                        epoch, mean_loss, optimizer.lr
-                    )
-                    self._restore(rollback, model, optimizer, rng)
-                    result.losses = list(rollback.losses)
-                    epoch = rollback.epoch
-                    result.recoveries = list(guard.events)
-                    rollback.extra["lr_scale"] = lr_scale
-                    continue
-                guard.observe(mean_loss)
-                result.losses.append(mean_loss)
-                if cfg.log_every and (epoch + 1) % cfg.log_every == 0:
-                    print(f"epoch {epoch + 1}/{cfg.epochs} loss={mean_loss:.4f}")
-                epoch += 1
-                if guard_on or manager is not None:
-                    rollback = self._snapshot(
-                        model, optimizer, rng, epoch, result.losses,
-                        fingerprint, lr_scale,
-                    )
-                if manager is not None and (
-                    epoch % cfg.checkpoint_every == 0 or epoch == cfg.epochs
-                ):
-                    manager.save(
-                        rollback, is_best=mean_loss <= min(result.losses)
-                    )
-        if cfg.sanitize:
-            result.leaked_ops = anomaly.leaked_ops()
-            if result.leaked_ops:
-                print(f"sanitize: {anomaly.describe_leaks()}")
         result.epochs = len(result.losses)
         result.seconds = time.perf_counter() - start
         model.eval()

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import nn
+from repro.ir import ShapeError, trace
 from repro.models import (
     MODEL_NAMES,
     MFATransformerNet,
@@ -12,7 +14,6 @@ from repro.models import (
     UNet,
     build_model,
 )
-from repro.ir import ShapeError, trace
 from repro.nn import Tensor
 
 
@@ -111,8 +112,6 @@ class TestBuildModelValidation:
 class TestBaselineModels:
     @pytest.mark.parametrize("cls", [UNet, PGNNNet, ProsNet])
     def test_trains_one_step(self, cls, rng):
-        from repro import nn
-
         model = cls(base_channels=4, seed=0)
         loss_fn = nn.CrossEntropyLoss2d(8)
         opt = nn.Adam(model.parameters(), lr=1e-3)
@@ -140,6 +139,55 @@ class TestBaselineModels:
         model = PGNNNet(base_channels=4, gnn_channels=4, seed=0)
         params = {name for name, _ in model.named_parameters()}
         assert not any("_aggregate" in p for p in params)
+
+
+def _params_without_grad(model):
+    """Names of trainable parameters one forward/backward leaves gradless."""
+    model.train()
+    model(Tensor(np.zeros((1, 6, 16, 16)))).sum().backward()
+    return [
+        n for n, p in model.named_parameters() if p.requires_grad and p.grad is None
+    ]
+
+
+class TestUnusedParameters:
+    """Every registry parameter reaches the loss."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_reports_parameters_without_grad(self, name):
+        assert _params_without_grad(build_model(name, "tiny", grid=16)) == []
+
+    def test_names_the_orphan(self):
+        # A parameter that forward never touches is what the check catches.
+        model = build_model("unet", "tiny", grid=16)
+        model.orphan = nn.Linear(3, 3)
+        assert _params_without_grad(model) == ["orphan.weight", "orphan.bias"]
+
+
+class TestPredictRecordsNoTape:
+    """The in-flow predictor runs under ``no_grad``: no op wires the tape."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_predict_proba_records_no_tape(self, name, monkeypatch):
+        nn.set_default_dtype(np.float32)
+        try:
+            model = build_model(name, "tiny", grid=16)
+            made = []
+            make = Tensor._make
+
+            def spy(data, parents, backward):
+                out = make(data, parents, backward)
+                made.append(out)
+                return out
+
+            monkeypatch.setattr(Tensor, "_make", staticmethod(spy))
+            features = np.zeros((1, 6, 16, 16), dtype=np.float32)
+            proba = model.predict_proba(features)
+        finally:
+            nn.set_default_dtype(np.float64)
+        assert proba.dtype == np.float32
+        assert made
+        assert [t for t in made if t._backward is not None] == []
 
 
 class TestModelEstimator:

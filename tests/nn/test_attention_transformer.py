@@ -24,12 +24,6 @@ class TestMultiHeadSelfAttention:
         with pytest.raises(ValueError, match="dim"):
             attn(Tensor(rng.normal(size=(1, 4, 12))))
 
-    def test_attention_map_rows_sum_to_one(self, rng):
-        attn = nn.MultiHeadSelfAttention(8, num_heads=2, rng=rng)
-        amap = attn.attention_map(Tensor(rng.normal(size=(2, 6, 8))))
-        assert amap.shape == (2, 6, 6)
-        np.testing.assert_allclose(amap.sum(axis=-1), 1.0, atol=1e-10)
-
     def test_gradcheck(self, rng):
         attn = nn.MultiHeadSelfAttention(6, num_heads=2, rng=rng)
         x = Tensor(rng.normal(size=(1, 4, 6)), requires_grad=True)

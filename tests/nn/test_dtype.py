@@ -27,12 +27,15 @@ class TestDefaultDtype:
         with pytest.raises(ValueError, match="unsupported"):
             nn.set_default_dtype(np.int32)
 
-    def test_ops_stay_float32(self, float32_mode, rng):
+    def test_ops_stay_float32(self, float32_mode, rng, adjoint_log):
         a = nn.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         out = (a @ a).relu().sum()
         assert out.data.dtype == np.float32
         out.backward()
-        assert a.grad.dtype == np.float32
+        # ``a.grad`` is float32 whatever the vjps hand over; the adjoints
+        # themselves are what must stay float32.
+        wide = [where for _, _, dtype, where in adjoint_log if dtype != np.float32]
+        assert any(t is a for t, *_ in adjoint_log) and not wide, wide
 
     def test_model_trains_in_float32(self, float32_mode, rng):
         model = build_model("unet", "tiny")

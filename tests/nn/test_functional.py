@@ -106,12 +106,6 @@ class TestPooling:
         with pytest.raises(ValueError, match="divisible"):
             F.avg_pool2d(x, 2)
 
-    def test_global_avg_pool(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4, 4)))
-        out = F.global_avg_pool2d(x)
-        assert out.shape == (2, 3)
-        np.testing.assert_allclose(out.data, x.data.mean(axis=(2, 3)))
-
 
 class TestUpsamplePad:
     def test_upsample_values(self):

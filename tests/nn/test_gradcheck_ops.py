@@ -417,11 +417,6 @@ def _(rng):
     return lambda a: F.avg_pool2d(a, 2), (_n(rng, 2, 2, 4, 4),)
 
 
-@_case("global_avg_pool2d", "global_avg_pool2d")
-def _(rng):
-    return lambda a: F.global_avg_pool2d(a), (_n(rng, 2, 3, 4, 4),)
-
-
 @_case("upsample_nearest/s2", "upsample_nearest")
 def _(rng):
     return lambda a: F.upsample_nearest(a, 2), (_n(rng, 2, 2, 3, 3),)

@@ -71,19 +71,6 @@ class TestCrossEntropy:
             nn.CrossEntropyLoss2d(4, weight=np.ones(3))
 
 
-class TestMSE:
-    def test_value(self):
-        mse = nn.MSELoss()
-        loss = mse(Tensor(np.array([1.0, 2.0])), np.array([0.0, 0.0]))
-        assert loss.item() == pytest.approx(2.5)
-
-    def test_gradient(self):
-        mse = nn.MSELoss()
-        pred = Tensor(np.array([3.0]), requires_grad=True)
-        mse(pred, np.array([1.0])).backward()
-        assert pred.grad[0] == pytest.approx(4.0)
-
-
 class TestOptimizers:
     def _quadratic_steps(self, optimizer_cls, steps=200, **kwargs):
         target = np.array([3.0, -2.0])

@@ -179,7 +179,7 @@ def test_tiled_float32_error_within_composite_error(monkeypatch, d, c, tokens, r
     test_float32_error_within_composite_error(d, c, tokens)
 
 
-def test_one_pass_never_holds_an_attention_map():
+def test_one_pass_never_holds_a_full_score_matrix():
     """Forward + backward at L = 2048 (float64) peaks below 1/8 of one
     ``(N, L, L)`` map: the row blocks bound memory, not L²."""
     n, tokens = 2, 2048

@@ -4,9 +4,7 @@ and the gradient checks."""
 import numpy as np
 import pytest
 
-from repro.lint import detect_anomaly
 from repro.nn import functional as F
-from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.loss import CrossEntropyLoss2d
 from repro.nn.tensor import Tensor
 
@@ -55,35 +53,6 @@ class TestTransposeNegativeAxes:
             lo = (bumped.transpose((0, 2, 1)) * weight).sum()
             numeric[idx] = (hi - lo) / (2 * eps)
         np.testing.assert_allclose(x.grad, numeric, atol=1e-4)
-
-
-class TestAttentionMapNoLeak:
-    """``attention_map`` is a read-only diagnostic: it must not record
-    tape (which no backward pass would ever free)."""
-
-    @pytest.fixture
-    def attn(self):
-        return MultiHeadSelfAttention(8, num_heads=2, rng=np.random.default_rng(0))
-
-    def test_no_graph_recorded(self, attn):
-        x = Tensor(np.random.default_rng(1).normal(size=(2, 5, 8)))
-        with detect_anomaly() as det:
-            weights = attn.attention_map(x)
-        assert det.leaked_ops() == []
-        assert weights.shape == (2, 5, 5)
-        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
-
-    def test_matches_forward_attention(self, attn):
-        # The diagnostic must report the same distribution the forward
-        # pass actually uses (averaged over heads).
-        x = Tensor(np.random.default_rng(2).normal(size=(1, 4, 8)))
-        from repro.nn import functional as F
-
-        q = attn._split_heads(attn.q_proj(x), 1, 4)
-        k = attn._split_heads(attn.k_proj(x), 1, 4)
-        scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(attn.head_dim))
-        expected = F.softmax(scores, axis=-1).data.mean(axis=1)
-        np.testing.assert_allclose(attn.attention_map(x), expected, atol=1e-6)
 
 
 class TestSigmoidStability:

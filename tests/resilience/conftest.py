@@ -1,25 +1,11 @@
-"""Fixtures for the fault-tolerance suite.
-
-The CI fault-injection job runs this suite with ``REPRO_SANITIZE=1``,
-which flips every trainer config built through :func:`train_config`
-to ``sanitize=True`` — recovery paths and the repro.lint runtime
-sanitizers are then exercised together.
-"""
+"""Fixtures for the fault-tolerance suite."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
 
-from repro.train import CongestionDataset, Sample, TrainConfig
-
-
-def train_config(**kwargs) -> TrainConfig:
-    """A TrainConfig honouring the CI suite's REPRO_SANITIZE switch."""
-    kwargs.setdefault("sanitize", os.environ.get("REPRO_SANITIZE") == "1")
-    return TrainConfig(**kwargs)
+from repro.train import CongestionDataset, Sample
 
 
 def make_dataset(seed: int = 0, n_train: int = 8, grid: int = 16) -> CongestionDataset:

@@ -115,7 +115,7 @@ class TestFingerprint:
     def test_fingerprint_of_drops_volatile_knobs(self):
         fp = fingerprint_of(
             {"lr": 1e-3, "epochs": 50, "resume": True, "checkpoint_dir": "/x",
-             "checkpoint_every": 2, "log_every": 1, "sanitize": True}
+             "checkpoint_every": 2, "log_every": 1}
         )
         assert fp == {"lr": 1e-3}
 

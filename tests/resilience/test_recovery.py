@@ -12,9 +12,9 @@ from repro.resilience import (
     inject_fault,
     validate_level_map,
 )
-from repro.train import Trainer
+from repro.train import TrainConfig, Trainer
 
-from .conftest import make_dataset, train_config
+from .conftest import make_dataset
 
 
 class TestValidateLevelMap:
@@ -72,7 +72,7 @@ class TestTrainingRollback:
         with inject_fault(
             "repro.nn.loss:CrossEntropyLoss2d.__call__", nth=4, mode="corrupt"
         ) as fault:
-            result = Trainer(train_config(epochs=4, batch_size=4)).train(
+            result = Trainer(TrainConfig(epochs=4, batch_size=4)).train(
                 model, tiny_dataset
             )
         assert fault.fired
@@ -85,14 +85,14 @@ class TestTrainingRollback:
         """The poisoned epoch's loss never enters the curve, and the
         curve matches the fault-free run up to the rollback point."""
         model_ref = build_model("unet", "tiny")
-        result_ref = Trainer(train_config(epochs=2, batch_size=4)).train(
+        result_ref = Trainer(TrainConfig(epochs=2, batch_size=4)).train(
             model_ref, make_dataset()
         )
         model = build_model("unet", "tiny")
         with inject_fault(
             "repro.nn.loss:CrossEntropyLoss2d.__call__", nth=3, mode="corrupt"
         ):
-            result = Trainer(train_config(epochs=2, batch_size=4)).train(
+            result = Trainer(TrainConfig(epochs=2, batch_size=4)).train(
                 model, make_dataset()
             )
         # Epoch 1 (calls 1-2) is untouched in both runs.
@@ -107,7 +107,7 @@ class TestTrainingRollback:
         ):
             with pytest.raises(TrainingDiverged) as err:
                 Trainer(
-                    train_config(epochs=4, batch_size=4, divergence_retries=2)
+                    TrainConfig(epochs=4, batch_size=4, divergence_retries=2)
                 ).train(model, tiny_dataset)
         assert err.value.retries == 2
         assert not np.isfinite(err.value.loss)
@@ -121,7 +121,7 @@ class TestTrainingRollback:
             nth=1, mode="corrupt", repeat=True,
         ):
             result = Trainer(
-                train_config(epochs=1, batch_size=4, divergence_retries=0)
+                TrainConfig(epochs=1, batch_size=4, divergence_retries=0)
             ).train(model, tiny_dataset)
         assert not np.isfinite(result.losses[0])
 
@@ -130,7 +130,7 @@ class TestTrainingRollback:
 
         model = build_model("unet", "tiny")
         with pytest.raises(ValueError, match="empty dataset"):
-            Trainer(train_config(epochs=1)).train(model, CongestionDataset())
+            Trainer(TrainConfig(epochs=1)).train(model, CongestionDataset())
 
 
 def _tiny_placer_config():

@@ -1,7 +1,8 @@
 """Structured neural-network operations with hand-written adjoints.
 
 These are the image-shaped primitives the paper's models need —
-2-D convolution (im2col + BLAS matmul; stride-1 input gradient via
+2-D convolution (implicit GEMM per kernel tap for stride-1 forwards,
+im2col + BLAS matmul otherwise; stride-1 input gradient via
 flipped-kernel correlation; col2im only for strided convs), max
 pooling, nearest-neighbour upsampling, zero padding,
 softmax/log-softmax, position attention and normalization — built on
@@ -74,6 +75,10 @@ def im2col(
     ``(N, C * kernel * kernel, out_h * out_w)``.  A 1×1 stride-1 kernel
     needs no unfold: its columns are the pixels, so ``cols`` is a
     reshape of ``data`` (a view when ``data`` is contiguous).
+    :func:`conv2d` unfolds for strided and 1×1 forwards, for the weight
+    gradient (rebuilt in backward, never kept from the forward) and for
+    the stride-1 input gradient; the stride-1 forward of a larger kernel
+    needs no columns.
     """
     n, c, h, w = data.shape
     if kernel == 1 and stride == 1:
@@ -124,6 +129,44 @@ def col2im(
     return data
 
 
+def _correlate(data: np.ndarray, weight: np.ndarray, padding: int) -> np.ndarray:
+    """Stride-1 cross-correlation of NCHW ``data`` with no unfold (implicit GEMM).
+
+    The zero-padded input is laid out channel-major as one
+    ``(C_in, N·Hp·Wp)`` buffer with ``(k-1)·(Wp+1)`` trailing zeros, so
+    kernel tap ``(i, j)`` is one ``(C_out, C_in)`` GEMM over the
+    contiguous slice that starts ``i·Wp + j`` into it.  The taps
+    accumulate into one ``(C_out, N·Hp·Wp)`` sum; the ``k-1`` right-hand
+    columns and bottom rows of each padded image are computed and then
+    dropped.  Returns a fresh ``(N, C_out, H', W')`` array of dtype
+    ``np.result_type(data, weight)``.
+    """
+    n, c_in, h, w = data.shape
+    c_out, _, kernel, _ = weight.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    out_h, out_w = hp - kernel + 1, wp - kernel + 1
+    dtype = np.result_type(data, weight)
+    span = n * hp * wp
+    flat = np.zeros((c_in, span + (kernel - 1) * (wp + 1)), dtype=dtype)
+    image = flat[:, :span].reshape(c_in, n, hp, wp)
+    image[:, :, padding : padding + h, padding : padding + w] = data.transpose(1, 0, 2, 3)
+    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1), dtype=dtype)
+    total = np.empty((c_out, span), dtype=dtype)
+    term = np.empty_like(total)
+    for i in range(kernel):
+        for j in range(kernel):
+            start = i * wp + j
+            window = flat[:, start : start + span]
+            if start == 0:
+                np.matmul(taps[0, 0], window, out=total)
+            else:
+                np.matmul(taps[i, j], window, out=term)
+                total += term
+    out = np.empty((n, c_out, out_h, out_w), dtype=dtype)
+    out[...] = total.reshape(c_out, n, hp, wp)[:, :, :out_h, :out_w].transpose(1, 0, 2, 3)
+    return out
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -133,11 +176,17 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution over an NCHW tensor.
 
-    im2col + BLAS matmul: the forward is ``w2d @ cols`` and the weight
-    gradient ``(grad @ colsᵀ).sum(0)``.  For stride 1 the input gradient
-    is a forward correlation of the output gradient with the flipped,
-    in/out-swapped kernel (im2col + one matmul); col2im is used only for
-    strided convolutions.
+    A stride-1 kernel larger than 1×1 runs as an implicit GEMM
+    (:func:`_correlate`): one matmul per kernel tap over a channel-major
+    copy of the padded input, with no im2col columns.  Strided and 1×1
+    convolutions (and symbolic arrays, so the IR trace records an
+    ``im2col``) run ``w2d @ cols`` on im2col columns, dropped once the
+    output exists.  No columns are kept for backward: the weight
+    gradient ``(grad @ colsᵀ).sum(0)`` rebuilds them from ``x``, and
+    only when ``weight`` needs a gradient.  For stride 1 the input
+    gradient is a forward correlation of the output gradient with the
+    flipped, in/out-swapped kernel (im2col + one matmul); col2im is used
+    only for strided convolutions.
 
     Parameters
     ----------
@@ -149,7 +198,7 @@ def conv2d(
         Optional per-output-channel bias of shape ``(C_out,)``.
     """
     x = as_tensor(x)
-    n = x.shape[0]
+    n, _, h, w = x.shape
     c_out, c_in, kernel, kernel_w = weight.shape
     if kernel != kernel_w:
         raise ValueError("only square kernels are supported")
@@ -157,13 +206,21 @@ def conv2d(
         raise ValueError(
             f"input has {x.shape[1]} channels but weight expects {c_in}"
         )
+    padded_shape = (n, c_in, h + 2 * padding, w + 2 * padding)
+    out_h = (padded_shape[2] - kernel) // stride + 1
+    out_w = (padded_shape[3] - kernel) // stride + 1
 
-    padded = _pad_spatial(x.data, padding) if padding else x.data
-    cols, out_h, out_w = im2col(padded, kernel, stride)
-    w2d = weight.data.reshape(c_out, -1)
-    out_data = (w2d @ cols).reshape(n, c_out, out_h, out_w)
+    def columns() -> np.ndarray:
+        padded = _pad_spatial(x.data, padding) if padding else x.data
+        return im2col(padded, kernel, stride)[0]
+
+    if kernel > 1 and stride == 1 and isinstance(x.data, np.ndarray):
+        out_data = _correlate(x.data, weight.data, padding)
+    else:
+        w2d = weight.data.reshape(c_out, -1)
+        out_data = (w2d @ columns()).reshape(n, c_out, out_h, out_w)
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
+        out_data += bias.data.reshape(1, c_out, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -172,7 +229,7 @@ def conv2d(
         if bias is not None:
             bias._accumulate(grad.sum(axis=(0, 2)))
         if weight.requires_grad:
-            grad_w = (grad @ cols.transpose(0, 2, 1)).sum(axis=0)
+            grad_w = (grad @ columns().transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(grad_w.reshape(weight.shape))
         if not x.requires_grad:
             return
@@ -189,7 +246,8 @@ def conv2d(
             w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             x._accumulate((w_flip.reshape(c_in, -1) @ grad_cols).reshape(x.shape))
             return
-        grad_padded = col2im(w2d.T @ grad, padded.shape, kernel, stride)
+        w2d = weight.data.reshape(c_out, -1)
+        grad_padded = col2im(w2d.T @ grad, padded_shape, kernel, stride)
         if padding:
             grad_padded = grad_padded[:, :, padding:-padding, padding:-padding]
         x._accumulate(grad_padded)

@@ -1,12 +1,15 @@
 """Differential oracle for the matmul convolutions.
 
 ``conv2d`` runs on plain BLAS matmuls, skips the unfold for 1×1
-stride-1 kernels and computes the stride-1 input gradient as a
-correlation with the flipped kernel.  The reference below is the
-einsum + col2im formulation it replaced, written out on plain numpy
-arrays, so every value and gradient is checked against an independent
-derivation.
+stride-1 kernels, runs stride-1 forwards of larger kernels as an
+implicit GEMM with no columns, and computes the stride-1 input gradient
+as a correlation with the flipped kernel.  The reference below is the
+im2col + einsum + col2im formulation these replaced, written out on
+plain numpy arrays, so every value and gradient is checked against an
+independent derivation.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,3 +206,86 @@ def test_pad2d_and_padded_convs_call_no_np_pad(monkeypatch):
 def test_traced_pads_still_record_pad_nodes():
     graph = trace_model("ours", preset="fast", grid=64)
     assert sum(node.op == "pad" for node in graph) == 22
+
+
+# -- implicit-GEMM forward (stride 1, kernel > 1) -------------------------------------
+#
+# ``_ref_conv2d`` above unfolds with im2col, the forward that ``_correlate``
+# replaced for stride-1 kernels larger than 1×1.
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("channels", [(5, 2), (2, 5)])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("kernel", [3, 5])
+def test_implicit_gemm_matches_im2col_reference(
+    kernel, padding, batch, channels, bias, transposed
+):
+    rng = np.random.default_rng(kernel * 1000 + padding * 100 + batch * 10 + channels[0])
+    c_in, c_out = channels
+    h, w = 9, 7
+    if transposed:
+        x = rng.normal(size=(batch, c_in, w, h)).transpose(0, 1, 3, 2)
+        assert not x.flags.c_contiguous
+    else:
+        x = rng.normal(size=(batch, c_in, h, w))
+    wt = rng.normal(size=(c_out, c_in, kernel, kernel))
+    b = rng.normal(size=c_out) if bias else None
+    out_h, out_w = h + 2 * padding - kernel + 1, w + 2 * padding - kernel + 1
+    g = rng.normal(size=(batch, c_out, out_h, out_w))
+    _check(_run(F.conv2d, x, wt, b, 1, padding, g), _ref_conv2d(x, wt, b, 1, padding, g))
+
+
+@pytest.mark.parametrize("bias", [False, True])
+def test_implicit_gemm_float32_stays_float32(float32_mode, adjoint_log, bias):
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(2, 3, 7, 5)), requires_grad=True)
+    w = nn.Parameter(rng.normal(size=(4, 3, 3, 3)))
+    b = nn.Parameter(rng.normal(size=4)) if bias else None
+    out = F.conv2d(x, w, b, padding=1)
+    assert out.data.dtype == np.float32
+    out.sum().backward()
+    for leaf in [x, w] + ([b] if bias else []):
+        dtypes = [dtype for target, _, dtype, _ in adjoint_log if target is leaf]
+        assert dtypes == [np.float32], dtypes
+
+
+def test_conv_forward_keeps_no_columns(float32_mode):
+    """A grad-enabled forward holds its output and no im2col columns."""
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(8, 24, 32, 32)), requires_grad=True)
+    w = nn.Parameter(rng.normal(size=(6, 24, 3, 3)))
+    b = nn.Parameter(rng.normal(size=6))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = F.conv2d(x, w, b, padding=1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    # The columns would be 9x the input: 7 MiB here.
+    assert held <= out.data.nbytes + 64 * 1024, held
+
+
+def test_frozen_weight_backward_unfolds_only_for_input_grad(monkeypatch):
+    calls = []
+    unfold = F.im2col
+
+    def spy(data, kernel, stride):
+        calls.append(data.shape)
+        return unfold(data, kernel, stride)
+
+    monkeypatch.setattr(F, "im2col", spy)
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(2, 3, 6, 5)), requires_grad=True)
+    w = nn.Parameter(rng.normal(size=(4, 3, 3, 3)))
+    w.requires_grad = False
+    out = F.conv2d(x, w, padding=1)
+    assert calls == []
+    out.sum().backward()
+    # One unfold, of the output gradient padded by k - 1 - padding = 1.
+    assert calls == [(2, 4, 8, 7)]
+    assert x.grad is not None and w.grad is None

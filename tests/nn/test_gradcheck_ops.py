@@ -378,6 +378,22 @@ def _(rng):
     )
 
 
+@_case("conv2d/k3-s1-p1-bias", "conv2d", scale=10.0)
+def _(rng):
+    return (
+        lambda x, w, b: F.conv2d(x, w, b, padding=1),
+        (_n(rng, 2, 3, 5, 4), _n(rng, 4, 3, 3, 3), _n(rng, 4)),
+    )
+
+
+@_case("conv2d/k5-s1-p2", "conv2d", scale=10.0)
+def _(rng):
+    return (
+        lambda x, w: F.conv2d(x, w, padding=2),
+        (_n(rng, 2, 2, 6, 5), _n(rng, 3, 2, 5, 5)),
+    )
+
+
 @_case("conv2d/k3-s2-p1-bias", "conv2d", scale=10.0)
 def _(rng):
     return (
@@ -640,6 +656,8 @@ class TestRegistryCompleteness:
         names = {c.name for c in CASES}
         for required in (
             "conv2d/k3-s2-p1-bias",
+            "conv2d/k3-s1-p1-bias",
+            "conv2d/k5-s1-p2",
             "sum/axis1-keepdims",
             "max/axis-keepdims",
             "transpose/negative-axes",

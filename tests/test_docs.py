@@ -64,7 +64,7 @@ class TestExperimentsDoc:
         bench_sources = "".join(
             p.read_text() for p in (_ROOT / "benchmarks").glob("test_*.py")
         )
-        for match in set(re.findall(r"results/(\w+)\.txt", text)):
+        for match in sorted(set(re.findall(r"results/(\w+)\.txt", text))):
             assert f'"{match}"' in bench_sources, (
                 f"EXPERIMENTS.md references results/{match}.txt but no bench "
                 "writes it"

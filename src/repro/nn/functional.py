@@ -3,9 +3,10 @@
 These are the image-shaped primitives the paper's models need —
 2-D convolution (implicit GEMM per kernel tap for stride-1 forwards,
 im2col + BLAS matmul otherwise; stride-1 input gradient via
-flipped-kernel correlation; col2im only for strided convs), max
-pooling, nearest-neighbour upsampling, zero padding,
-softmax/log-softmax, position attention and normalization — built on
+flipped-kernel correlation; col2im only for strided convs), the
+transformer's linear projection as one 2-D GEMM, max pooling,
+nearest-neighbour upsampling, zero padding, softmax/log-softmax,
+position attention and normalization — built on
 :class:`repro.nn.tensor.Tensor`.  Each op installs an explicit backward
 closure rather than composing scalar autograd primitives, which keeps
 numpy training tractable at the grid sizes used by the benchmark
@@ -26,6 +27,7 @@ __all__ = [
     "im2col",
     "col2im",
     "conv2d",
+    "linear",
     "max_pool2d",
     "avg_pool2d",
     "upsample_nearest",
@@ -129,6 +131,22 @@ def col2im(
     return data
 
 
+#: Bytes of one block of a work buffer, sized to stay in cache: a block
+#: of the position attention's unnormalized map, or a chunk of samples
+#: of the columns a conv backward unfolds.
+_BLOCK_BYTES = 1 << 20
+
+
+def _sample_chunks(n: int, sample_bytes: int) -> list[slice]:
+    """Slices of whole samples, of about ``_BLOCK_BYTES`` each, one sample at least.
+
+    ``sample_bytes`` is one sample's share of the buffer; a buffer that
+    fits in one block stays one batched call.
+    """
+    step = max(1, _BLOCK_BYTES // max(sample_bytes, 1))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
 def _correlate(data: np.ndarray, weight: np.ndarray, padding: int) -> np.ndarray:
     """Stride-1 cross-correlation of NCHW ``data`` with no unfold (implicit GEMM).
 
@@ -186,7 +204,13 @@ def conv2d(
     only when ``weight`` needs a gradient.  For stride 1 the input
     gradient is a forward correlation of the output gradient with the
     flipped, in/out-swapped kernel (im2col + one matmul); col2im is used
-    only for strided convolutions.
+    only for strided convolutions.  Backward builds each column buffer
+    (the weight-gradient im2col, the stride-1 input-gradient im2col and
+    the strided ``col2im`` input) for a chunk of whole samples of about
+    ``_BLOCK_BYTES``, so a small layer stays one batched call.  Each
+    sample still gets its own GEMM, and the per-sample weight terms fill
+    one ``(N, C_out, C_in·k²)`` array summed once over the batch, so the
+    gradients are bitwise those of one whole-batch unfold.
 
     Parameters
     ----------
@@ -210,49 +234,100 @@ def conv2d(
     out_h = (padded_shape[2] - kernel) // stride + 1
     out_w = (padded_shape[3] - kernel) // stride + 1
 
-    def columns() -> np.ndarray:
-        padded = _pad_spatial(x.data, padding) if padding else x.data
-        return im2col(padded, kernel, stride)[0]
+    def columns(data: np.ndarray) -> np.ndarray:
+        return im2col(_pad_spatial(data, padding) if padding else data, kernel, stride)[0]
 
     if kernel > 1 and stride == 1 and isinstance(x.data, np.ndarray):
         out_data = _correlate(x.data, weight.data, padding)
     else:
         w2d = weight.data.reshape(c_out, -1)
-        out_data = (w2d @ columns()).reshape(n, c_out, out_h, out_w)
+        out_data = (w2d @ columns(x.data)).reshape(n, c_out, out_h, out_w)
     if bias is not None:
         out_data += bias.data.reshape(1, c_out, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    taps = c_in * kernel * kernel
 
     def backward(out: Tensor) -> None:
         grad = out.grad.reshape(n, c_out, out_h * out_w)
+        itemsize = grad.itemsize
         if bias is not None:
             bias._accumulate(grad.sum(axis=(0, 2)))
         if weight.requires_grad:
-            grad_w = (grad @ columns().transpose(0, 2, 1)).sum(axis=0)
-            weight._accumulate(grad_w.reshape(weight.shape))
+            # Per-sample products in one array, summed once over the
+            # batch: the sum a whole-batch product would take.
+            terms = np.empty((n, c_out, taps), dtype=np.result_type(grad, x.data))
+            for s in _sample_chunks(n, taps * out_h * out_w * itemsize):
+                np.matmul(grad[s], columns(x.data[s]).transpose(0, 2, 1), out=terms[s])
+            weight._accumulate(terms.sum(axis=0).reshape(weight.shape))
         if not x.requires_grad:
             return
+        dtype = np.result_type(weight.data, grad)
         if stride == 1:
             # dx = correlate(pad(dy, k-1), flip(w)ᵀ) cropped by
             # ``padding``: pad (or crop) dy by k-1-padding in one step.
             edge = kernel - 1 - padding
-            g = out.grad
-            if edge > 0:
-                g = _pad_spatial(g, edge)
-            elif edge < 0:
-                g = g[:, :, -edge:edge, -edge:edge]
-            grad_cols, _, _ = im2col(g, kernel, 1)
-            w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            x._accumulate((w_flip.reshape(c_in, -1) @ grad_cols).reshape(x.shape))
+            w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+            grad_x = np.empty((n, c_in, h * w), dtype=dtype)
+            for s in _sample_chunks(n, c_out * kernel * kernel * h * w * itemsize):
+                g = out.grad[s]
+                if edge > 0:
+                    g = _pad_spatial(g, edge)
+                elif edge < 0:
+                    g = g[:, :, -edge:edge, -edge:edge]
+                np.matmul(w_flip, im2col(g, kernel, 1)[0], out=grad_x[s])
+            x._accumulate(grad_x.reshape(x.shape))
             return
-        w2d = weight.data.reshape(c_out, -1)
-        grad_padded = col2im(w2d.T @ grad, padded_shape, kernel, stride)
-        if padding:
-            grad_padded = grad_padded[:, :, padding:-padding, padding:-padding]
-        x._accumulate(grad_padded)
+        w2d_t = weight.data.reshape(c_out, -1).T
+        grad_x = np.empty(x.shape, dtype=dtype)
+        for s in _sample_chunks(n, taps * out_h * out_w * itemsize):
+            chunk = (s.stop - s.start,) + padded_shape[1:]
+            grad_padded = col2im(w2d_t @ grad[s], chunk, kernel, stride)
+            if padding:
+                grad_padded = grad_padded[:, :, padding:-padding, padding:-padding]
+            grad_x[s] = grad_padded
+        x._accumulate(grad_x)
 
     return Tensor._make(out_data, parents, backward)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Affine map ``x Wᵀ + b`` over the trailing axis, as one 2-D GEMM.
+
+    ``x`` is ``(..., in)``, ``weight`` ``(out, in)`` and ``bias``
+    ``(out,)``.  The leading axes of ``x`` are flattened into the rows
+    of one ``(rows, in) @ (in, out)`` product, where a batched matmul
+    against a transposed weight would make one small GEMM per leading
+    index.  Backward: ``dx = g W`` is one GEMM too; ``dW`` is the
+    per-batch products ``g_bᵀ x_b`` over the first axis of a 3-D or
+    higher ``x``, summed over the batch (at batch 8, faster than one
+    GEMM over all rows); ``db`` sums ``g`` over its rows.
+    """
+    x = as_tensor(x)
+    d_out, d_in = weight.shape
+    *lead, features = x.shape
+    # Rows of x's own width: a mismatch with d_in fails in the matmul.
+    out_data = x.data.reshape(-1, features) @ weight.data.T
+    if bias is not None:
+        out_data += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(out: Tensor) -> None:
+        g = out.grad.reshape(-1, d_out)
+        if bias is not None:
+            bias._accumulate(g.sum(axis=0))
+        if weight.requires_grad:
+            if x.ndim > 2:
+                rows = x.shape[-2]
+                g_b = out.grad.reshape(-1, rows, d_out)
+                grad_w = (np.swapaxes(g_b, 1, 2) @ x.data.reshape(-1, rows, d_in)).sum(axis=0)
+            else:
+                grad_w = g.T @ x.data.reshape(-1, d_in)
+            weight._accumulate(grad_w)
+        if x.requires_grad:
+            x._accumulate((g @ weight.data).reshape(x.shape))
+
+    return Tensor._make(out_data.reshape(*lead, d_out), parents, backward)
 
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
@@ -328,10 +403,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-#: Bytes of one block of the position attention's unnormalized map,
-#: sized to stay in cache.
-_ATTENTION_BLOCK_BYTES = 1 << 20
-
 
 def _attention_block_rows(qd: np.ndarray, tokens: int) -> int:
     """Query rows per block of the general (``d > 1``) position attention.
@@ -343,7 +414,7 @@ def _attention_block_rows(qd: np.ndarray, tokens: int) -> int:
     if not isinstance(qd, np.ndarray):
         return tokens
     n = qd.shape[0]
-    return max(1, _ATTENTION_BLOCK_BYTES // (n * tokens * qd.dtype.itemsize))
+    return max(1, _BLOCK_BYTES // (n * tokens * qd.dtype.itemsize))
 
 
 def _attention_exp(qb: np.ndarray, kd: np.ndarray, row_max=None):
@@ -413,16 +484,15 @@ _RANK1_MIN_MAP = 256 * 256
 
 
 def _rank1_blocks(n: int, tokens: int, itemsize: int) -> list[tuple[slice, slice]]:
-    """``(samples, rows)`` blocks of about ``_ATTENTION_BLOCK_BYTES``.
+    """``(samples, rows)`` blocks of about ``_BLOCK_BYTES``.
 
     Whole samples when one sample's ``L × L`` map fits in a block, so
     small maps still run batched; otherwise row ranges of one sample.
     """
     sample_bytes = tokens * tokens * itemsize
-    if sample_bytes <= _ATTENTION_BLOCK_BYTES:
-        step = _ATTENTION_BLOCK_BYTES // sample_bytes
-        return [(slice(s, min(s + step, n)), slice(0, tokens)) for s in range(0, n, step)]
-    rows = max(1, _ATTENTION_BLOCK_BYTES // (tokens * itemsize))
+    if sample_bytes <= _BLOCK_BYTES:
+        return [(samples, slice(0, tokens)) for samples in _sample_chunks(n, sample_bytes)]
+    rows = max(1, _BLOCK_BYTES // (tokens * itemsize))
     return [
         (slice(s, s + 1), slice(r, min(r + rows, tokens)))
         for s in range(n)
@@ -599,7 +669,11 @@ def batch_norm(
 
     ``running_mean``/``running_var`` are updated in place when
     ``training`` is true, mirroring the PyTorch semantics the paper's
-    implementation relies on.
+    implementation relies on.  Backward keeps only the per-channel
+    ``shift`` (the batch mean, or a copy of the running mean) and
+    ``1/σ``, and recomputes ``x̂ = (x - shift) · 1/σ`` from the input:
+    the forward's expression on the same operands, so bitwise its
+    ``x̂``, without holding a second activation-sized array.
     """
     n, c, h, w = x.shape
     axes = (0, 2, 3)
@@ -608,26 +682,29 @@ def batch_norm(
         # the ones np.mean/np.var take, so the statistics are bitwise
         # equal to theirs.
         count = n * h * w
-        mean = x.data.mean(axis=axes, keepdims=True)
-        centered = x.data - mean
+        shift = x.data.mean(axis=axes, keepdims=True)
+        centered = x.data - shift
         var = (centered * centered).sum(axis=axes) / count
         running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.reshape(c)
+        running_mean += momentum * shift.reshape(c)
         unbiased = var * count / max(count - 1, 1)
         running_var *= 1.0 - momentum
         running_var += momentum * unbiased
     else:
-        centered = x.data - running_mean.reshape(1, c, 1, 1)
+        shift = running_mean.reshape(1, c, 1, 1)
+        centered = x.data - shift
+        # A copy: a later training forward updates running_mean in place.
+        shift = shift.copy()
         var = running_var
 
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = centered * inv_std.reshape(1, c, 1, 1)
-    out_data = gamma.data.reshape(1, c, 1, 1) * x_hat + beta.data.reshape(
+    inv_std = (1.0 / np.sqrt(var + eps)).reshape(1, c, 1, 1)
+    out_data = gamma.data.reshape(1, c, 1, 1) * (centered * inv_std) + beta.data.reshape(
         1, c, 1, 1
     )
 
     def backward(out: Tensor) -> None:
         g = out.grad
+        x_hat = (x.data - shift) * inv_std
         beta._accumulate(g.sum(axis=axes))
         gamma._accumulate((g * x_hat).sum(axis=axes))
         if not x.requires_grad:
@@ -637,13 +714,9 @@ def batch_norm(
             m = n * h * w
             sum_gw = gw.sum(axis=axes, keepdims=True)
             sum_gw_xhat = (gw * x_hat).sum(axis=axes, keepdims=True)
-            grad = (
-                inv_std.reshape(1, c, 1, 1)
-                / m
-                * (m * gw - sum_gw - x_hat * sum_gw_xhat)
-            )
+            grad = inv_std / m * (m * gw - sum_gw - x_hat * sum_gw_xhat)
         else:
-            grad = gw * inv_std.reshape(1, c, 1, 1)
+            grad = gw * inv_std
         x._accumulate(grad)
 
     return Tensor._make(out_data, (x, gamma, beta), backward)

@@ -74,7 +74,11 @@ class Conv2d(Module):
 
 
 class Linear(Module):
-    """Affine projection ``y = x W^T + b`` over the trailing axis."""
+    """Affine projection ``y = x W^T + b`` over the trailing axis.
+
+    Runs :func:`repro.nn.functional.linear`: one 2-D GEMM over all
+    leading positions, with a hand-written vjp.
+    """
 
     def __init__(
         self,
@@ -97,10 +101,7 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.swapaxes(0, 1)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.linear(x, self.weight, self.bias)
 
 
 class BatchNorm2d(Module):

@@ -145,7 +145,8 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
         self._backward: Callable[[], None] | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        # None once a backward has released this node (see backward()).
+        self._parents: tuple[Tensor, ...] | None = ()
 
     # -- construction helpers ------------------------------------------------
 
@@ -217,6 +218,15 @@ class Tensor:
         grad:
             Gradient of the final objective with respect to this tensor.
             Defaults to ``1`` and therefore requires a scalar tensor.
+
+        The graph is released as it is walked: once a node's vjp has
+        run, its closure and parents are dropped and, unless it is a
+        leaf (a tensor no op produced, such as a
+        :class:`~repro.nn.module.Parameter`), its ``grad`` is reset to
+        ``None``.  Each activation is therefore freed as soon as the
+        last vjp that reads it has run, and only leaves keep their
+        gradients.  A second backward through a released node, or
+        through a new graph built on one, raises ``RuntimeError``.
         """
         if grad is None:
             if self.data.size != 1:
@@ -234,13 +244,18 @@ class Tensor:
 
         order = self._topological_order()
         self._accumulate(grad)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue  # a leaf: it keeps its grad
+            if node.grad is not None:
                 node._backward()
-            # Free the tape reference so repeated backward calls fail loudly
-            # and intermediate buffers become collectable.
+            # Release the node: its closure was the last owner of the
+            # activations it read, and ``_parents = None`` marks it so
+            # that a later backward reaching it raises.
             node._backward = None
-            node._parents = ()
+            node._parents = None
+            node.grad = None
 
     def _topological_order(self) -> list["Tensor"]:
         order: list[Tensor] = []
@@ -253,6 +268,11 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise RuntimeError(
+                    "backward() reached a tensor whose graph an earlier "
+                    "backward() released; recompute the forward pass"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -468,12 +488,12 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-
         def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * mask)
+            # No stored mask: ``out > 0`` is ``x > 0`` for every x, as
+            # out = x * 0 is ±0 or NaN wherever x is not positive.
+            self._accumulate(out.grad * (out.data > 0))
 
-        return Tensor._make(self.data * mask, (self,), backward)
+        return Tensor._make(self.data * (self.data > 0), (self,), backward)
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation)."""

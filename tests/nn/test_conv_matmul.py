@@ -2,8 +2,9 @@
 
 ``conv2d`` runs on plain BLAS matmuls, skips the unfold for 1×1
 stride-1 kernels, runs stride-1 forwards of larger kernels as an
-implicit GEMM with no columns, and computes the stride-1 input gradient
-as a correlation with the flipped kernel.  The reference below is the
+implicit GEMM with no columns, computes the stride-1 input gradient
+as a correlation with the flipped kernel, and unfolds the columns of
+its backward a few samples at a time.  The reference below is the
 im2col + einsum + col2im formulation these replaced, written out on
 plain numpy arrays, so every value and gradient is checked against an
 independent derivation.
@@ -280,12 +281,101 @@ def test_frozen_weight_backward_unfolds_only_for_input_grad(monkeypatch):
 
     monkeypatch.setattr(F, "im2col", spy)
     rng = np.random.default_rng(13)
-    x = Tensor(rng.normal(size=(2, 3, 6, 5)), requires_grad=True)
+    x = Tensor(rng.normal(size=(5, 3, 30, 30)), requires_grad=True)
     w = nn.Parameter(rng.normal(size=(4, 3, 3, 3)))
     w.requires_grad = False
     out = F.conv2d(x, w, padding=1)
     assert calls == []
     out.sum().backward()
-    # One unfold, of the output gradient padded by k - 1 - padding = 1.
-    assert calls == [(2, 4, 8, 7)]
+    # Unfolds of the output gradient padded by k - 1 - padding = 1, in
+    # chunks of whole samples of at most 1 MiB of columns: one sample's
+    # are 4·9·30·30 float64 = 259,200 bytes, so 4 samples, then 1.
+    assert calls == [(4, 4, 32, 32), (1, 4, 32, 32)]
     assert x.grad is not None and w.grad is None
+
+
+# -- chunked backward (columns unfolded a few samples at a time) ----------------------
+
+
+def _batched_backward(x, w, g, stride, padding):
+    """``(dx, dw)`` as one whole-batch unfold each: the backward before chunking."""
+    n, c_in = x.shape[:2]
+    c_out, _, kernel, _ = w.shape
+    grad = g.reshape(n, c_out, -1)
+    padded = F._pad_spatial(x, padding) if padding else x
+    cols = F.im2col(padded, kernel, stride)[0]
+    dw = (grad @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    if stride == 1:
+        edge = kernel - 1 - padding
+        if edge > 0:
+            g = F._pad_spatial(g, edge)
+        elif edge < 0:
+            g = g[:, :, -edge:edge, -edge:edge]
+        w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        dx = (w_flip.reshape(c_in, -1) @ F.im2col(g, kernel, 1)[0]).reshape(x.shape)
+    else:
+        dx = _crop(F.col2im(w.reshape(c_out, -1).T @ grad, padded.shape, kernel, stride), padding)
+    return dx, dw
+
+
+def _same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    bits = np.dtype(f"u{a.itemsize}")
+    return np.array_equal(np.ascontiguousarray(a).view(bits), np.ascontiguousarray(b).view(bits))
+
+
+@pytest.mark.parametrize("trainable", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_chunked_backward_is_bitwise_the_batched_one(
+    monkeypatch, stride, kernel, padding, batch, dtype, trainable
+):
+    rng = np.random.default_rng([stride, kernel, padding, batch])
+    c_in, c_out = 3, 4
+    x = rng.normal(size=(batch, c_in, 9, 7)).astype(dtype)
+    w = rng.normal(size=(c_out, c_in, kernel, kernel)).astype(dtype)
+    out_h = (9 + 2 * padding - kernel) // stride + 1
+    out_w = (7 + 2 * padding - kernel) // stride + 1
+    g = rng.normal(size=(batch, c_out, out_h, out_w)).astype(dtype)
+    want_dx, want_dw = _batched_backward(x, w, g, stride, padding)
+    # Two samples of the weight-gradient columns per block: a batch of
+    # 3 or 8 runs in several chunks, with a ragged tail at 3.
+    block = 2 * c_in * kernel * kernel * out_h * out_w * x.itemsize
+    monkeypatch.setattr(F, "_BLOCK_BYTES", block)
+    nn.set_default_dtype(dtype)
+    try:
+        xt = Tensor(x, requires_grad=True)
+        wt = nn.Parameter(w)
+        wt.requires_grad = trainable
+        F.conv2d(xt, wt, stride=stride, padding=padding).backward(g)
+    finally:
+        nn.set_default_dtype(np.float64)
+    assert _same_bits(xt.grad, want_dx)
+    if trainable:
+        assert _same_bits(wt.grad, want_dw)
+    else:
+        assert wt.grad is None
+
+
+@pytest.mark.parametrize("trainable", [True, False])
+def test_conv_backward_holds_one_chunk_of_columns(float32_mode, trainable):
+    """Backward holds the input gradient and one chunk of columns at a time."""
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(8, 24, 32, 32)), requires_grad=True)
+    w = nn.Parameter(rng.normal(size=(6, 24, 3, 3)))
+    w.requires_grad = trainable
+    out = F.conv2d(x, w, padding=1)
+    g = np.ones(out.shape, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out.backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # x.grad and the array it is copied from, plus one block.  The
+    # whole-batch weight-gradient columns alone would be 7 MB.
+    assert peak - start <= 2 * x.data.nbytes + F._BLOCK_BYTES, peak - start

@@ -418,6 +418,27 @@ def _(rng):
     )
 
 
+@_case("linear/3d-bias", "linear")
+def _(rng):
+    return (
+        lambda x, w, b: F.linear(x, w, b),
+        (_n(rng, 2, 3, 4), _n(rng, 5, 4), _n(rng, 5)),
+    )
+
+
+@_case("linear/3d", "linear")
+def _(rng):
+    return lambda x, w: F.linear(x, w), (_n(rng, 3, 2, 4), _n(rng, 2, 4))
+
+
+@_case("linear/2d-bias", "linear")
+def _(rng):
+    return (
+        lambda x, w, b: F.linear(x, w, b),
+        (_n(rng, 3, 4), _n(rng, 5, 4), _n(rng, 5)),
+    )
+
+
 @_case("max_pool2d/k2", "max_pool2d")
 def _(rng):
     return lambda a: F.max_pool2d(a, 2), (_distinct(rng, 2, 2, 4, 4),)
@@ -658,6 +679,8 @@ class TestRegistryCompleteness:
             "conv2d/k3-s2-p1-bias",
             "conv2d/k3-s1-p1-bias",
             "conv2d/k5-s1-p2",
+            "linear/3d-bias",
+            "linear/3d",
             "sum/axis1-keepdims",
             "max/axis-keepdims",
             "transpose/negative-axes",

@@ -127,7 +127,7 @@ TILED = [  # (d, c, L, rows per block): ragged tails at L = 33 and L = 1024
 
 def _set_block_rows(monkeypatch, rows, tokens, itemsize=8):
     """Budget the attention blocks to ``rows`` query rows at batch BATCH."""
-    monkeypatch.setattr(F, "_ATTENTION_BLOCK_BYTES", rows * BATCH * tokens * itemsize)
+    monkeypatch.setattr(F, "_BLOCK_BYTES", rows * BATCH * tokens * itemsize)
     probe = np.zeros((BATCH, 1, tokens), dtype=np.dtype(f"f{itemsize}"))
     assert F._attention_block_rows(probe, tokens) == rows
 
@@ -242,7 +242,7 @@ RANK1_LAYOUTS = {  # (L, rows per block or None, smallest rank-1 map)
 def test_rank1_float64_matches_composite(monkeypatch, rank1_only, batch, layout, kind):
     tokens, rows, min_map = RANK1_LAYOUTS[layout]
     if rows is not None:
-        monkeypatch.setattr(F, "_ATTENTION_BLOCK_BYTES", rows * tokens * 8)
+        monkeypatch.setattr(F, "_BLOCK_BYTES", rows * tokens * 8)
         assert tokens % rows and F._rank1_blocks(batch, tokens, 8)[0][1] == slice(0, rows)
     if min_map is not None:
         monkeypatch.setattr(F, "_RANK1_MIN_MAP", min_map)
@@ -278,7 +278,7 @@ def test_rank1_backward_recomputes_the_forward_attention_bitwise(monkeypatch, ra
     every ``exp`` the backward takes equals the forward's bitwise."""
     tokens = 300
     if rows is not None:
-        monkeypatch.setattr(F, "_ATTENTION_BLOCK_BYTES", rows * tokens * 8)
+        monkeypatch.setattr(F, "_BLOCK_BYTES", rows * tokens * 8)
     blocks = []
     exp = np.exp
 

@@ -1,5 +1,7 @@
 """Autograd core: op correctness, broadcasting, graph mechanics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,14 @@ class TestNonlinearities:
             numerical_gradient(f, a.data), a.grad, atol=1e-5
         )
 
+    def test_relu_mask_from_output_at_special_values(self):
+        # Backward reads its mask off the output; it must be x > 0.
+        x = np.array([-np.inf, -1.0, -0.0, 0.0, 1e-300, 2.0, np.inf, np.nan])
+        t = Tensor(x, requires_grad=True)
+        with np.errstate(invalid="ignore"):  # -inf * 0 in the forward
+            t.relu().backward(np.full(x.shape, 3.0))
+        np.testing.assert_array_equal(t.grad, np.where(x > 0, 3.0, 0.0))
+
     def test_sqrt(self):
         a = Tensor([4.0], requires_grad=True)
         a.sqrt().backward()
@@ -235,6 +245,61 @@ class TestGraphMechanics:
             out = out + 0.0
         out.backward()
         assert a.grad[0] == pytest.approx(1.0)
+
+
+class TestTapeRelease:
+    """``backward`` releases each node once its vjp has run."""
+
+    def test_leaves_keep_grads_and_intermediates_drop_them(self):
+        w = nn.Parameter(np.array([2.0]))
+        x = Tensor([3.0], requires_grad=True)
+        y = w * x
+        loss = (y * y).sum()
+        loss.backward()
+        assert w.grad[0] == pytest.approx(36.0) and x.grad[0] == pytest.approx(24.0)
+        assert y.grad is None and loss.grad is None
+
+    def test_second_backward_raises(self):
+        # A second backward used to walk a released graph silently and
+        # leave w.grad at 3.
+        w = Tensor([1.0], requires_grad=True)
+        loss = (w * Tensor([3.0])).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        assert w.grad[0] == 3.0
+
+    def test_new_graph_on_a_released_node_raises(self):
+        # A released y used to pass on no gradient to w, so w.grad
+        # stayed 6 where the chain rule gives 6 + 4 * 3 = 18.
+        w = Tensor([1.0], requires_grad=True)
+        y = w * Tensor([3.0])
+        (y * 2).sum().backward()
+        assert w.grad[0] == 6.0
+        with pytest.raises(RuntimeError, match="released"):
+            (y * 4).sum().backward()
+        assert w.grad[0] == 6.0
+
+    def test_backward_frees_the_tape_as_it_runs(self):
+        mb = 1_000_000
+        x = Tensor(np.ones(mb // 8), requires_grad=True)
+        chain = [x]
+        for _ in range(8):
+            chain.append(chain[-1] * 1.5)
+        loss = chain[-1].sum()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One step holds the gradient of the op being run, its vjp's
+        # temporary and the adjoint it hands on: 1 MB each.  Keeping
+        # every intermediate grad would hold 8 MB more by the end.
+        assert peak - start <= 3 * 2**20, peak - start
+        assert x.grad is not None
+        assert all(t.grad is None for t in chain[1:])
 
 
 class TestConcatenateStack:

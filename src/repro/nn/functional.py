@@ -133,7 +133,8 @@ def col2im(
 
 #: Bytes of one block of a work buffer, sized to stay in cache: a block
 #: of the position attention's unnormalized map, or a chunk of samples
-#: of the columns a conv backward unfolds.
+#: of a stride-1 conv forward's buffers or of the columns a conv
+#: backward unfolds.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -150,13 +151,16 @@ def _sample_chunks(n: int, sample_bytes: int) -> list[slice]:
 def _correlate(data: np.ndarray, weight: np.ndarray, padding: int) -> np.ndarray:
     """Stride-1 cross-correlation of NCHW ``data`` with no unfold (implicit GEMM).
 
-    The zero-padded input is laid out channel-major as one
-    ``(C_in, N·Hp·Wp)`` buffer with ``(k-1)·(Wp+1)`` trailing zeros, so
-    kernel tap ``(i, j)`` is one ``(C_out, C_in)`` GEMM over the
-    contiguous slice that starts ``i·Wp + j`` into it.  The taps
-    accumulate into one ``(C_out, N·Hp·Wp)`` sum; the ``k-1`` right-hand
-    columns and bottom rows of each padded image are computed and then
-    dropped.  Returns a fresh ``(N, C_out, H', W')`` array of dtype
+    For each chunk of whole samples, the zero-padded input is laid out
+    channel-major as one ``(C_in, n·Hp·Wp)`` buffer with ``(k-1)·(Wp+1)``
+    trailing zeros, so kernel tap ``(i, j)`` is one ``(C_out, C_in)``
+    GEMM over the contiguous slice that starts ``i·Wp + j`` into it.
+    The taps accumulate into one ``(C_out, n·Hp·Wp)`` sum; the ``k-1``
+    right-hand columns and bottom rows of each padded image are computed
+    and then dropped.  A chunk's buffer, sum and tap term take about
+    ``_BLOCK_BYTES`` together (:func:`_sample_chunks`), so they stay in
+    cache, and a layer that fits in one block is one chunk.  Returns a
+    fresh ``(N, C_out, H', W')`` array of dtype
     ``np.result_type(data, weight)``.
     """
     n, c_in, h, w = data.shape
@@ -164,24 +168,27 @@ def _correlate(data: np.ndarray, weight: np.ndarray, padding: int) -> np.ndarray
     hp, wp = h + 2 * padding, w + 2 * padding
     out_h, out_w = hp - kernel + 1, wp - kernel + 1
     dtype = np.result_type(data, weight)
-    span = n * hp * wp
-    flat = np.zeros((c_in, span + (kernel - 1) * (wp + 1)), dtype=dtype)
-    image = flat[:, :span].reshape(c_in, n, hp, wp)
-    image[:, :, padding : padding + h, padding : padding + w] = data.transpose(1, 0, 2, 3)
     taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1), dtype=dtype)
-    total = np.empty((c_out, span), dtype=dtype)
-    term = np.empty_like(total)
-    for i in range(kernel):
-        for j in range(kernel):
-            start = i * wp + j
-            window = flat[:, start : start + span]
-            if start == 0:
-                np.matmul(taps[0, 0], window, out=total)
-            else:
-                np.matmul(taps[i, j], window, out=term)
-                total += term
     out = np.empty((n, c_out, out_h, out_w), dtype=dtype)
-    out[...] = total.reshape(c_out, n, hp, wp)[:, :, :out_h, :out_w].transpose(1, 0, 2, 3)
+    for s in _sample_chunks(n, (c_in + 2 * c_out) * hp * wp * dtype.itemsize):
+        chunk = s.stop - s.start
+        span = chunk * hp * wp
+        flat = np.zeros((c_in, span + (kernel - 1) * (wp + 1)), dtype=dtype)
+        image = flat[:, :span].reshape(c_in, chunk, hp, wp)
+        image[:, :, padding : padding + h, padding : padding + w] = data[s].transpose(1, 0, 2, 3)
+        total = np.empty((c_out, span), dtype=dtype)
+        term = np.empty_like(total)
+        for i in range(kernel):
+            for j in range(kernel):
+                start = i * wp + j
+                window = flat[:, start : start + span]
+                if start == 0:
+                    np.matmul(taps[0, 0], window, out=total)
+                else:
+                    np.matmul(taps[i, j], window, out=term)
+                    total += term
+        sums = total.reshape(c_out, chunk, hp, wp)
+        out[s] = sums[:, :, :out_h, :out_w].transpose(1, 0, 2, 3)
     return out
 
 
@@ -252,14 +259,14 @@ def conv2d(
         grad = out.grad.reshape(n, c_out, out_h * out_w)
         itemsize = grad.itemsize
         if bias is not None:
-            bias._accumulate(grad.sum(axis=(0, 2)))
+            bias._accumulate(grad.sum(axis=(0, 2)), fresh=True)
         if weight.requires_grad:
             # Per-sample products in one array, summed once over the
             # batch: the sum a whole-batch product would take.
             terms = np.empty((n, c_out, taps), dtype=np.result_type(grad, x.data))
             for s in _sample_chunks(n, taps * out_h * out_w * itemsize):
                 np.matmul(grad[s], columns(x.data[s]).transpose(0, 2, 1), out=terms[s])
-            weight._accumulate(terms.sum(axis=0).reshape(weight.shape))
+            weight._accumulate(terms.sum(axis=0).reshape(weight.shape), fresh=True)
         if not x.requires_grad:
             return
         dtype = np.result_type(weight.data, grad)
@@ -276,7 +283,7 @@ def conv2d(
                 elif edge < 0:
                     g = g[:, :, -edge:edge, -edge:edge]
                 np.matmul(w_flip, im2col(g, kernel, 1)[0], out=grad_x[s])
-            x._accumulate(grad_x.reshape(x.shape))
+            x._accumulate(grad_x.reshape(x.shape), fresh=True)
             return
         w2d_t = weight.data.reshape(c_out, -1).T
         grad_x = np.empty(x.shape, dtype=dtype)
@@ -286,7 +293,7 @@ def conv2d(
             if padding:
                 grad_padded = grad_padded[:, :, padding:-padding, padding:-padding]
             grad_x[s] = grad_padded
-        x._accumulate(grad_x)
+        x._accumulate(grad_x, fresh=True)
 
     return Tensor._make(out_data, parents, backward)
 
@@ -315,7 +322,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward(out: Tensor) -> None:
         g = out.grad.reshape(-1, d_out)
         if bias is not None:
-            bias._accumulate(g.sum(axis=0))
+            bias._accumulate(g.sum(axis=0), fresh=True)
         if weight.requires_grad:
             if x.ndim > 2:
                 rows = x.shape[-2]
@@ -323,9 +330,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
                 grad_w = (np.swapaxes(g_b, 1, 2) @ x.data.reshape(-1, rows, d_in)).sum(axis=0)
             else:
                 grad_w = g.T @ x.data.reshape(-1, d_in)
-            weight._accumulate(grad_w)
+            weight._accumulate(grad_w, fresh=True)
         if x.requires_grad:
-            x._accumulate((g @ weight.data).reshape(x.shape))
+            x._accumulate((g @ weight.data).reshape(x.shape), fresh=True)
 
     return Tensor._make(out_data.reshape(*lead, d_out), parents, backward)
 
@@ -350,7 +357,7 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
         # an int64 divisor would promote a float32 adjoint to float64.
         counts = mask.sum(axis=(3, 5), keepdims=True).astype(out.grad.dtype)
         grad = mask * (out.grad[:, :, :, None, :, None] / counts)
-        x._accumulate(grad.reshape(n, c, h, w))
+        x._accumulate(grad.reshape(n, c, h, w), fresh=True)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -371,20 +378,33 @@ def avg_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
         x._accumulate(
             np.broadcast_to(grad, (n, c, out_h, kernel, out_w, kernel))
             .reshape(n, c, h, w)
-            .copy()
+            .copy(),
+            fresh=True,
         )
 
     return Tensor._make(out_data, (x,), backward)
 
 
 def upsample_nearest(x: Tensor, scale: int = 2) -> Tensor:
-    """Nearest-neighbour upsampling of an NCHW tensor by ``scale``."""
+    """Nearest-neighbour upsampling of an NCHW tensor by ``scale``.
+
+    At scale 2 the backward adds the four strided views of the output
+    gradient as ``(g00 + g01) + (g10 + g11)``: bitwise numpy's
+    ``sum(axis=(3, 5))`` over the windows, at a tenth of its time.  For
+    ``W == 1`` numpy sums each window sequentially instead, so that case
+    and other scales keep the reduction.
+    """
     n, c, h, w = x.shape
     out_data = np.repeat(np.repeat(x.data, scale, axis=2), scale, axis=3)
 
     def backward(out: Tensor) -> None:
-        grad = out.grad.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5))
-        x._accumulate(grad)
+        g = out.grad.reshape(n, c, h, scale, w, scale)
+        if scale == 2 and w > 1:
+            grad = g[:, :, :, 0, :, 0] + g[:, :, :, 0, :, 1]
+            grad += g[:, :, :, 1, :, 0] + g[:, :, :, 1, :, 1]
+        else:
+            grad = g.sum(axis=(3, 5))
+        x._accumulate(grad, fresh=True)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -398,7 +418,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(out: Tensor) -> None:
         g = out.grad
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        x._accumulate(out_data * (g - dot))
+        x._accumulate(out_data * (g - dot), fresh=True)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -634,8 +654,8 @@ def position_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         dq -= r_inv[:, None, :] * np.swapaxes(m[:, :, cd:], 1, 2)
         dk = np.einsum("ncj,ncaj->naj", vd, left[:, c : c + cd].reshape(n, c, d, tokens))
         dk -= left[:, c + cd :]
-        q._accumulate(dq)
-        k._accumulate(dk)
+        q._accumulate(dq, fresh=True)
+        k._accumulate(dk, fresh=True)
         v._accumulate(left[:, :c])
 
     return Tensor._make(out_data, (q, k, v), backward)
@@ -650,7 +670,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def backward(out: Tensor) -> None:
         g = out.grad
-        x._accumulate(g - probs * g.sum(axis=axis, keepdims=True))
+        x._accumulate(g - probs * g.sum(axis=axis, keepdims=True), fresh=True)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -673,7 +693,13 @@ def batch_norm(
     ``shift`` (the batch mean, or a copy of the running mean) and
     ``1/σ``, and recomputes ``x̂ = (x - shift) · 1/σ`` from the input:
     the forward's expression on the same operands, so bitwise its
-    ``x̂``, without holding a second activation-sized array.
+    ``x̂``, without holding a second activation-sized array.  Both
+    directions work in place over one or two activation-sized arrays
+    (the forward's centred input becomes its output; backward's
+    ``g · γ`` becomes ``dx``), with the operations and operand order of
+    the out-of-place formulas.  So ``gamma``, ``beta`` and the running
+    statistics must have ``x``'s dtype, as they do in a model built and
+    run under one default dtype.
     """
     n, c, h, w = x.shape
     axes = (0, 2, 3)
@@ -698,26 +724,36 @@ def batch_norm(
         var = running_var
 
     inv_std = (1.0 / np.sqrt(var + eps)).reshape(1, c, 1, 1)
-    out_data = gamma.data.reshape(1, c, 1, 1) * (centered * inv_std) + beta.data.reshape(
-        1, c, 1, 1
-    )
+    # out = γ · (centered · 1/σ) + β, built over ``centered``.
+    out_data = centered
+    out_data *= inv_std
+    np.multiply(gamma.data.reshape(1, c, 1, 1), out_data, out=out_data)
+    out_data += beta.data.reshape(1, c, 1, 1)
 
     def backward(out: Tensor) -> None:
         g = out.grad
-        x_hat = (x.data - shift) * inv_std
-        beta._accumulate(g.sum(axis=axes))
-        gamma._accumulate((g * x_hat).sum(axis=axes))
+        x_hat = x.data - shift
+        x_hat *= inv_std
+        beta._accumulate(g.sum(axis=axes), fresh=True)
+        g_xhat = g * x_hat
+        gamma._accumulate(g_xhat.sum(axis=axes), fresh=True)
         if not x.requires_grad:
             return
         gw = g * gamma.data.reshape(1, c, 1, 1)
         if training:
+            # dx = 1/σ / m · (m · gw - Σgw - x̂ · Σ(gw · x̂)), over gw and x̂.
             m = n * h * w
             sum_gw = gw.sum(axis=axes, keepdims=True)
-            sum_gw_xhat = (gw * x_hat).sum(axis=axes, keepdims=True)
-            grad = inv_std / m * (m * gw - sum_gw - x_hat * sum_gw_xhat)
+            np.multiply(gw, x_hat, out=g_xhat)
+            sum_gw_xhat = g_xhat.sum(axis=axes, keepdims=True)
+            gw *= m
+            gw -= sum_gw
+            x_hat *= sum_gw_xhat
+            gw -= x_hat
+            np.multiply(inv_std / m, gw, out=gw)
         else:
-            grad = gw * inv_std
-        x._accumulate(grad)
+            gw *= inv_std
+        x._accumulate(gw, fresh=True)
 
     return Tensor._make(out_data, (x, gamma, beta), backward)
 
@@ -735,14 +771,14 @@ def layer_norm(
     def backward(out: Tensor) -> None:
         g = out.grad
         reduce_axes = tuple(range(g.ndim - 1))
-        beta._accumulate(g.sum(axis=reduce_axes))
-        gamma._accumulate((g * x_hat).sum(axis=reduce_axes))
+        beta._accumulate(g.sum(axis=reduce_axes), fresh=True)
+        gamma._accumulate((g * x_hat).sum(axis=reduce_axes), fresh=True)
         if not x.requires_grad:
             return
         gw = g * gamma.data
         d = x.shape[-1]
         sum_gw = gw.sum(axis=-1, keepdims=True)
         sum_gw_xhat = (gw * x_hat).sum(axis=-1, keepdims=True)
-        x._accumulate(inv_std / d * (d * gw - sum_gw - x_hat * sum_gw_xhat))
+        x._accumulate(inv_std / d * (d * gw - sum_gw - x_hat * sum_gw_xhat), fresh=True)
 
     return Tensor._make(out_data, (x, gamma, beta), backward)

@@ -198,17 +198,33 @@ class Tensor:
 
     # -- gradient accumulation -------------------------------------------------
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add the adjoint ``grad`` into ``self.grad``.
+
+        The first adjoint is copied into a buffer of ``self.data``'s
+        dtype and layout, since vjps hand over views of another tensor's
+        grad (``reshape``, ``pad2d``'s crop, ``out.grad`` itself), which
+        later accumulations must not write.  A vjp passes ``fresh=True``
+        only for an array it allocated itself and hands to this one
+        tensor: that array becomes ``self.grad`` without a copy when it
+        is a C-contiguous ndarray of ``self.data``'s dtype and shape, and
+        is copied and cast otherwise.  Later adjoints are added in place.
+        """
         if not self.requires_grad:
             return
-        if self.grad is None:
-            # One copy in self.data's dtype and layout, never the caller's
-            # array: vjps hand over views of another tensor's grad
-            # (reshape, pad2d), which later accumulations must not write.
+        if self.grad is not None:
+            self.grad += grad
+        elif (
+            fresh
+            and type(grad) is np.ndarray
+            and grad.dtype == self.data.dtype
+            and grad.shape == self.data.shape
+            and grad.flags.c_contiguous
+        ):
+            self.grad = grad
+        else:
             self.grad = np.empty_like(self.data)
             np.copyto(self.grad, grad)
-        else:
-            self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
@@ -286,8 +302,10 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(out: Tensor) -> None:
-            self._accumulate(_unbroadcast(out.grad, self.shape))
-            other._accumulate(_unbroadcast(out.grad, other.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(out.grad, self.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(out.grad, other.shape))
 
         return Tensor._make(self.data + other.data, (self, other), backward)
 
@@ -297,8 +315,10 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(out: Tensor) -> None:
-            self._accumulate(_unbroadcast(out.grad, self.shape))
-            other._accumulate(_unbroadcast(-out.grad, other.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(out.grad, self.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(-out.grad, other.shape), fresh=True)
 
         return Tensor._make(self.data - other.data, (self, other), backward)
 
@@ -307,7 +327,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def backward(out: Tensor) -> None:
-            self._accumulate(-out.grad)
+            self._accumulate(-out.grad, fresh=True)
 
         return Tensor._make(-self.data, (self,), backward)
 
@@ -315,8 +335,10 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(out: Tensor) -> None:
-            self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
-            other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(out.grad * other.data, self.shape), fresh=True)
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(out.grad * self.data, other.shape), fresh=True)
 
         return Tensor._make(self.data * other.data, (self, other), backward)
 
@@ -326,10 +348,13 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(out: Tensor) -> None:
-            self._accumulate(_unbroadcast(out.grad / other.data, self.shape))
-            other._accumulate(
-                _unbroadcast(-out.grad * self.data / (other.data**2), other.shape)
-            )
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(out.grad / other.data, self.shape), fresh=True)
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(-out.grad * self.data / (other.data**2), other.shape),
+                    fresh=True,
+                )
 
         return Tensor._make(self.data / other.data, (self, other), backward)
 
@@ -344,9 +369,9 @@ class Tensor:
             if exponent == 0:
                 # d/dx x**0 = 0 everywhere; the generic formula below
                 # evaluates 0 * x**-1 which is 0*inf = nan at x = 0.
-                self._accumulate(np.zeros_like(self.data))
+                self._accumulate(np.zeros_like(self.data), fresh=True)
                 return
-            self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
+            self._accumulate(out.grad * exponent * self.data ** (exponent - 1), fresh=True)
 
         return Tensor._make(self.data**exponent, (self,), backward)
 
@@ -355,16 +380,14 @@ class Tensor:
 
         def backward(out: Tensor) -> None:
             a, b, g = self.data, other.data, out.grad
-            if a.ndim == 2 and b.ndim == 2:
-                self._accumulate(g @ b.T)
-                other._accumulate(a.T @ g)
-            else:
-                # Batched matmul: swap the last two axes for the adjoints and
-                # unbroadcast over any leading batch dimensions.
-                bt = np.swapaxes(b, -1, -2)
-                at = np.swapaxes(a, -1, -2)
-                self._accumulate(_unbroadcast(g @ bt, self.shape))
-                other._accumulate(_unbroadcast(at @ g, other.shape))
+            # Swap the last two axes for the adjoints and unbroadcast over
+            # any leading batch dimensions (none when both are 2-D).
+            if self.requires_grad:
+                grad = g @ np.swapaxes(b, -1, -2)
+                self._accumulate(_unbroadcast(grad, self.shape), fresh=True)
+            if other.requires_grad:
+                grad = np.swapaxes(a, -1, -2) @ g
+                other._accumulate(_unbroadcast(grad, other.shape), fresh=True)
 
         return Tensor._make(self.data @ other.data, (self, other), backward)
 
@@ -375,7 +398,7 @@ class Tensor:
             grad = out.grad
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis)
-            self._accumulate(np.broadcast_to(grad, self.shape).copy())
+            self._accumulate(np.broadcast_to(grad, self.shape).copy(), fresh=True)
 
         return Tensor._make(
             self.data.sum(axis=axis, keepdims=keepdims), (self,), backward
@@ -403,7 +426,7 @@ class Tensor:
             # float32 gradient by an int64 count would silently promote
             # the adjoint to float64.
             counts = mask.sum(axis=axis, keepdims=True).astype(grad.dtype)
-            self._accumulate(mask * grad / counts)
+            self._accumulate(mask * grad / counts, fresh=True)
 
         result = out_data if keepdims else np.squeeze(out_data, axis=axis)
         if axis is None and not keepdims:
@@ -445,7 +468,7 @@ class Tensor:
         def backward(out: Tensor) -> None:
             grad = np.zeros_like(self.data)
             np.add.at(grad, index, out.grad)
-            self._accumulate(grad)
+            self._accumulate(grad, fresh=True)
 
         return Tensor._make(self.data[index], (self,), backward)
 
@@ -455,13 +478,13 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * out_data)
+            self._accumulate(out.grad * out_data, fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         def backward(out: Tensor) -> None:
-            self._accumulate(out.grad / self.data)
+            self._accumulate(out.grad / self.data, fresh=True)
 
         return Tensor._make(np.log(self.data), (self,), backward)
 
@@ -472,7 +495,7 @@ class Tensor:
         out_data = np.tanh(self.data)
 
         def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * (1.0 - out_data**2))
+            self._accumulate(out.grad * (1.0 - out_data**2), fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -483,17 +506,19 @@ class Tensor:
         out_data = np.where(self.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
         def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * out_data * (1.0 - out_data))
+            self._accumulate(out.grad * out_data * (1.0 - out_data), fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
+        """``max(x, 0)`` in one pass: 0 for ``-inf`` and NaN for NaN."""
+
         def backward(out: Tensor) -> None:
             # No stored mask: ``out > 0`` is ``x > 0`` for every x, as
-            # out = x * 0 is ±0 or NaN wherever x is not positive.
-            self._accumulate(out.grad * (out.data > 0))
+            # out is a zero or NaN wherever x is not positive.
+            self._accumulate(out.grad * (out.data > 0), fresh=True)
 
-        return Tensor._make(self.data * (self.data > 0), (self,), backward)
+        return Tensor._make(np.maximum(self.data, 0), (self,), backward)
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation)."""
@@ -510,7 +535,7 @@ class Tensor:
 
         def backward(out: Tensor) -> None:
             dt = (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x**2)
-            self._accumulate(out.grad * (0.5 * (1.0 + t) + 0.5 * x * dt))
+            self._accumulate(out.grad * (0.5 * (1.0 + t) + 0.5 * x * dt), fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -544,7 +569,7 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
     def backward(out: Tensor) -> None:
         for i, tensor in enumerate(tensors):
-            tensor._accumulate(np.take(out.grad, i, axis=axis))
+            tensor._accumulate(np.take(out.grad, i, axis=axis), fresh=True)
 
     data = np.stack([t.data for t in tensors], axis=axis)
     return Tensor._make(data, tensors, backward)

@@ -19,7 +19,7 @@ from repro.nn.tensor import Tensor
 GRID = 32
 
 
-def _zero_fill_accumulate(self, grad):
+def _zero_fill_accumulate(self, grad, fresh=False):
     if not self.requires_grad:
         return
     if self.grad is None:

@@ -360,6 +360,27 @@ def test_chunked_backward_is_bitwise_the_batched_one(
         assert wt.grad is None
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("kernel", [3, 5])
+def test_chunked_correlate_is_bitwise_one_whole_batch_call(
+    monkeypatch, kernel, padding, batch, dtype
+):
+    rng = np.random.default_rng([kernel, padding, batch])
+    c_in, c_out, h, w = 3, 4, 9, 7
+    x = rng.normal(size=(batch, c_in, h, w)).astype(dtype)
+    wt = rng.normal(size=(c_out, c_in, kernel, kernel)).astype(dtype)
+    sample = (c_in + 2 * c_out) * (h + 2 * padding) * (w + 2 * padding) * x.itemsize
+    monkeypatch.setattr(F, "_BLOCK_BYTES", batch * sample)
+    want = F._correlate(x, wt, padding)
+    # Two samples per chunk: a batch of 3 or 8 runs in several chunks,
+    # with a ragged tail at 3.
+    monkeypatch.setattr(F, "_BLOCK_BYTES", 2 * sample)
+    got = F._correlate(x, wt, padding)
+    assert _same_bits(got, want)
+
+
 @pytest.mark.parametrize("trainable", [True, False])
 def test_conv_backward_holds_one_chunk_of_columns(float32_mode, trainable):
     """Backward holds the input gradient and one chunk of columns at a time."""
@@ -376,6 +397,7 @@ def test_conv_backward_holds_one_chunk_of_columns(float32_mode, trainable):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # x.grad and the array it is copied from, plus one block.  The
-    # whole-batch weight-gradient columns alone would be 7 MB.
+    # x.grad (the vjp's array, taken with no copy), the output's grad
+    # and one block of columns.  The whole-batch weight-gradient
+    # columns alone would be 7 MB.
     assert peak - start <= 2 * x.data.nbytes + F._BLOCK_BYTES, peak - start

@@ -107,6 +107,41 @@ class TestPooling:
             F.avg_pool2d(x, 2)
 
 
+def _registry_upsample_shapes(grid=64, batch=8):
+    """Input shapes of every ``upsample_nearest`` in the fast registry models."""
+    from repro.models import MODEL_NAMES, build_model
+
+    models = [build_model(name, "fast", grid=grid, seed=0) for name in MODEL_NAMES]
+    shapes = set()
+    upsample = F.upsample_nearest
+
+    def spy(x, scale=2):
+        shapes.add((x.shape, scale))
+        return upsample(x, scale)
+
+    F.upsample_nearest = spy
+    try:
+        with nn.no_grad():
+            for model in models:
+                model(Tensor(np.zeros((batch, 6, grid, grid))))
+    finally:
+        F.upsample_nearest = upsample
+    return shapes
+
+
+# Every registry upsample at grid 64 and batch 8 (checked below), plus
+# maps of width or height 1: numpy sums a width-1 window sequentially,
+# so those keep the reduction.
+_REGISTRY_UPSAMPLES = [
+    (8, 6, 32, 32), (8, 10, 32, 32), (8, 12, 16, 16), (8, 16, 32, 32), (8, 20, 16, 16),
+    (8, 24, 8, 8), (8, 32, 16, 16), (8, 40, 8, 8), (8, 64, 8, 8), (8, 80, 4, 4),
+    (8, 96, 4, 4),
+]
+_UPSAMPLE_SHAPES = _REGISTRY_UPSAMPLES + [
+    (1, 3, 1, 1), (2, 4, 1, 1), (2, 4, 3, 1), (2, 4, 1, 3), (1, 1, 5, 2),
+]
+
+
 class TestUpsamplePad:
     def test_upsample_values(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
@@ -120,6 +155,33 @@ class TestUpsamplePad:
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
         F.upsample_nearest(x, 2).sum().backward()
         np.testing.assert_allclose(x.grad, 4 * np.ones((1, 1, 2, 2)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", _UPSAMPLE_SHAPES)
+    def test_upsample_bitwise_the_repeat_and_window_sum(self, shape, dtype):
+        # The references are the two np.repeat passes of the forward and
+        # the sum(axis=(3, 5)) over the windows that the four-view sum
+        # replaced.
+        n, c, h, w = shape
+        rng = np.random.default_rng([n, c, h, w])
+        x = rng.normal(size=shape).astype(dtype)
+        big = (n, c, 2 * h, 2 * w)
+        g = (rng.normal(size=big) * 10.0 ** rng.integers(-4, 4, big)).astype(dtype)
+        nn.set_default_dtype(dtype)
+        try:
+            xt = Tensor(x, requires_grad=True)
+            out = F.upsample_nearest(xt, 2)
+            out.backward(g)
+        finally:
+            nn.set_default_dtype(np.float64)
+        want = np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+        assert out.data.dtype == dtype and np.array_equal(out.data, want)
+        want_grad = g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
+        assert xt.grad.dtype == dtype
+        assert np.array_equal(xt.grad.view(f"u{x.itemsize}"), want_grad.view(f"u{x.itemsize}"))
+
+    def test_upsample_shapes_cover_the_registry(self):
+        assert _registry_upsample_shapes() == {(shape, 2) for shape in _REGISTRY_UPSAMPLES}
 
     def test_pad2d(self):
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.models import build_model
 from repro.nn import Tensor, as_tensor, concatenate, stack
+from repro.nn import functional as F
 from repro.nn.tensor import _unbroadcast
 
 from ..conftest import numerical_gradient
@@ -179,11 +181,15 @@ class TestNonlinearities:
         )
 
     def test_relu_mask_from_output_at_special_values(self):
-        # Backward reads its mask off the output; it must be x > 0.
+        # Backward reads its mask off the output; it must be x > 0.  The
+        # forward is max(x, 0): relu(-inf) is 0 (x * (x > 0) made it
+        # NaN).
         x = np.array([-np.inf, -1.0, -0.0, 0.0, 1e-300, 2.0, np.inf, np.nan])
         t = Tensor(x, requires_grad=True)
-        with np.errstate(invalid="ignore"):  # -inf * 0 in the forward
-            t.relu().backward(np.full(x.shape, 3.0))
+        with np.errstate(all="raise"):
+            out = t.relu()
+            out.backward(np.full(x.shape, 3.0))
+        np.testing.assert_array_equal(out.data, [0.0, 0.0, 0.0, 0.0, 1e-300, 2.0, np.inf, np.nan])
         np.testing.assert_array_equal(t.grad, np.where(x > 0, 3.0, 0.0))
 
     def test_sqrt(self):
@@ -294,12 +300,134 @@ class TestTapeRelease:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # One step holds the gradient of the op being run, its vjp's
-        # temporary and the adjoint it hands on: 1 MB each.  Keeping
-        # every intermediate grad would hold 8 MB more by the end.
-        assert peak - start <= 3 * 2**20, peak - start
+        # One step holds the gradient of the op being run and the
+        # adjoint its vjp hands on, which becomes the parent's grad with
+        # no copy: 1 MB each.  Keeping every intermediate grad would
+        # hold 8 MB more by the end.
+        assert peak - start <= 2 * 2**20, peak - start
         assert x.grad is not None
         assert all(t.grad is None for t in chain[1:])
+
+
+def _copy_always_accumulate(self, grad, fresh=False):
+    """``_accumulate`` before fresh adjoints: every first adjoint is copied."""
+    if not self.requires_grad:
+        return
+    if self.grad is None:
+        self.grad = np.empty_like(self.data)
+        np.copyto(self.grad, grad)
+    else:
+        self.grad += grad
+
+
+def _leaf_grads(build):
+    rng = np.random.default_rng(5)
+    leaves = [Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True) for _ in range(3)]
+    build(*leaves).backward(rng.normal(size=(2, 3, 4, 4)))
+    return leaves
+
+
+_GRAPHS = {
+    "x + x": lambda a, b, c: a + a,
+    "x * x": lambda a, b, c: a * a,
+    "one tensor feeds two ops": lambda a, b, c: (a * b) + (a - c) * a,
+    "reshape and transpose views": lambda a, b, c: (
+        (a * b).reshape(2, 3, 16).transpose(0, 2, 1).reshape(2, 4, 4, 3).transpose(0, 3, 1, 2)
+        + c * 2.0
+    ),
+    "pad2d crop": lambda a, b, c: F.pad2d(a * b, 1)[:, :, 1:5, 1:5] + F.pad2d(c, 2)[:, :, 2:6, 2:6],
+    "conv, norm and relu": lambda a, b, c: F.batch_norm(
+        F.conv2d(a.relu() + b, nn.Parameter(np.full((3, 3, 3, 3), 0.1)), padding=1),
+        nn.Parameter(np.ones(3)), nn.Parameter(np.zeros(3)), np.zeros(3), np.ones(3), True,
+    ) * c,
+}
+
+
+class TestGradOwnership:
+    """A fresh adjoint becomes ``.grad`` with no copy, and no two grads alias."""
+
+    @pytest.mark.parametrize("graph", sorted(_GRAPHS))
+    def test_leaf_grads_are_distinct_and_bitwise_the_copied_ones(self, graph, monkeypatch):
+        got = _leaf_grads(_GRAPHS[graph])
+        monkeypatch.setattr(Tensor, "_accumulate", _copy_always_accumulate)
+        want = _leaf_grads(_GRAPHS[graph])
+        held = [t for t in got if t.grad is not None]
+        assert held
+        for t, ref in zip(got, want):
+            if ref.grad is None:
+                assert t.grad is None
+                continue
+            assert t.grad.dtype == ref.grad.dtype
+            assert np.array_equal(t.grad, ref.grad)
+            assert not np.shares_memory(t.grad, t.data)
+        for i, t in enumerate(held):
+            for other in held[i + 1 :]:
+                assert not np.shares_memory(t.grad, other.grad)
+
+    @pytest.mark.parametrize("graph", sorted(_GRAPHS) + ["ours model"])
+    def test_a_fresh_adjoint_shares_memory_with_no_other(self, graph, monkeypatch):
+        # Every adjoint handed over, and every first grad _accumulate
+        # copied, in order.  A fresh adjoint must overlap nothing handed
+        # or copied before it; later views of the grad it became (a
+        # reshape's adjoint, say) are handed on as copies.
+        entries = []
+        accumulate = Tensor._accumulate
+
+        def recording(self, grad, fresh=False):
+            first = self.requires_grad and self.grad is None
+            accumulate(self, grad, fresh=fresh)
+            if self.requires_grad:
+                entries.append((grad, fresh))
+            if first and self.grad is not grad:
+                entries.append((self.grad, False))
+
+        monkeypatch.setattr(Tensor, "_accumulate", recording)
+        if graph == "ours model":
+            model = build_model("ours", "tiny", grid=32, seed=3)
+            x = Tensor(np.random.default_rng(0).random((2, 6, 32, 32)))
+            model(x).sum().backward()
+        else:
+            _leaf_grads(_GRAPHS[graph])
+        fresh = [i for i, (_, is_fresh) in enumerate(entries) if is_fresh]
+        for i in fresh:
+            for j, (earlier, _) in enumerate(entries[:i]):
+                assert not np.may_share_memory(entries[i][0], earlier), (i, j)
+
+    def test_fresh_adjoint_is_taken_and_others_are_copied(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        fresh = np.ones((2, 3))
+        x._accumulate(fresh, fresh=True)
+        assert x.grad is fresh
+        # Not fresh; fresh but float32; fresh but not C-contiguous.
+        for grad, fresh in (
+            (np.ones((2, 3)), False),
+            (np.ones((2, 3), dtype=np.float32), True),
+            (np.ones((3, 2)).T, True),
+        ):
+            y = Tensor(np.zeros((2, 3)), requires_grad=True)
+            y._accumulate(grad, fresh=fresh)
+            assert y.grad is not grad and y.grad.dtype == np.float64
+            np.testing.assert_array_equal(y.grad, np.ones((2, 3)))
+
+    def test_mul_forms_no_product_for_a_constant(self):
+        class Spy(np.ndarray):
+            """Counts the ufunc calls that read it."""
+
+            calls = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                Spy.calls += 1
+                plain = [np.asarray(v) if isinstance(v, Spy) else v for v in inputs]
+                return getattr(ufunc, method)(*plain, **kwargs)
+
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        x.data = x.data.view(Spy)
+        y = x * Tensor(np.full(4, 1.5))
+        assert Spy.calls == 1  # the forward product
+        y.sum().backward()
+        # x's adjoint is g * 1.5; the constant's, g * x, is never formed.
+        assert Spy.calls == 1
+        np.testing.assert_array_equal(x.grad, np.full(4, 1.5))
 
 
 class TestConcatenateStack:

@@ -153,11 +153,3 @@ class Graph:
 
     def param_bytes(self) -> int:
         return sum(n.bytes for n in self.nodes if n.kind == "param")
-
-    def pretty(self, limit: int | None = None) -> str:
-        """Human-readable listing, optionally truncated to ``limit`` rows."""
-        rows = [str(n) for n in self.nodes[: limit or len(self.nodes)]]
-        if limit is not None and len(self.nodes) > limit:
-            rows.append(f"... ({len(self.nodes) - limit} more nodes)")
-        rows.append(f"outputs: {', '.join(f'%{i}' for i in self.outputs)}")
-        return "\n".join(rows)

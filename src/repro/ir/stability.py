@@ -96,7 +96,7 @@ def check_stability(graph: Graph) -> dict:
 
         elif node.op in _LOG_OPS:
             lo = ins[0].vrange[0]
-            if lo < 0.0 or (lo == 0.0 and not _excludes_zero(ins[0])):
+            if lo <= 0.0:
                 findings.append(
                     node_finding(
                         node,
@@ -109,7 +109,7 @@ def check_stability(graph: Graph) -> dict:
 
         elif node.op in _DIV_OPS and len(ins) == 2:
             lo, hi = ins[1].vrange
-            if lo <= 0.0 <= hi and not _excludes_zero(ins[1]):
+            if lo <= 0.0 <= hi:
                 findings.append(
                     node_finding(
                         node,
@@ -157,14 +157,3 @@ def check_stability(graph: Graph) -> dict:
 
     return {"findings": findings}
 
-
-def _excludes_zero(node: Node) -> bool:
-    """Whether a structural pattern proves the value is bounded away from 0.
-
-    The interval domain cannot always carry a strict bound (e.g. the
-    stabilized softmax denominator has lo exactly 1.0, which is fine and
-    handled by the plain interval check); this hook exists for patterns
-    whose *interval* includes 0 but whose structure excludes it.
-    Currently: none needed — kept as the single extension point.
-    """
-    return False

@@ -4,12 +4,15 @@ A :class:`SymbolicArray` stands in for ``numpy.ndarray`` inside a
 :class:`~repro.nn.tensor.Tensor` during tracing: it carries a shape, a
 dtype and a conservative value interval, but **no data**.  Every
 operation applied to one — ufuncs via ``__array_ufunc__``, functions
-like ``np.pad``/``np.concatenate`` via
+like ``np.concatenate``/``np.repeat`` via
 ``__array_function__``, and ndarray methods (``reshape``, ``sum``,
 ``max``, slicing) implemented directly — appends a typed
 :class:`~repro.ir.graph.Node` to the active trace and returns a new
 symbolic array, so running a model's real ``forward`` code produces the
-program graph instead of activations.
+program graph instead of activations.  The two primitives of
+:mod:`repro.nn.functional` whose kernels numpy cannot trace,
+``conv2d`` and ``position_attention``, each emit one node from their
+rule in :mod:`repro.ir.trace` instead.
 
 Three design points worth knowing:
 
@@ -33,7 +36,8 @@ Attempting to *read* data (``float()``, ``bool()``, ``np.asarray``)
 raises :class:`TraceError`: symbolic tracing cannot follow
 data-dependent control flow, by construction.  Where numpy would reject
 the shapes of an operation with a ``ValueError`` (reshape, matmul,
-concatenate, stack, squeeze, in-place ``out=``), the symbolic
+concatenate, stack, squeeze, in-place ``out=``, and the two primitives'
+rules), the symbolic
 rule raises :class:`ShapeError`, so a trace fails wherever the real
 forward would.
 """
@@ -145,12 +149,6 @@ def _rng_contract(a, b):
     if a[0] >= 0 and b[0] >= 0:
         return (0.0, INF)
     return UNBOUNDED
-
-
-def _rng_scale_widen(a, m: float):
-    """Scatter-style range: up to ``m`` summed contributions, or none."""
-    lo, hi = _rng_mul(a, (0.0, float(m)))
-    return (min(lo, 0.0), max(hi, 0.0))
 
 
 # -- operand coercion ----------------------------------------------------------
@@ -439,11 +437,6 @@ class SymbolicArray:
             attrs=(("axes", axes),), vrange=self.vrange,
         )
 
-    def swapaxes(self, a: int, b: int):
-        axes = list(range(self.ndim))
-        axes[a], axes[b] = axes[b], axes[a]
-        return self.transpose(tuple(axes))
-
     def astype(self, dtype, copy: bool = True):
         dtype = np.dtype(dtype)
         if dtype == self.dtype and not copy:
@@ -504,25 +497,6 @@ class SymbolicArray:
 
     def min(self, axis=None, keepdims: bool = False):
         return self._reduce("min", axis, keepdims, self.vrange)
-
-    # -- repro.nn structured-op hooks ------------------------------------------
-
-    def __symbolic_im2col__(self, kernel: int, stride: int):
-        n, c, h, w = self.shape
-        out_h = (h - kernel) // stride + 1
-        out_w = (w - kernel) // stride + 1
-        cols = self._emit(
-            "im2col", (self,), (n, c * kernel * kernel, out_h * out_w), self.dtype,
-            attrs=(("kernel", kernel), ("stride", stride)), vrange=self.vrange,
-        )
-        return cols, out_h, out_w
-
-    def __symbolic_col2im__(self, shape, kernel: int, stride: int):
-        return self._emit(
-            "col2im", (self,), shape, self.dtype, flops=self.size,
-            attrs=(("kernel", kernel), ("stride", stride)),
-            vrange=_rng_scale_widen(self.vrange, kernel * kernel),
-        )
 
 
 def _slice_shape(shape: tuple[int, ...], index) -> tuple[int, ...]:
@@ -647,27 +621,6 @@ _UFUNCS: dict[Any, Callable] = {
 # -- numpy function rules ------------------------------------------------------
 
 
-def _f_pad(array, pad_width, mode="constant", **kwargs):
-    if mode != "constant":
-        raise TraceError(f"np.pad mode {mode!r} is not supported in tracing")
-    ndim = array.ndim
-    if isinstance(pad_width, int):
-        pads = ((pad_width, pad_width),) * ndim
-    else:
-        pads = tuple(
-            (int(p[0]), int(p[1])) if not isinstance(p, int) else (p, p)
-            for p in pad_width
-        )
-        if len(pads) == 1:
-            pads = pads * ndim
-    shape = tuple(d + a + b for d, (a, b) in zip(array.shape, pads))
-    lo, hi = array.vrange
-    return array._emit(
-        "pad", (array,), shape, array.dtype,
-        attrs=(("pads", pads),), vrange=(min(lo, 0.0), max(hi, 0.0)),
-    )
-
-
 def _f_concatenate(arrays, axis=0, **kwargs):
     sess = _session_of(arrays)
     first = next(a for a in arrays if isinstance(a, SymbolicArray))
@@ -731,10 +684,6 @@ def _f_broadcast_to(array, shape, **kwargs):
         alias_of=array.sess.graph.buffer_of(array.node_id), contiguous=False,
         attrs=(("shape", tuple(shape)),), vrange=array.vrange,
     )
-
-
-def _f_swapaxes(a, axis1, axis2):
-    return a.swapaxes(axis1, axis2)
 
 
 def _f_transpose(a, axes=None):
@@ -810,12 +759,10 @@ def _f_amin(a, axis=None, keepdims=False, **kwargs):
 
 
 _FUNCS: dict[Any, Callable] = {
-    np.pad: _f_pad,
     np.concatenate: _f_concatenate,
     np.stack: _f_stack,
     np.repeat: _f_repeat,
     np.broadcast_to: _f_broadcast_to,
-    np.swapaxes: _f_swapaxes,
     np.transpose: _f_transpose,
     np.reshape: _f_reshape,
     np.squeeze: _f_squeeze,

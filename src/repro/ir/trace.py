@@ -3,9 +3,12 @@
 The tracer does not reimplement any layer.  It wraps
 :class:`~repro.ir.symbolic.SymbolicArray` payloads in ordinary
 :class:`~repro.nn.tensor.Tensor` objects and calls the module's own
-``forward``, so the traced graph is — by construction — the exact
-sequence of numpy operations the model executes at runtime, with real
-shape arithmetic but no data.
+``forward``, so the traced graph is — by construction — the sequence of
+numpy operations the model executes at runtime, with real shape
+arithmetic but no data.  Each ``conv2d`` and ``position_attention`` call
+is one node from the rules below, whose ``kernel`` attribute names the
+kernel the numeric code runs (the same ``_conv_plan`` /
+``_attention_kernel`` call decides both), with that kernel's FLOPs.
 
 Tracing conventions:
 
@@ -39,6 +42,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.nn import functional as F
 from repro.nn.module import Module, _set_call_hook
 from repro.nn.tensor import (
     Tensor,
@@ -49,12 +53,74 @@ from repro.nn.tensor import (
 
 from .graph import Graph
 from .symbolic import ShapeError, SymbolicArray, TraceError
+from .symbolic import _operands, _rng_add, _rng_contract, _rng_union
 
 __all__ = ["TraceSession", "trace", "trace_model"]
 
-_register_abstract_array_type(SymbolicArray)
-
 UNBOUNDED = (-math.inf, math.inf)
+
+
+# -- primitive rules -------------------------------------------------------------
+
+
+def _conv2d_rule(x, weight, bias=None, stride=1, padding=0) -> Tensor:
+    """One ``conv2d`` node.  The implicit GEMM's ``k²`` tap GEMMs and tap
+    sums span the whole padded grid; the bias is added in place."""
+    try:
+        path, shape = F._conv_plan(x.shape, weight.shape, stride, padding)
+    except ValueError as exc:
+        raise ShapeError(str(exc)) from None
+    n, c_out, out_h, out_w = shape
+    _, c_in, h, w = x.shape
+    taps = weight.shape[2] ** 2
+    if path == "implicit_gemm":
+        padded = (h + 2 * padding) * (w + 2 * padding)
+        flops = n * c_out * padded * (2 * c_in * taps + taps - 1)
+    else:
+        flops = 2 * n * c_out * c_in * taps * out_h * out_w
+    operands = [x.data, weight.data]
+    if bias is not None:
+        if bias.size != c_out:
+            raise ShapeError(f"bias of size {bias.size} does not fit {c_out} channels")
+        operands.append(bias.data)
+        flops += n * c_out * out_h * out_w
+    _, dtypes, vranges = _operands(x.data.sess, operands)
+    x_range = _rng_union(vranges[0], (0.0, 0.0)) if padding else vranges[0]
+    vrange = _rng_contract(x_range, vranges[1])
+    if bias is not None:
+        vrange = _rng_add(vrange, vranges[2])
+    return Tensor(x.data._emit(
+        "conv2d", operands, shape, np.result_type(*dtypes[:2]), flops=flops,
+        attrs=(("kernel", path), ("size", weight.shape[2]), ("stride", stride),
+               ("padding", padding)),
+        vrange=vrange,
+    ))
+
+
+def _position_attention_rule(q, k, v) -> Tensor:
+    """One ``position_attention`` node; its output, a convex combination
+    of ``v``'s columns, lies in ``v``'s interval."""
+    try:
+        path = F._attention_kernel(q.shape, k.shape, v.shape)
+    except ValueError as exc:
+        raise ShapeError(str(exc)) from None
+    n, d, tokens = q.shape
+    c = v.shape[1]
+    cells = n * tokens * tokens
+    if path == "rank1":  # outer product, exp, X @ [v; 1]ᵀ; key shifts, 1/ΣX, scaling
+        flops = (2 + 2 * (c + 1)) * cells + n * tokens * (c + 5)
+    else:  # energy, max, shift, exp, sum, v @ Xᵀ; 1/ΣX, scaling
+        flops = ((1 if d == 1 else 2 * d) + 4 + 2 * c) * cells + n * tokens * (c + 1)
+    operands = (q.data, k.data, v.data)
+    _, dtypes, vranges = _operands(q.data.sess, operands)
+    return Tensor(q.data._emit(
+        "position_attention", operands, v.shape, np.result_type(*dtypes), flops=flops,
+        attrs=(("kernel", path),), vrange=vranges[2],
+    ))
+
+
+_register_abstract_array_type(
+    SymbolicArray, {"conv2d": _conv2d_rule, "position_attention": _position_attention_rule})
 
 # Frames from these directories are tracer/numpy machinery, not user
 # code; call-site attribution skips past them.

@@ -5,12 +5,15 @@ These are the image-shaped primitives the paper's models need —
 im2col + BLAS matmul otherwise; stride-1 input gradient via
 flipped-kernel correlation; col2im only for strided convs), the
 transformer's linear projection as one 2-D GEMM, max pooling,
-nearest-neighbour upsampling, zero padding, softmax/log-softmax,
-position attention and normalization — built on
-:class:`repro.nn.tensor.Tensor`.  Each op installs an explicit backward
-closure rather than composing scalar autograd primitives, which keeps
-numpy training tractable at the grid sizes used by the benchmark
-harness.
+nearest-neighbour upsampling, softmax/log-softmax, position attention
+and normalization — built on :class:`repro.nn.tensor.Tensor`.  Each op
+installs an explicit backward closure rather than composing scalar
+autograd primitives, which keeps numpy training tractable at the grid
+sizes used by the benchmark harness.
+
+The numeric code runs on ``np.ndarray`` payloads only: a call of the
+primitives :func:`conv2d` and :func:`position_attention` on an abstract
+payload (:mod:`repro.ir.symbolic`) runs the rule its type registered.
 
 All image tensors follow the NCHW convention used throughout the paper
 (Fig. 5 reports shapes as ``[channels, height, width]``).
@@ -18,12 +21,13 @@ All image tensors follow the NCHW convention used throughout the paper
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .tensor import Tensor, as_tensor
+from .tensor import _ABSTRACT_ARRAY_TYPES, Tensor, as_tensor
 
 __all__ = [
-    "pad2d",
     "im2col",
     "col2im",
     "conv2d",
@@ -39,33 +43,29 @@ __all__ = [
 ]
 
 
+def _primitive(fn):
+    """Run the rule registered for ``fn`` by the first operand's payload type, if any."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def call(x, *args, **kwargs):
+        x = as_tensor(x)
+        rules = _ABSTRACT_ARRAY_TYPES.get(type(x.data))
+        return (fn if rules is None else rules[name])(x, *args, **kwargs)
+
+    return call
+
+
 def _pad_spatial(data: np.ndarray, p: int) -> np.ndarray:
     """Zero-pad the two trailing axes of ``data`` by ``p`` on each side.
 
     Bitwise ``np.pad``, without its 30-40 µs fixed cost per call:
-    zeros with the interior assigned.  Symbolic arrays
-    (:mod:`repro.ir.symbolic`) go through ``np.pad``, so the trace
-    records a ``pad`` node.
+    zeros with the interior assigned.
     """
-    if not isinstance(data, np.ndarray):
-        return np.pad(data, ((0, 0),) * (data.ndim - 2) + ((p, p), (p, p)))
     *lead, h, w = data.shape
     out = np.zeros((*lead, h + 2 * p, w + 2 * p), dtype=data.dtype)
     out[..., p : p + h, p : p + w] = data
     return out
-
-
-def pad2d(x: Tensor, padding: int) -> Tensor:
-    """Zero-pad the two trailing (spatial) axes of an NCHW tensor."""
-    if padding == 0:
-        return x
-    p = int(padding)
-
-    def backward(out: Tensor) -> None:
-        index = (slice(None),) * (x.ndim - 2) + (slice(p, -p), slice(p, -p))
-        x._accumulate(out.grad[index])
-
-    return Tensor._make(_pad_spatial(x.data, p), (x,), backward)
 
 
 def im2col(
@@ -85,12 +85,6 @@ def im2col(
     n, c, h, w = data.shape
     if kernel == 1 and stride == 1:
         return data.reshape(n, c, h * w), h, w
-    # Symbolic tracing hook: as_strided does not speak the
-    # __array_function__ protocol, so abstract arrays provide their own
-    # shape-only implementation (see repro.ir.symbolic).
-    symbolic = getattr(data, "__symbolic_im2col__", None)
-    if symbolic is not None:
-        return symbolic(kernel, stride)
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
     s0, s1, s2, s3 = data.strides
@@ -115,9 +109,6 @@ def col2im(
     One strided read-modify-write pass per kernel tap.  Only the input
     gradient of strided convolutions in :func:`conv2d` needs it.
     """
-    symbolic = getattr(cols, "__symbolic_col2im__", None)
-    if symbolic is not None:
-        return symbolic(shape, kernel, stride)
     n, c, h, w = shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
@@ -192,6 +183,26 @@ def _correlate(data: np.ndarray, weight: np.ndarray, padding: int) -> np.ndarray
     return out
 
 
+def _conv_plan(x_shape: tuple, weight_shape: tuple, stride: int, padding: int):
+    """``(kernel, output shape)`` of :func:`conv2d`; ``ValueError`` where it fails.
+
+    ``"implicit_gemm"`` (:func:`_correlate`) for stride 1 and ``k > 1``.
+    """
+    n, c, h, w = x_shape
+    c_out, c_in, kernel, kernel_w = weight_shape
+    if kernel != kernel_w:
+        raise ValueError("only square kernels are supported")
+    if c != c_in:
+        raise ValueError(f"input has {c} channels but weight expects {c_in}")
+    out_h = (h + 2 * padding - kernel) // stride + 1
+    out_w = (w + 2 * padding - kernel) // stride + 1
+    if out_h < 0 or out_w < 0:
+        raise ValueError(f"kernel {kernel} does not fit the {h}x{w} input padded by {padding}")
+    path = "implicit_gemm" if kernel > 1 and stride == 1 else "im2col"
+    return path, (n, c_out, out_h, out_w)
+
+
+@_primitive
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -201,12 +212,12 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution over an NCHW tensor.
 
-    A stride-1 kernel larger than 1×1 runs as an implicit GEMM
-    (:func:`_correlate`): one matmul per kernel tap over a channel-major
-    copy of the padded input, with no im2col columns.  Strided and 1×1
-    convolutions (and symbolic arrays, so the IR trace records an
-    ``im2col``) run ``w2d @ cols`` on im2col columns, dropped once the
-    output exists.  No columns are kept for backward: the weight
+    :func:`_conv_plan` picks the forward kernel.  A stride-1 kernel
+    larger than 1×1 runs as an implicit GEMM (:func:`_correlate`): one
+    matmul per kernel tap over a channel-major copy of the padded input,
+    with no im2col columns.  Strided and 1×1 convolutions run ``w2d @
+    cols`` on im2col columns, dropped once the output exists.  No
+    columns are kept for backward: the weight
     gradient ``(grad @ colsᵀ).sum(0)`` rebuilds them from ``x``, and
     only when ``weight`` needs a gradient.  For stride 1 the input
     gradient is a forward correlation of the output gradient with the
@@ -228,23 +239,15 @@ def conv2d(
     bias:
         Optional per-output-channel bias of shape ``(C_out,)``.
     """
-    x = as_tensor(x)
-    n, _, h, w = x.shape
-    c_out, c_in, kernel, kernel_w = weight.shape
-    if kernel != kernel_w:
-        raise ValueError("only square kernels are supported")
-    if x.shape[1] != c_in:
-        raise ValueError(
-            f"input has {x.shape[1]} channels but weight expects {c_in}"
-        )
+    path, (n, c_out, out_h, out_w) = _conv_plan(x.shape, weight.shape, stride, padding)
+    _, c_in, h, w = x.shape
+    kernel = weight.shape[2]
     padded_shape = (n, c_in, h + 2 * padding, w + 2 * padding)
-    out_h = (padded_shape[2] - kernel) // stride + 1
-    out_w = (padded_shape[3] - kernel) // stride + 1
 
     def columns(data: np.ndarray) -> np.ndarray:
         return im2col(_pad_spatial(data, padding) if padding else data, kernel, stride)[0]
 
-    if kernel > 1 and stride == 1 and isinstance(x.data, np.ndarray):
+    if path == "implicit_gemm":
         out_data = _correlate(x.data, weight.data, padding)
     else:
         w2d = weight.data.reshape(c_out, -1)
@@ -427,12 +430,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def _attention_block_rows(qd: np.ndarray, tokens: int) -> int:
     """Query rows per block of the general (``d > 1``) position attention.
 
-    A block holds ``rows · N · L`` elements.  Symbolic arrays
-    (:mod:`repro.ir.symbolic`) record the whole attention as one block,
-    so the traced graph does not depend on the block size.
+    A block holds ``rows · N · L`` elements.
     """
-    if not isinstance(qd, np.ndarray):
-        return tokens
     n = qd.shape[0]
     return max(1, _BLOCK_BYTES // (n * tokens * qd.dtype.itemsize))
 
@@ -446,8 +445,8 @@ def _attention_exp(qb: np.ndarray, kd: np.ndarray, row_max=None):
     """
     n, d, rows = qb.shape
     if d == 1:
-        # Rank-1 energy (small maps and symbolic traces; see
-        # _rank1_attention): an outer product, which broadcasting
+        # Rank-1 energy of a map below _RANK1_MIN_MAP (see
+        # _attention_kernel): an outer product, which broadcasting
         # builds without a matmul of inner dimension 1.
         energy = qb.reshape(n, rows, 1) * kd
     else:
@@ -500,7 +499,19 @@ def _blocked_attention(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray):
 
 
 #: Smallest per-sample ``L × L`` map that :func:`_rank1_attention` runs.
+#: Below one 256 × 256 map per sample, the sort and the per-sample calls
+#: cost more than the passes they save (at 128 × 128 and batch 1 the
+#: forward is ~45% slower).
 _RANK1_MIN_MAP = 256 * 256
+
+
+def _attention_kernel(q_shape: tuple, k_shape: tuple, v_shape: tuple) -> str:
+    """The kernel of :func:`position_attention`; ``ValueError`` where it fails."""
+    n, d, tokens = q_shape
+    if tuple(k_shape) != (n, d, tokens) or len(v_shape) != 3 or tuple(v_shape[::2]) != (n, tokens):
+        raise ValueError(f"position attention needs q, k (N, d, L) and v (N, c, L): "
+                         f"got {q_shape}, {k_shape}, {v_shape}")
+    return "rank1" if d == 1 and tokens * tokens >= _RANK1_MIN_MAP else "blocked"
 
 
 def _rank1_blocks(n: int, tokens: int, itemsize: int) -> list[tuple[slice, slice]]:
@@ -534,12 +545,6 @@ def _rank1_attention(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray):
     and ``ΣX``.  The results are scattered back to the input order.
     """
     n, _, tokens = qd.shape
-    if tokens * tokens < _RANK1_MIN_MAP or not isinstance(qd, np.ndarray):
-        # Below one 256 × 256 map per sample, the sort and the per-sample
-        # calls cost more than the passes they save (at 128 × 128 and
-        # batch 1 the forward is ~45% slower).  Symbolic traces keep
-        # the one-block graph.
-        return _blocked_attention(qd, kd, vd)
     c = vd.shape[1]
     q, k = qd[:, 0], kd[:, 0]
     negative = q < 0
@@ -600,6 +605,7 @@ def _rank1_attention(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray):
     return out, inv, sweep
 
 
+@_primitive
 def position_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """DANet position attention (Eqs. 4–5): ``v · softmax(qᵀk)ᵀ``.
 
@@ -612,13 +618,15 @@ def position_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     recompute).  A block of the unnormalized attention ``X = exp(E -
     max E)`` holds about 1 MiB, so it stays in cache and no ``L × L``
     map is ever held.  Each block holds whole rows, so the max is exact
-    and nothing is rescaled.  For ``d > 1`` (also for rank-1 maps below
-    ``L = 256`` and for symbolic traces) a block costs the energy
-    product, a max, a subtract, an ``exp`` and a sum per element, and
-    the forward stores per-row ``1/ΣX`` and ``max E``.  For ``d == 1``,
-    the rank-1 attention of every MFA block, :func:`_rank1_attention`
-    shifts the keys instead: one multiply and one ``exp`` per element,
-    ``ΣX`` from the output GEMM, and per-row state of O(N·L).  Only
+    and nothing is rescaled.  :func:`_attention_kernel` picks the
+    kernel.  For ``d > 1``, and for rank-1 maps below ``L = 256``,
+    :func:`_blocked_attention`'s blocks cost the energy product, a max,
+    a subtract, an ``exp`` and a sum per element, and the forward stores
+    per-row ``1/ΣX`` and ``max E``.  For ``d == 1`` from ``L = 256``
+    (the rank-1 attention of every MFA block at those sizes),
+    :func:`_rank1_attention` shifts the keys instead: one multiply and
+    one ``exp`` per element, ``ΣX`` from the output GEMM, and per-row
+    state of O(N·L).  Only
     BLAS products may round differently from a one-block computation,
     since BLAS picks its gemm kernel by matrix size.  Backward
     recomputes each block of ``X`` through the same function (bitwise
@@ -635,7 +643,8 @@ def position_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     c = v.shape[1]
     cd = c * d
     qd, kd, vd = q.data, k.data, v.data
-    attention = _rank1_attention if d == 1 else _blocked_attention
+    rank1 = _attention_kernel(q.shape, k.shape, v.shape) == "rank1"
+    attention = _rank1_attention if rank1 else _blocked_attention
     out_data, inv, sweep = attention(qd, kd, vd)
 
     def backward(out: Tensor) -> None:

@@ -39,17 +39,15 @@ _GRAD_ENABLED = True
 _DEFAULT_DTYPE = np.float64
 
 # Abstract array types (see repro.ir.symbolic) that Tensor must carry
-# through untouched instead of coercing with np.asarray.  Registered by
-# the IR tracer so that a symbolic forward pass can flow through the
-# exact same Tensor/Module code paths as a real one.
-_ABSTRACT_ARRAY_TYPES: tuple[type, ...] = ()
+# through untouched instead of coercing with np.asarray, each with its
+# rules for the primitives of repro.nn.functional.  Registered by the IR
+# tracer so that a symbolic forward runs the same Tensor/Module code.
+_ABSTRACT_ARRAY_TYPES: dict[type, dict[str, Callable]] = {}
 
 
-def _register_abstract_array_type(cls: type) -> None:
-    """Let ``Tensor`` wrap ``cls`` instances without numpy coercion."""
-    global _ABSTRACT_ARRAY_TYPES
-    if cls not in _ABSTRACT_ARRAY_TYPES:
-        _ABSTRACT_ARRAY_TYPES = _ABSTRACT_ARRAY_TYPES + (cls,)
+def _register_abstract_array_type(cls: type, rules: dict[str, Callable]) -> None:
+    """Let ``Tensor`` wrap ``cls``; ``rules`` maps primitive names to their rules."""
+    _ABSTRACT_ARRAY_TYPES[cls] = dict(rules)
 
 
 def set_default_dtype(dtype) -> None:
@@ -134,7 +132,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        if _ABSTRACT_ARRAY_TYPES and isinstance(data, _ABSTRACT_ARRAY_TYPES):
+        if type(data) in _ABSTRACT_ARRAY_TYPES:
             # Symbolic tracing: keep the abstract array as the payload
             # (an explicit cast keeps dtype semantics observable to the
             # IR's mixed-precision pass).
@@ -203,7 +201,7 @@ class Tensor:
 
         The first adjoint is copied into a buffer of ``self.data``'s
         dtype and layout, since vjps hand over views of another tensor's
-        grad (``reshape``, ``pad2d``'s crop, ``out.grad`` itself), which
+        grad (``reshape``, ``concatenate``'s slices, ``out.grad`` itself), which
         later accumulations must not write.  A vjp passes ``fresh=True``
         only for an array it allocated itself and hands to this one
         tensor: that array becomes ``self.grad`` without a copy when it

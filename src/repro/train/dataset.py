@@ -24,7 +24,7 @@ import numpy as np
 
 from ..features import FEATURE_NAMES, FeatureExtractor, resize_map
 from ..netlist import Design, DesignSpec, generate_design
-from ..placement import PlacerConfig, RudyEstimator, place_design
+from ..placement import RudyEstimator, place_design, sample_placer_config
 from ..routing import congestion_report, route_design
 
 __all__ = ["Sample", "DatasetConfig", "generate_samples", "CongestionDataset", "rotate_sample"]
@@ -74,17 +74,6 @@ class DatasetConfig:
     stage2_iters: int = 120
 
 
-def _varied_placer_config(
-    rng: np.random.Generator, cfg: DatasetConfig, gp_seed: int | None = None
-) -> PlacerConfig:
-    """A placement configuration drawn from the paper's parameter sweep."""
-    from ..placement.sweep import sample_placer_config
-
-    return sample_placer_config(
-        rng, gp_iters=cfg.gp_iters, stage2_iters=cfg.stage2_iters, gp_seed=gp_seed
-    )
-
-
 def generate_samples(
     design_or_spec: Design | DesignSpec,
     config: DatasetConfig,
@@ -96,25 +85,20 @@ def generate_samples(
     is mutated by the flow), each placed with varied parameters, routed,
     and converted to a (features, levels) pair on the ``grid`` raster.
 
-    With ``seed_seq`` every placement draws from its own spawned child
-    stream — independent of how many placements ran before it — which
-    is what lets :meth:`CongestionDataset.build` generate designs in
-    parallel workers and still reproduce the serial dataset bitwise.
-    Without it, one ``default_rng(config.seed)`` generator is threaded
-    through the whole sweep.
+    Every placement draws from its own spawned child of ``seed_seq``
+    (default ``SeedSequence(config.seed)``) — independent of how many
+    placements ran before it — which is what lets
+    :meth:`CongestionDataset.build` generate designs in parallel workers
+    and still reproduce the serial dataset bitwise.
     """
     if seed_seq is None:
-        rng = np.random.default_rng(config.seed)
-        draws = [(rng, None) for _ in range(config.placements_per_design)]
-    else:
-        draws = []
-        for child in seed_seq.spawn(config.placements_per_design):
-            cfg_seq, gp_seq = child.spawn(2)
-            gp_seed = int(gp_seq.generate_state(1)[0] % 1_000_000)
-            draws.append((np.random.default_rng(cfg_seq), gp_seed))
+        seed_seq = np.random.SeedSequence(config.seed)
     extractor = FeatureExtractor(grid=config.grid)
     samples: list[Sample] = []
-    for draw_rng, gp_seed in draws:
+    for child in seed_seq.spawn(config.placements_per_design):
+        cfg_seq, gp_seq = child.spawn(2)
+        draw_rng = np.random.default_rng(cfg_seq)
+        gp_seed = int(gp_seq.generate_state(1)[0] % 1_000_000)
         if isinstance(design_or_spec, DesignSpec):
             design = generate_design(design_or_spec, scale=config.design_scale)
         else:
@@ -122,7 +106,11 @@ def generate_samples(
                 _spec_of(design_or_spec), scale=config.design_scale,
                 device=design_or_spec.device,
             )
-        placer_cfg = _varied_placer_config(draw_rng, config, gp_seed=gp_seed)
+        # One configuration drawn from the paper's parameter sweep.
+        placer_cfg = sample_placer_config(
+            draw_rng, gp_iters=config.gp_iters, stage2_iters=config.stage2_iters,
+            gp_seed=gp_seed,
+        )
         estimator = RudyEstimator(
             grid=design.device.tile_cols, gain=float(draw_rng.uniform(0.7, 1.3))
         )

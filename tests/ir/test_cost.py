@@ -11,22 +11,36 @@ def _rng():
 
 
 class TestAnalyticFlops:
+    @staticmethod
+    def _conv_node(graph):
+        (node,) = [node for node in graph if node.kind == "op"]
+        assert node.op == "conv2d"
+        return node
+
     def test_conv2d_exact(self):
-        # im2col conv: the single matmul does
-        # 2 * N * C_out * (C_in * k^2) * H_out * W_out flops.
+        # Stride 1, k > 1: the implicit GEMM runs k² tap GEMMs over the
+        # whole (H + 2p)² padded grid and sums the k² tap products, then
+        # adds the bias over the H_out² outputs.
         n, c_in, c_out, k, h = 1, 3, 8, 3, 16
         conv = Conv2d(c_in, c_out, k, padding=1, rng=_rng())
-        graph = trace(conv, (n, c_in, h, h))
-        matmul_flops = sum(node.flops for node in graph if node.op == "matmul")
-        assert matmul_flops == 2 * n * c_out * (c_in * k * k) * h * h
+        node = self._conv_node(trace(conv, (n, c_in, h, h)))
+        assert dict(node.attrs)["kernel"] == "implicit_gemm"
+        padded = (h + 2) * (h + 2)
+        assert node.flops == (
+            n * c_out * padded * (2 * c_in * k * k + k * k - 1) + n * c_out * h * h
+        )
 
     def test_conv2d_strided_exact(self):
+        # Strided: one im2col GEMM of 2 * N * C_out * (C_in * k^2) *
+        # H_out * W_out flops, plus the bias.
         n, c_in, c_out, k, h, stride = 2, 4, 6, 3, 16, 2
         h_out = (h - k) // stride + 1
         conv = Conv2d(c_in, c_out, k, stride=stride, rng=_rng())
-        graph = trace(conv, (n, c_in, h, h))
-        matmul_flops = sum(node.flops for node in graph if node.op == "matmul")
-        assert matmul_flops == 2 * n * c_out * (c_in * k * k) * h_out * h_out
+        node = self._conv_node(trace(conv, (n, c_in, h, h)))
+        assert dict(node.attrs)["kernel"] == "im2col"
+        assert node.flops == (
+            2 * n * c_out * (c_in * k * k) * h_out * h_out + n * c_out * h_out * h_out
+        )
 
     def test_linear_exact(self):
         # y = x @ W^T: 2 * batch * in * out flops for the matmul.

@@ -156,12 +156,15 @@ def test_stride_one_input_grad_needs_no_col2im(monkeypatch):
 
 
 def test_pointwise_conv_traces_without_unfold():
+    """A 1×1 conv is one ``im2col`` node of exactly one GEMM plus the
+    bias, and its columns are the pixels: the unfold is a view."""
     conv = nn.Conv2d(4, 6, 1, rng=np.random.default_rng(0))
     graph = trace(conv, (2, 4, 8, 8))
-    ops = [node.op for node in graph if node.kind == "op"]
-    assert "im2col" not in ops
-    assert ops.count("reshape") >= 1
-    assert ops.count("matmul") == 1
+    (node,) = [node for node in graph if node.kind == "op"]
+    assert node.op == "conv2d" and dict(node.attrs)["kernel"] == "im2col"
+    assert node.flops == 2 * 2 * 6 * 4 * 8 * 8 + 2 * 6 * 8 * 8
+    x = np.random.default_rng(1).normal(size=(2, 4, 8, 8))
+    assert np.shares_memory(F.im2col(x, 1, 1)[0], x)
 
 
 # -- padding without np.pad -----------------------------------------------------------
@@ -195,18 +198,29 @@ def test_pad2d_and_padded_convs_call_no_np_pad(monkeypatch):
 
     monkeypatch.setattr(np, "pad", refuse)
     rng = np.random.default_rng(6)
-    x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
-    F.pad2d(x, 2).sum().backward()
+    x = rng.normal(size=(2, 3, 5, 5))
     # The stride-1 input gradient pads dy by k - 1 - padding: 1, 3 and 0.
     for kernel, padding in ((3, 1), (5, 1), (3, 2)):
         w = rng.normal(size=(4, 3, kernel, kernel))
-        g = np.ones(F.conv2d(Tensor(x.data), Tensor(w), padding=padding).shape)
-        _run(F.conv2d, x.data, w, None, 1, padding, g)
+        g = np.ones(F.conv2d(Tensor(x), Tensor(w), padding=padding).shape)
+        _run(F.conv2d, x, w, None, 1, padding, g)
 
 
-def test_traced_pads_still_record_pad_nodes():
+def test_traced_convs_record_their_padding():
+    """Each of the 22 padded convs of ``ours`` is one node that carries
+    its padding; an implicit GEMM's FLOPs span the padded grid."""
     graph = trace_model("ours", preset="fast", grid=64)
-    assert sum(node.op == "pad" for node in graph) == 22
+    convs = [node for node in graph if node.op == "conv2d"]
+    padded = [node for node in convs if dict(node.attrs)["padding"]]
+    assert len(padded) == 22
+    for node in padded:
+        attrs = dict(node.attrs)
+        if attrs["kernel"] == "implicit_gemm":
+            (n, c_in, h, w), c_out = graph[node.inputs[0]].shape, node.shape[1]
+            p, taps = attrs["padding"], attrs["size"] ** 2
+            pixels = (h + 2 * p) * (w + 2 * p)
+            gemm = n * c_out * pixels * (2 * c_in * taps + taps - 1)
+            assert node.flops - gemm in (0, node.size)  # the bias, if any
 
 
 # -- implicit-GEMM forward (stride 1, kernel > 1) -------------------------------------

@@ -183,18 +183,6 @@ class TestUpsamplePad:
     def test_upsample_shapes_cover_the_registry(self):
         assert _registry_upsample_shapes() == {(shape, 2) for shape in _REGISTRY_UPSAMPLES}
 
-    def test_pad2d(self):
-        x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
-        out = F.pad2d(x, 1)
-        assert out.shape == (1, 1, 4, 4)
-        assert out.data.sum() == 4.0
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones((1, 1, 2, 2)))
-
-    def test_pad2d_zero_is_identity(self):
-        x = Tensor(np.ones((1, 1, 2, 2)))
-        assert F.pad2d(x, 0) is x
-
 
 class TestSoftmax:
     def test_rows_sum_to_one(self, rng):

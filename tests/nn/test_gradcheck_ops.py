@@ -365,11 +365,6 @@ def _(rng):
 # -- nn.functional -------------------------------------------------------------
 
 
-@_case("pad2d/p2", "pad2d")
-def _(rng):
-    return lambda a: F.pad2d(a, 2), (_n(rng, 2, 3, 4, 4),)
-
-
 @_case("conv2d/k3-s1-p0", "conv2d", scale=10.0)
 def _(rng):
     return (

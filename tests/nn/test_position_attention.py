@@ -261,7 +261,7 @@ def test_rank1_float64_matches_composite(monkeypatch, rank1_only, batch, layout,
 
 
 def test_rank1_runs_only_maps_of_256_tokens_or_more(monkeypatch):
-    """Smaller maps (and symbolic traces) take the general path."""
+    """Smaller maps take the general path (``_attention_kernel``)."""
     ran = []
     original = F._blocked_attention
     monkeypatch.setattr(F, "_blocked_attention", lambda *a: ran.append(1) or original(*a))

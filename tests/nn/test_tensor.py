@@ -335,7 +335,6 @@ _GRAPHS = {
         (a * b).reshape(2, 3, 16).transpose(0, 2, 1).reshape(2, 4, 4, 3).transpose(0, 3, 1, 2)
         + c * 2.0
     ),
-    "pad2d crop": lambda a, b, c: F.pad2d(a * b, 1)[:, :, 1:5, 1:5] + F.pad2d(c, 2)[:, :, 2:6, 2:6],
     "conv, norm and relu": lambda a, b, c: F.batch_norm(
         F.conv2d(a.relu() + b, nn.Parameter(np.full((3, 3, 3, 3), 0.1)), padding=1),
         nn.Parameter(np.ones(3)), nn.Parameter(np.zeros(3)), np.zeros(3), np.ones(3), True,

@@ -64,13 +64,25 @@ class TestRotation:
 
 
 class TestGeneration:
+    CONFIG = DatasetConfig(
+        grid=16, placements_per_design=2, design_scale=1 / 256,
+        gp_iters=80, stage2_iters=20, seed=7,
+    )
+
     @pytest.fixture(scope="class")
     def samples(self):
-        config = DatasetConfig(
-            grid=16, placements_per_design=2, design_scale=1 / 256,
-            gp_iters=80, stage2_iters=20, seed=7,
+        return generate_samples(MLCAD2023_SPECS["Design_197"], self.CONFIG)
+
+    def test_default_stream_is_the_seed_sequence_of_the_config_seed(self, samples):
+        explicit = generate_samples(
+            MLCAD2023_SPECS["Design_197"], self.CONFIG,
+            seed_seq=np.random.SeedSequence(self.CONFIG.seed),
         )
-        return generate_samples(MLCAD2023_SPECS["Design_197"], config)
+        assert len(explicit) == len(samples)
+        for got, want in zip(samples, explicit):
+            assert got.features.dtype == want.features.dtype
+            assert np.array_equal(got.features.view(np.uint8), want.features.view(np.uint8))
+            assert np.array_equal(got.labels, want.labels)
 
     def test_count_and_shapes(self, samples):
         assert len(samples) == 2
